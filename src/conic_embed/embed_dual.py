@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     PsdStatus,
+    SparseRows,
     SymMatrix,
     block_diag,
     numeric_rank,
@@ -41,6 +42,7 @@ from .soco import (
     SocoProblem,
     SocoSolution,
     arrow_head_inv,
+    arrow_head_triplets,
     block_arrow_head,
     cone_position,
 )
@@ -102,12 +104,12 @@ def build_dual_embedding(problem: SocoProblem) -> SdoProblem:
     """Arrow-head image of the data: C and each constraint row become
     block-diagonal arrow-head matrices; b is unchanged."""
     C = block_arrow_head(problem.c_blocks)
-    rows = [
-        block_arrow_head([blk[j] for blk in problem.A_blocks])
-        for j in range(problem.m)
-    ]
+    n = problem.total_dim
+    rows = SparseRows(
+        n, problem.m, *arrow_head_triplets(problem.A_blocks, problem.layout, 1.0, 1.0)
+    )
     meta = EmbeddingMeta(Side.DUAL, problem.cone_dims, m_original=problem.m)
-    return SdoProblem(problem.total_dim, C, tuple(rows), problem.b, meta)
+    return SdoProblem(n, C, rows, problem.b, meta)
 
 
 def _require_in_cone(x: np.ndarray, tol: float) -> ConePosition:

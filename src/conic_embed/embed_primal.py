@@ -22,7 +22,7 @@ from .errors import (
     NotArrowHead,
     TemplateViolation,
 )
-from .linalg import DEFAULT_TOL, SymMatrix, block_diag
+from .linalg import DEFAULT_TOL, SparseRows, SymMatrix, block_diag
 from .sdo import DualSplit, EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .embed_dual import (
     RankOne,
@@ -30,42 +30,49 @@ from .embed_dual import (
     _require_in_cone,
     map_block,
     per_cone_choices,
-    rank_one_map,
 )
-from .soco import BlockLayout, SocoProblem, SocoSolution, arrow_head, arrow_head_inv
+from .soco import (
+    BlockLayout,
+    SocoProblem,
+    SocoSolution,
+    arrow_head,
+    arrow_head_inv,
+    arrow_head_triplets,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuralIndex:
     """Pinned entry pairs and tied diagonals for a cone layout (0-based, global).
 
-    zero_pairs: every cross-block upper pair plus every within-block off-arrow
-    upper pair, lexicographic. tied_diagonals: every non-leading index,
-    ascending.
+    pairs: (P, 2) array of every cross-block upper pair plus every within-block
+    off-arrow upper pair, lexicographic. tied: every non-leading index,
+    ascending. cone_ids: the cone owning each coordinate.
     """
 
-    zero_pairs: tuple[tuple[int, int], ...]
-    tied_diagonals: tuple[int, ...]
+    pairs: np.ndarray
+    tied: np.ndarray
+    cone_ids: np.ndarray
     layout: BlockLayout
 
     @classmethod
     def from_dims(cls, cone_dims: Sequence[int]) -> "StructuralIndex":
         layout = BlockLayout.from_dims(cone_dims)
-        pairs = []
-        for h in range(layout.total):
-            bh = layout.cone_of(h)
-            for l in range(h + 1, layout.total):
-                bl = layout.cone_of(l)
-                if bh != bl:
-                    pairs.append((h, l))
-                elif h != layout.lead(bh):
-                    pairs.append((h, l))
-        tied = [
-            k
-            for i, d in enumerate(layout.dims)
-            for k in range(layout.lead(i) + 1, layout.lead(i) + d)
-        ]
-        return cls(tuple(pairs), tuple(tied), layout)
+        cone_ids = np.repeat(np.arange(len(layout.dims)), layout.dims)
+        is_lead = np.zeros(layout.total, dtype=bool)
+        is_lead[list(layout.offsets)] = True
+        h, l = np.triu_indices(layout.total, 1)
+        pinned = (cone_ids[h] != cone_ids[l]) | ~is_lead[h]
+        pairs = np.stack((h[pinned], l[pinned]), axis=1)
+        return cls(pairs, np.flatnonzero(~is_lead), cone_ids, layout)
+
+    @property
+    def zero_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.pairs.tolist()))
+
+    @property
+    def tied_diagonals(self) -> tuple[int, ...]:
+        return tuple(self.tied.tolist())
 
     def cone_of(self, idx: int) -> int:
         return self.layout.cone_of(idx)
@@ -89,40 +96,31 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     """
     index = StructuralIndex.from_dims(problem.cone_dims)
     layout = index.layout
-    n = layout.total
+    m, pairs, tied = problem.m, index.pairs, index.tied
     C = scaled_arrow_head_blocks(problem.c_blocks, problem.cone_dims)
-    rows = [
-        scaled_arrow_head_blocks(
-            [blk[j] for blk in problem.A_blocks], problem.cone_dims
-        )
-        for j in range(problem.m)
-    ]
-    for h, l in index.zero_pairs:
-        e = np.zeros((n, n))
-        e[h, l] = 1.0
-        e[l, h] = 1.0
-        rows.append(SymMatrix(e))
-    for k in index.tied_diagonals:
-        lead = layout.lead(index.cone_of(k))
-        d = np.zeros((n, n))
-        d[lead, lead] = 1.0
-        d[k, k] = -1.0
-        rows.append(SymMatrix(d))
-    b = np.concatenate([problem.b, np.zeros(len(index.zero_pairs) + len(index.tied_diagonals))])
+    row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, layout.dims, 2.0)
+    # a tied row holds +1 at its block's leading diagonal and -1 at its own
+    lead_tied = np.stack((np.asarray(layout.offsets)[index.cone_ids[tied]], tied), axis=1).ravel()
+    n_pairs, n_tied = len(pairs), len(tied)
+    rows = SparseRows(
+        layout.total,
+        m + n_pairs + n_tied,
+        np.concatenate(
+            (row, m + np.arange(n_pairs), m + n_pairs + np.repeat(np.arange(n_tied), 2))
+        ),
+        np.concatenate((i, pairs[:, 0], lead_tied)),
+        np.concatenate((j, pairs[:, 1], lead_tied)),
+        np.concatenate((v, np.ones(n_pairs), np.tile([1.0, -1.0], n_tied))),
+    )
+    b = np.concatenate([problem.b, np.zeros(n_pairs + n_tied)])
     meta = EmbeddingMeta(
         Side.PRIMAL,
         problem.cone_dims,
-        m_original=problem.m,
+        m_original=m,
         zero_pairs=index.zero_pairs,
         tied_diagonals=index.tied_diagonals,
     )
-    return SdoProblem(n, C, tuple(rows), b, meta)
-
-
-def rank_one_slack_map(s, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Rank-one slack block eta eta^T; same formula as the dual-side rank-one
-    transport applied to the slack vector."""
-    return rank_one_map(s, tol)
+    return SdoProblem(layout.total, C, rows, b, meta)
 
 
 def recover_uw(
@@ -158,12 +156,11 @@ def recover_uw(
                 raise TemplateViolation(
                     f"block {i} first row deviates from s/2 by {dev:.3e}"
                 )
-    u = tuple(
-        float(S.a[k, k]) - float(np.asarray(s_blocks[index.cone_of(k)])[0]) / layout.dims[index.cone_of(k)]
-        for k in index.tied_diagonals
-    )
-    w = tuple(-float(S.a[h, l]) for h, l in index.zero_pairs)
-    return u, w
+    heads = np.array([float(np.asarray(s)[0]) for s in s_blocks])
+    tied_cone = index.cone_ids[index.tied]
+    u = S.a[index.tied, index.tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
+    w = -S.a[index.pairs[:, 0], index.pairs[:, 1]]
+    return tuple(u.tolist()), tuple(w.tolist())
 
 
 def map_solution_primal(

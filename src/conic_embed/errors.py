@@ -13,6 +13,10 @@ class NotSymmetric(ConicEmbedError):
     """A matrix expected to be symmetric is not, beyond tolerance."""
 
 
+class NotFinite(ConicEmbedError):
+    """Matrix data holds a NaN or an infinite entry."""
+
+
 class EighConvergenceError(ConicEmbedError):
     """Jacobi sweeps exhausted before the off-diagonal dropped below threshold."""
 

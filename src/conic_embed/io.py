@@ -2,7 +2,8 @@
 
 JSON is emitted through a small canonical serializer (fixed key order, floats
 at 17 significant digits) so that saving what was loaded reproduces the file
-byte for byte. Parsing is plain stdlib json.
+byte for byte. Parsing is stdlib json, with NaN, Infinity and numbers that
+overflow to infinity rejected as ParseError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConicEmbedError, DimensionMismatch, ParseError
-from .linalg import SymMatrix
+from .linalg import SparseRows, SymMatrix
 from .sdo import DualSplit, EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import SocoProblem, SocoSolution
 
@@ -83,12 +84,20 @@ def write_json(obj: dict, path: PathLike) -> None:
     Path(path).write_text(_emit(obj, 0) + "\n")
 
 
-_write_json = write_json
-
-
 def _read_json(path: PathLike) -> dict:
+    def non_finite(token: str):
+        raise ParseError(f"{path}: non-finite number {token}")
+
+    def finite_float(token: str) -> float:
+        x = float(token)
+        if not math.isfinite(x):
+            non_finite(token)
+        return x
+
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(
+            Path(path).read_text(), parse_constant=non_finite, parse_float=finite_float
+        )
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(obj, dict):
@@ -105,7 +114,7 @@ def _field(obj: dict, key: str, path: PathLike):
 def _vector(raw, what: str, path: PathLike, length: Optional[int] = None) -> np.ndarray:
     try:
         v = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: field '{what}' is not numeric") from None
     if v.ndim != 1:
         raise ParseError(f"{path}: field '{what}' must be a flat list")
@@ -117,7 +126,7 @@ def _vector(raw, what: str, path: PathLike, length: Optional[int] = None) -> np.
 def _matrix(raw, what: str, path: PathLike, shape: Optional[tuple[int, int]] = None) -> np.ndarray:
     try:
         m = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: field '{what}' is not numeric") from None
     if m.ndim != 2:
         raise ParseError(f"{path}: field '{what}' must be a list of rows")
@@ -150,7 +159,7 @@ def load_problem(path: PathLike) -> SocoProblem:
 
 
 def save_problem(problem: SocoProblem, path: PathLike) -> None:
-    _write_json(
+    write_json(
         {
             "cones": list(problem.cone_dims),
             "m": problem.m,
@@ -189,16 +198,25 @@ def save_solution(sol: SocoSolution, path: PathLike) -> None:
         obj["y"] = sol.y.tolist()
     if sol.s_blocks is not None:
         obj["s"] = [v.tolist() for v in sol.s_blocks]
-    _write_json(obj, path)
+    write_json(obj, path)
+
+
+# SDO problem files: "format" 2 stores each constraint as its upper-triangle
+# nonzeros [i, j, value]; files without "format" hold dense constraint rows.
+SDO_FORMAT = 2
 
 
 def save_sdo_problem(problem: SdoProblem, path: PathLike) -> None:
     meta = problem.meta
-    _write_json(
+    A = problem.constraints
+    triples = list(zip(A.i.tolist(), A.j.tolist(), A.v.tolist()))
+    bounds = A.indptr.tolist()
+    write_json(
         {
+            "format": SDO_FORMAT,
             "dim": problem.dim,
             "C": problem.C.a.tolist(),
-            "A": [a.a.tolist() for a in problem.constraints],
+            "A": [triples[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
             "b": problem.b.tolist(),
             "meta": {
                 "side": meta.side.value,
@@ -212,18 +230,49 @@ def save_sdo_problem(problem: SdoProblem, path: PathLike) -> None:
     )
 
 
+def _sparse_rows(a_raw: list, dim: int, path: PathLike) -> SparseRows:
+    row, i, j, v = [], [], [], []
+    for k, entries in enumerate(a_raw):
+        if not isinstance(entries, list):
+            raise ParseError(f"{path}: field 'A[{k}]' must be a list of [i, j, value]")
+        for e in entries:
+            if not (
+                isinstance(e, list)
+                and len(e) == 3
+                and all(type(t) is int for t in e[:2])
+                and type(e[2]) in (int, float)
+            ):
+                raise ParseError(f"{path}: field 'A[{k}]' entries must be [i, j, value]")
+            row.append(k)
+            i.append(e[0])
+            j.append(e[1])
+            v.append(e[2])
+    try:
+        return SparseRows(dim, len(a_raw), row, i, j, v)
+    except (DimensionMismatch, OverflowError) as e:
+        raise ParseError(f"{path}: field 'A': {e}") from None
+
+
 def load_sdo_problem(path: PathLike) -> SdoProblem:
+    """Read an SDO problem file, in the triplet form or the older dense form."""
     obj = _read_json(path)
+    fmt = obj.get("format")
+    if fmt not in (None, SDO_FORMAT):
+        raise ParseError(f"{path}: unknown SDO problem format {fmt!r}")
     dim = _field(obj, "dim", path)
     if not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{path}: field 'dim' must be a positive integer")
     C = SymMatrix(_matrix(_field(obj, "C", path), "C", path, (dim, dim)))
     a_raw = _field(obj, "A", path)
     if not isinstance(a_raw, list):
-        raise ParseError(f"{path}: field 'A' must be a list of matrices")
-    rows = tuple(
-        SymMatrix(_matrix(blk, f"A[{j}]", path, (dim, dim))) for j, blk in enumerate(a_raw)
-    )
+        raise ParseError(f"{path}: field 'A' must be a list of constraints")
+    if fmt is None:
+        rows = SparseRows.from_rows(
+            dim,
+            [SymMatrix(_matrix(blk, f"A[{j}]", path, (dim, dim))) for j, blk in enumerate(a_raw)],
+        )
+    else:
+        rows = _sparse_rows(a_raw, dim, path)
     b = _vector(_field(obj, "b", path), "b", path, len(rows))
     meta_raw = obj.get("meta")
     meta = EmbeddingMeta(Side.GENERIC)
@@ -262,7 +311,7 @@ def save_sdo_solution(
             "w": [[h, l, val] for (h, l), val in zip(meta.zero_pairs, split.w)],
             "u": [[k, val] for k, val in zip(meta.tied_diagonals, split.u)],
         }
-    _write_json(obj, path)
+    write_json(obj, path)
 
 
 def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> SdoSolution:
@@ -338,25 +387,23 @@ def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False)
     else:
         dims = (problem.dim,)
     offsets = np.cumsum((0,) + dims[:-1])
-
-    def entries(matno: int, m: SymMatrix):
-        for blk, (off, n) in enumerate(zip(offsets, dims)):
-            sub = m.a[off:off + n, off:off + n]
-            for i in range(n):
-                for j in range(i, n):
-                    v = sub[i, j]
-                    if v != 0.0:
-                        yield (matno, blk + 1, i + 1, j + 1, v)
-        # data outside the declared blocks must not exist
-        if len(dims) > 1:
-            mask = np.ones((problem.dim, problem.dim), dtype=bool)
-            for off, n in zip(offsets, dims):
-                mask[off:off + n, off:off + n] = False
-            stray = float(np.abs(m.a[mask]).max())
-            if stray != 0.0:
-                raise ConicEmbedError(
-                    f"matrix {matno} has entries outside the declared blocks"
-                )
+    cone = np.repeat(np.arange(len(dims)), dims)  # block of each coordinate
+    A = problem.constraints
+    ci, cj = np.nonzero(np.triu(problem.C.a))
+    mat = np.concatenate((np.zeros(len(ci), dtype=np.int64), A.row_ids() + 1))
+    i = np.concatenate((ci, A.i))
+    j = np.concatenate((cj, A.j))
+    val = np.concatenate((problem.C.a[ci, cj], A.v))
+    blk = cone[i]
+    # data outside the declared blocks must not exist
+    stray = blk != cone[j]
+    if stray.any():
+        raise ConicEmbedError(
+            f"matrix {mat[np.argmax(stray)]} has entries outside the declared blocks"
+        )
+    local_i = i - offsets[blk] + 1
+    local_j = j - offsets[blk] + 1
+    order = np.lexsort((local_j, local_i, blk, mat))
 
     lines = [
         str(problem.num_constraints),
@@ -364,10 +411,6 @@ def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False)
         " ".join(str(n) for n in dims),
         " ".join(_fmt_float(v) for v in problem.b),
     ]
-    all_entries = []
-    all_entries.extend(entries(0, problem.C))
-    for j, a in enumerate(problem.constraints):
-        all_entries.extend(entries(j + 1, a))
-    all_entries.sort(key=lambda e: e[:4])
-    lines.extend(f"{m} {blk} {i} {j} {_fmt_float(v)}" for m, blk, i, j, v in all_entries)
+    columns = (t[order].tolist() for t in (mat, blk + 1, local_i, local_j, val))
+    lines.extend(f"{m} {k} {a} {b} {_fmt_float(v)}" for m, k, a, b, v in zip(*columns))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -1,15 +1,16 @@
-"""Dense symmetric linear algebra: storage, trace inner product, a cyclic Jacobi
-eigensolver, and PSD / rank queries built on top of it."""
+"""Symmetric linear algebra: dense and sparse storage, trace inner product, a
+cyclic Jacobi eigensolver, and PSD / rank queries built on top of it."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EighConvergenceError, NotSymmetric
+from .errors import DimensionMismatch, EighConvergenceError, NotFinite, NotSymmetric
 
 DEFAULT_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
@@ -29,6 +30,7 @@ class SymMatrix:
         a = np.array(array, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        _require_finite(a)
         skew = float(np.abs(a - a.T).max())
         if skew > sym_tol * (1.0 + float(np.abs(a).max())):
             raise NotSymmetric(f"matrix deviates from symmetry by {skew:.3e}")
@@ -57,6 +59,165 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise NotFinite("matrix data holds a NaN or an infinite entry")
+
+
+class SparseSym:
+    """Immutable sparse real symmetric matrix: its upper-triangle nonzeros
+    (i, j, v) with i <= j, sorted by (i, j).
+
+    Lower-triangle input is mirrored to the upper triangle and explicit zeros
+    are dropped. `a` builds the dense matrix on every access; nothing dense is
+    stored.
+    """
+
+    __slots__ = ("dim", "i", "j", "v")
+
+    def __init__(self, dim: int, i, j, v):
+        rows = SparseRows(dim, 1, np.zeros(len(v), dtype=np.int64), i, j, v)
+        self.dim, self.i, self.j, self.v = rows.dim, rows.i, rows.j, rows.v
+
+    @classmethod
+    def _view(cls, dim: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> "SparseSym":
+        """Wrap arrays already in canonical form, without copying or checking."""
+        out = cls.__new__(cls)
+        out.dim, out.i, out.j, out.v = dim, i, j, v
+        return out
+
+    @classmethod
+    def from_dense(cls, m: SymMatrix) -> "SparseSym":
+        i, j = np.nonzero(np.triu(m.a))
+        return cls._view(m.dim, *_frozen(i, j, m.a[i, j]))
+
+    @property
+    def nnz(self) -> int:
+        return self.v.shape[0]
+
+    @property
+    def a(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        out[self.i, self.j] = self.v
+        out[self.j, self.i] = self.v
+        out.setflags(write=False)
+        return out
+
+    def __repr__(self) -> str:
+        return f"SparseSym(dim={self.dim}, nnz={self.nnz})"
+
+
+class SparseRows:
+    """Immutable sequence of sparse symmetric matrices of one dimension.
+
+    All entries live in one set of triplet arrays sorted by (row, i, j); row k
+    holds entries indptr[k]:indptr[k + 1]. Indexing returns SparseSym views of
+    those slices. The constructor takes triplets in any order, with a row
+    number for each, and normalizes them as SparseSym does; a repeated
+    (row, i, j) is an error.
+    """
+
+    __slots__ = ("dim", "indptr", "i", "j", "v")
+
+    def __init__(self, dim: int, count: int, row, i, j, v):
+        dim, count = int(dim), int(count)
+        if dim < 1 or count < 0:
+            raise DimensionMismatch(f"need dim >= 1 and count >= 0, got {dim} and {count}")
+        row, i, j = (np.asarray(t, dtype=np.int64) for t in (row, i, j))
+        v = np.asarray(v, dtype=float)
+        if not (row.ndim == 1 and row.shape == i.shape == j.shape == v.shape):
+            raise DimensionMismatch("row, i, j and v must be flat arrays of one length")
+        _require_finite(v)
+        if row.size and (
+            min(row.min(), i.min(), j.min()) < 0
+            or row.max() >= count
+            or max(i.max(), j.max()) >= dim
+        ):
+            raise DimensionMismatch(f"entry index out of range for {count} rows of dim {dim}")
+        keep = v != 0.0
+        row, lo, hi, v = row[keep], np.minimum(i, j)[keep], np.maximum(i, j)[keep], v[keep]
+        order = np.lexsort((hi, lo, row))
+        row, lo, hi, v = row[order], lo[order], hi[order], v[order]
+        same = (row[1:] == row[:-1]) & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if same.any():
+            k = int(np.argmax(same))
+            raise DimensionMismatch(
+                f"row {row[k]} holds entry ({lo[k]}, {hi[k]}) more than once"
+            )
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=count))))
+        self.dim = dim
+        self.indptr, self.i, self.j, self.v = _frozen(indptr, lo, hi, v)
+
+    @classmethod
+    def from_rows(cls, dim: int, rows) -> "SparseRows":
+        """Stack SparseSym or SymMatrix rows, each of dimension dim."""
+        parts = []
+        for k, r in enumerate(rows):
+            if isinstance(r, SymMatrix):
+                r = SparseSym.from_dense(r)
+            elif not isinstance(r, SparseSym):
+                raise TypeError(f"constraint {k} is a {type(r).__name__}, not a matrix")
+            if r.dim != dim:
+                raise DimensionMismatch(f"constraint {k} has dim {r.dim}, expected {dim}")
+            parts.append(r)
+        if not parts:
+            return cls(dim, 0, [], [], [], [])
+        return cls(
+            dim,
+            len(parts),
+            np.repeat(np.arange(len(parts)), [p.nnz for p in parts]),
+            np.concatenate([p.i for p in parts]),
+            np.concatenate([p.j for p in parts]),
+            np.concatenate([p.v for p in parts]),
+        )
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __getitem__(self, k) -> SparseSym:
+        k = range(len(self))[operator.index(k)]
+        at = slice(self.indptr[k], self.indptr[k + 1])
+        return SparseSym._view(self.dim, self.i[at], self.j[at], self.v[at])
+
+    @property
+    def nnz(self) -> int:
+        return self.v.shape[0]
+
+    def row_ids(self) -> np.ndarray:
+        """Row number of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def traces(self, X: SymMatrix) -> np.ndarray:
+        """Tr(A_k X) for every row k: one gather of X over the stored entries,
+        off-diagonal entries counted twice."""
+        if X.dim != self.dim:
+            raise DimensionMismatch(f"dimensions differ: {self.dim} vs {X.dim}")
+        prod = self.v * X.a[self.i, self.j]
+        prod[self.i != self.j] *= 2.0
+        return np.bincount(self.row_ids(), weights=prod, minlength=len(self))
+
+    def combine(self, y) -> np.ndarray:
+        """Dense sum_k y_k A_k, scattered into one n x n accumulator."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (len(self),):
+            raise DimensionMismatch(f"y has shape {y.shape}, expected ({len(self)},)")
+        n, i, j = self.dim, self.i, self.j
+        w = y[self.row_ids()] * self.v
+        off = i != j
+        flat = np.concatenate((i * n + j, j[off] * n + i[off]))
+        acc = np.bincount(flat, weights=np.concatenate((w, w[off])), minlength=n * n)
+        return acc.reshape(n, n)
+
+    def __repr__(self) -> str:
+        return f"SparseRows(count={len(self)}, dim={self.dim}, nnz={self.nnz})"
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def block_diag(blocks: Sequence[SymMatrix]) -> SymMatrix:

@@ -1,8 +1,10 @@
 """Standard-form semidefinite problem data and residuals.
 
 min Tr(CX)  s.t.  Tr(A_j X) = b_j,  X PSD, with the dual living in (y, S),
-C - sum_j y_j A_j = S. Problems produced by the embedding builders carry meta
-describing which side they came from and how rows are laid out.
+C - sum_j y_j A_j = S. The constraints A_j are stored sparse, as one
+SparseRows stack of upper-triangle triplets; C is dense. Problems produced by
+the embedding builders carry meta describing which side they came from and how
+rows are laid out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart
-from .linalg import SymMatrix, trace_inner
+from .linalg import SparseRows, SymMatrix, trace_inner
 
 
 class Side(Enum):
@@ -53,19 +55,25 @@ GENERIC_META = EmbeddingMeta(Side.GENERIC)
 
 @dataclass(frozen=True, eq=False)
 class SdoProblem:
+    """Standard-form SDO data. The constraints may be passed as a SparseRows
+    stack or as a sequence of SparseSym or SymMatrix rows; they are stored as
+    SparseRows."""
+
     dim: int
     C: SymMatrix
-    constraints: tuple[SymMatrix, ...]
+    constraints: SparseRows
     b: np.ndarray
     meta: EmbeddingMeta = GENERIC_META
 
     def __post_init__(self):
         if self.C.dim != self.dim:
             raise DimensionMismatch(f"C has dim {self.C.dim}, expected {self.dim}")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for j, a in enumerate(self.constraints):
-            if a.dim != self.dim:
-                raise DimensionMismatch(f"constraint {j} has dim {a.dim}, expected {self.dim}")
+        rows = self.constraints
+        if not isinstance(rows, SparseRows):
+            rows = SparseRows.from_rows(self.dim, rows)
+        elif rows.dim != self.dim:
+            raise DimensionMismatch(f"constraints have dim {rows.dim}, expected {self.dim}")
+        object.__setattr__(self, "constraints", rows)
         b = np.array(self.b, dtype=float)
         if b.ndim != 1 or b.shape[0] != len(self.constraints):
             raise DimensionMismatch(
@@ -135,10 +143,7 @@ def sdo_primal_residual(problem: SdoProblem, sol: SdoSolution) -> float:
     if sol.X is None:
         raise MissingSolutionPart("primal residual needs X")
     sol.validate_against(problem)
-    worst = 0.0
-    for a, rhs in zip(problem.constraints, problem.b):
-        worst = max(worst, abs(trace_inner(a, sol.X) - float(rhs)))
-    return worst
+    return float(np.abs(problem.constraints.traces(sol.X) - problem.b).max(initial=0.0))
 
 
 def sdo_dual_residual(problem: SdoProblem, sol: SdoSolution) -> float:
@@ -146,10 +151,7 @@ def sdo_dual_residual(problem: SdoProblem, sol: SdoSolution) -> float:
     if sol.y is None or sol.S is None:
         raise MissingSolutionPart("dual residual needs y and S")
     sol.validate_against(problem)
-    acc = problem.C.a.copy()
-    for coef, a in zip(sol.y, problem.constraints):
-        acc -= coef * a.a
-    acc -= sol.S.a
+    acc = problem.C.a - problem.constraints.combine(sol.y) - sol.S.a
     return float(np.abs(acc).max())
 
 

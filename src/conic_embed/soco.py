@@ -193,6 +193,36 @@ def block_arrow_head(blocks: Sequence[np.ndarray]) -> SymMatrix:
     return block_diag([arrow_head(v) for v in blocks])
 
 
+def arrow_head_triplets(
+    blocks: Sequence[np.ndarray], layout: BlockLayout, head_div, tail_div: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle triplets (row, i, j, v) of one block-diagonal arrow-head
+    matrix per row of the (m, n_i) blocks.
+
+    Row k is the block arrow-head of the vectors
+    (blocks[b][k, 0] / head_div[b], blocks[b][k, 1:] / tail_div); head_div may
+    be one number for every block. Each block of dim n contributes its lead row
+    (n entries) and then its n - 1 trailing diagonal entries, so the triplets
+    come sorted by (row, i, j). Zero values are kept.
+    """
+    heads = np.broadcast_to(np.asarray(head_div, dtype=float), (len(layout.dims),))
+    ii, jj, vals = [], [], []
+    for blk, off, n, div in zip(blocks, layout.offsets, layout.dims, heads):
+        blk = np.asarray(blk, dtype=float)
+        head = blk[:, :1] / div
+        ii += [np.full(n, off), np.arange(off + 1, off + n)]
+        jj += [np.arange(off, off + n), np.arange(off + 1, off + n)]
+        vals += [head, blk[:, 1:] / tail_div, np.repeat(head, n - 1, axis=1)]
+    v = np.concatenate(vals, axis=1)
+    m, width = v.shape
+    return (
+        np.repeat(np.arange(m), width),
+        np.tile(np.concatenate(ii), m),
+        np.tile(np.concatenate(jj), m),
+        v.ravel(),
+    )
+
+
 def jordan_product(x, s) -> np.ndarray:
     """Jordan product (x^T s; x1*s[1:] + s1*x[1:]) on one cone block."""
     x = np.asarray(x, dtype=float)

@@ -20,12 +20,12 @@ from conic_embed import (
     generate_instance,
     inverse_map_primal,
     map_solution_primal,
+    rank_one_map,
     recover_uw,
     scaled_arrow_head_blocks,
     sdo_dual_residual,
     sdo_primal_residual,
 )
-from conic_embed.embed_primal import rank_one_slack_map
 from conic_embed.sdo import Side
 
 from helpers import corpus, legal_rank_specs, max_block_diff
@@ -143,7 +143,7 @@ class TestBuildPrimalEmbedding:
 class TestRecoverUW:
     def test_frozen_slack_multipliers(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = rank_one_slack_map(s)
+        S = rank_one_map(s)
         u, w = recover_uw(S, [s], (3,))
         root3 = math.sqrt(3.0)
         assert u[0] == pytest.approx((2.0 - root3) / 2.0 - 2.0 / 3.0, rel=1e-14)
@@ -152,7 +152,7 @@ class TestRecoverUW:
 
     def test_template_violation_trace(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = rank_one_slack_map(s).a.copy()
+        S = rank_one_map(s).a.copy()
         S[1, 1] += 0.5
         with pytest.raises(TemplateViolation) as exc:
             recover_uw(SymMatrix(S), [s], (3,))
@@ -160,7 +160,7 @@ class TestRecoverUW:
 
     def test_template_violation_first_row(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = rank_one_slack_map(s).a.copy()
+        S = rank_one_map(s).a.copy()
         S[0, 1] += 0.25
         S[1, 0] += 0.25
         with pytest.raises(TemplateViolation) as exc:

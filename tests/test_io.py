@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,62 @@ from conic_embed.io import (
 )
 from conic_embed.sdo import Side
 from conic_embed.soco import SocoProblem
+
+
+# A primal embedding of cones (2, 1) as written before constraints were stored
+# sparse: every constraint row is a dense matrix and there is no "format" field.
+LEGACY_PRIMAL_SDO = """\
+{
+  "dim": 3,
+  "C": [
+    [2, 0.5, 0],
+    [0.5, 2, 0],
+    [0, 0, 3]
+  ],
+  "A": [
+    [
+      [0.5, 1.5, 0],
+      [1.5, 0.5, 0],
+      [0, 0, 2]
+    ],
+    [
+      [0, 0, 1],
+      [0, 0, 0],
+      [1, 0, 0]
+    ],
+    [
+      [0, 0, 0],
+      [0, 0, 1],
+      [0, 1, 0]
+    ],
+    [
+      [1, 0, 0],
+      [0, -1, 0],
+      [0, 0, 0]
+    ]
+  ],
+  "b": [5, 0, 0, 0],
+  "meta": {
+    "side": "primal",
+    "cone_dims": [2, 1],
+    "m_original": 1,
+    "zero_pairs": [
+      [0, 2],
+      [1, 2]
+    ],
+    "tied_diagonals": [1]
+  }
+}
+"""
+
+
+def _legacy_problem():
+    return SocoProblem(
+        (2, 1),
+        (np.array([[1.0, 3.0]]), np.array([[2.0]])),
+        (np.array([4.0, 1.0]), np.array([3.0])),
+        np.array([5.0]),
+    )
 
 
 @pytest.fixture
@@ -162,6 +220,46 @@ class TestSdoRoundTrip:
         loaded = load_sdo_problem(path)
         assert loaded.meta.side is Side.GENERIC
 
+    def test_legacy_dense_file(self, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text(LEGACY_PRIMAL_SDO)
+        loaded = load_sdo_problem(path)
+        sdo = build_primal_embedding(_legacy_problem())
+        assert loaded.meta == sdo.meta
+        assert np.array_equal(loaded.b, sdo.b)
+        assert np.array_equal(loaded.C.a, sdo.C.a)
+        assert len(loaded.constraints) == len(sdo.constraints) == 4
+        for a, b in zip(loaded.constraints, sdo.constraints):
+            assert np.array_equal(a.a, b.a)
+        resaved = tmp_path / "resaved.json"
+        save_sdo_problem(loaded, resaved)
+        obj = json.loads(resaved.read_text())
+        assert obj["format"] == 2
+        assert obj["A"] == [
+            [[0, 0, 0.5], [0, 1, 1.5], [1, 1, 0.5], [2, 2, 2]],
+            [[0, 2, 1]],
+            [[1, 2, 1]],
+            [[0, 0, 1], [1, 1, -1]],
+        ]
+        fresh = tmp_path / "fresh.json"
+        save_sdo_problem(sdo, fresh)
+        assert resaved.read_bytes() == fresh.read_bytes()
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"format": 3, "dim": 1, "C": [[1]], "A": [], "b": []}')
+        with pytest.raises(ParseError):
+            load_sdo_problem(path)
+
+    def test_bad_triplets_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        head = '"format": 2, "dim": 2, "C": [[1, 0], [0, 1]]'
+        # index out of range, a pair instead of a triple, one entry given twice
+        for rows in ('[[[0, 2, 1.0]]]', '[[[0, 1]]]', '[[[0, 1, 1.0], [1, 0, 2.0]]]'):
+            path.write_text(f'{{{head}, "A": {rows}, "b": [1]}}')
+            with pytest.raises(ParseError):
+                load_sdo_problem(path)
+
     def test_solution_with_split(self, inst, tmp_path):
         sdo = build_primal_embedding(inst.problem)
         mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
@@ -213,6 +311,60 @@ class TestSdpaExport:
                 "1 1 1 1 1",
                 "1 1 1 2 2",
                 "1 1 2 2 1",
+                "",
+            ]
+        )
+        assert path.read_text() == want
+
+    def test_frozen_two_cone_primal(self, tmp_path):
+        # written by the dense-row implementation; the sparse export must match
+        p = SocoProblem(
+            (2, 3),
+            (np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[1.0, -1.0, 0.0], [2.0, 0.5, 4.0]])),
+            (np.array([4.0, 1.0]), np.array([2.0, 0.0, 6.0])),
+            np.array([5.0, -2.0]),
+        )
+        path = tmp_path / "primal.dat-s"
+        export_sdpa(build_primal_embedding(p), path)
+        want = "\n".join(
+            [
+                "12",
+                "1",
+                "5",
+                "5 -2 0 0 0 0 0 0 0 0 0 0",
+                "0 1 1 1 2",
+                "0 1 1 2 0.5",
+                "0 1 2 2 2",
+                "0 1 3 3 0.66666666666666663",
+                "0 1 3 5 3",
+                "0 1 4 4 0.66666666666666663",
+                "0 1 5 5 0.66666666666666663",
+                "1 1 1 1 0.5",
+                "1 1 1 2 1",
+                "1 1 2 2 0.5",
+                "1 1 3 3 0.33333333333333331",
+                "1 1 3 4 -0.5",
+                "1 1 4 4 0.33333333333333331",
+                "1 1 5 5 0.33333333333333331",
+                "2 1 1 2 -1.5",
+                "2 1 3 3 0.66666666666666663",
+                "2 1 3 4 0.25",
+                "2 1 3 5 2",
+                "2 1 4 4 0.66666666666666663",
+                "2 1 5 5 0.66666666666666663",
+                "3 1 1 3 1",
+                "4 1 1 4 1",
+                "5 1 1 5 1",
+                "6 1 2 3 1",
+                "7 1 2 4 1",
+                "8 1 2 5 1",
+                "9 1 4 5 1",
+                "10 1 1 1 1",
+                "10 1 2 2 -1",
+                "11 1 3 3 1",
+                "11 1 4 4 -1",
+                "12 1 3 3 1",
+                "12 1 5 5 -1",
                 "",
             ]
         )
@@ -271,3 +423,41 @@ class TestSdpaExport:
         save_sdo_problem(sdo, tmp_path / "sdo.json")
         export_sdpa(load_sdo_problem(tmp_path / "sdo.json"), b, split_blocks=True)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNonFiniteRejected:
+    """json.loads accepts NaN and Infinity, and 1e400 parses to inf; every
+    loader refuses them."""
+
+    def test_load_problem(self, inst, tmp_path):
+        path = tmp_path / "p.json"
+        save_problem(inst.problem, path)
+        obj = json.loads(path.read_text())
+        for bad in (float("nan"), 10**400):  # the integer overflows a float
+            obj["b"][0] = bad
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ParseError):
+                load_problem(path)
+
+    def test_load_solution(self, inst, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"x": [[Infinity, 0, 0], [1, 0]]}')
+        with pytest.raises(ParseError):
+            load_solution(path, inst.problem)
+
+    def test_load_sdo_problem(self, tmp_path):
+        path = tmp_path / "sdo.json"
+        path.write_text(
+            '{"format": 2, "dim": 2, "C": [[1, 0], [0, 1]], "A": [[[0, 1, 1e400]]], "b": [1]}'
+        )
+        with pytest.raises(ParseError):
+            load_sdo_problem(path)
+        path.write_text('{"dim": 2, "C": [[-Infinity, 0], [0, 1]], "A": [], "b": []}')
+        with pytest.raises(ParseError):
+            load_sdo_problem(path)
+
+    def test_load_sdo_solution(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"y": [1, NaN]}')
+        with pytest.raises(ParseError):
+            load_sdo_solution(path)

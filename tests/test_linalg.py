@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conic_embed import (
     DimensionMismatch,
     EighConvergenceError,
+    NotFinite,
     NotSymmetric,
     PsdStatus,
     SymMatrix,
@@ -34,6 +35,12 @@ class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             SymMatrix([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN used to pass: every comparison in the symmetry check is false
+        with pytest.raises(NotFinite):
+            SymMatrix([[1.0, bad], [bad, 1.0]])
 
     def test_symmetric_input_stored_exactly(self):
         rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ tools compose through files: gen | embed | map | verify | inverse | partition.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -301,9 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one parser serves every call
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConicEmbedError as e:

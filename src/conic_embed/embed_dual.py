@@ -32,7 +32,7 @@ from .linalg import (
     SparseRows,
     SymMatrix,
     block_diag,
-    numeric_rank,
+    eigh,
     psd_status,
 )
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
@@ -278,9 +278,10 @@ def _factors_valid(x: np.ndarray, betas: list[np.ndarray], tol: float) -> bool:
         return False
     if float(np.abs(2.0 * m.a[0, 1:] - x[1:]).max(initial=0.0)) > tol * scale:
         return False
-    if psd_status(m, tol) is PsdStatus.INDEFINITE:
+    dec = eigh(m, tol)
+    if dec.psd_status(tol) is PsdStatus.INDEFINITE:
         return False
-    return numeric_rank(m, tol) == n
+    return dec.rank(tol) == n
 
 
 def _gram_sum(betas: Sequence[np.ndarray]) -> SymMatrix:
@@ -390,11 +391,7 @@ def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarra
 
 
 def _inverse_block_arrow_head(S: SymMatrix, layout: BlockLayout, tol: float):
-    mask = np.ones((layout.total, layout.total), dtype=bool)
-    for i in range(len(layout.dims)):
-        sl = layout.block_slice(i)
-        mask[sl, sl] = False
-    stray = float(np.abs(S.a[mask]).max()) if mask.any() else 0.0
+    stray = layout.max_off_block(S)
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
     return [arrow_head_inv(SymMatrix(S.a[layout.block_slice(i), layout.block_slice(i)]), tol)

@@ -212,11 +212,7 @@ def inverse_map_primal(
     if sol.X is not None:
         if sol.X.dim != layout.total:
             raise DimensionMismatch(f"X has dim {sol.X.dim}, expected {layout.total}")
-        mask = np.ones((layout.total, layout.total), dtype=bool)
-        for i in range(problem.r):
-            sl = layout.block_slice(i)
-            mask[sl, sl] = False
-        stray = float(np.abs(sol.X.a[mask]).max()) if mask.any() else 0.0
+        stray = layout.max_off_block(sol.X)
         if stray > tol:
             raise NotArrowHead(stray, "off-block entry")
         x_blocks = tuple(

@@ -14,7 +14,7 @@ class NotSymmetric(ConicEmbedError):
 
 
 class NotFinite(ConicEmbedError):
-    """Matrix data holds a NaN or an infinite entry."""
+    """Matrix or vector data holds a NaN or an infinite entry."""
 
 
 class EighConvergenceError(ConicEmbedError):

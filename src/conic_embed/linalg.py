@@ -61,9 +61,9 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-def _require_finite(values: np.ndarray) -> None:
+def _require_finite(values: np.ndarray, what: str = "matrix data") -> None:
     if not np.isfinite(values).all():
-        raise NotFinite("matrix data holds a NaN or an infinite entry")
+        raise NotFinite(f"{what} holds a NaN or an infinite entry")
 
 
 class SparseSym:
@@ -240,48 +240,80 @@ def trace_inner(a: SymMatrix, b: SymMatrix) -> float:
     return float(np.sum(a.a * b.a))
 
 
+class PsdStatus(Enum):
+    POSITIVE_DEFINITE = "positive_definite"
+    POSITIVE_SEMIDEFINITE = "positive_semidefinite"
+    INDEFINITE = "indefinite"
+
+
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues in ascending order with matching orthonormal column eigenvectors."""
+    """Eigenvalues in ascending order with matching orthonormal column eigenvectors.
+
+    The PSD and rank rules read the eigenvalues only, so one decomposition
+    answers every query about a matrix.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def psd_status(self, tol: float = DEFAULT_TOL) -> PsdStatus:
+        """Definiteness from the smallest eigenvalue with an absolute tol band."""
+        lam_min = float(self.eigenvalues[0])
+        if lam_min > tol:
+            return PsdStatus.POSITIVE_DEFINITE
+        if lam_min >= -tol:
+            return PsdStatus.POSITIVE_SEMIDEFINITE
+        return PsdStatus.INDEFINITE
+
+    def rank_cutoff(self, tol: float = DEFAULT_TOL) -> float:
+        """Eigenvalues larger than this in magnitude count towards the rank:
+        tol * max(1, |lambda|_max)."""
+        return tol * max(1.0, float(np.abs(self.eigenvalues).max()))
+
+    def rank(self, tol: float = DEFAULT_TOL) -> int:
+        return int(np.count_nonzero(np.abs(self.eigenvalues) > self.rank_cutoff(tol)))
+
 
 def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecomposition by cyclic Jacobi rotations.
+    """Eigendecomposition by cyclic Jacobi rotations, run on each diagonal block.
 
-    Sweeps rotate every (p, q) pair in row order until each off-diagonal
-    magnitude falls below tol * (1 + max |entry|) of the input. Raises
-    EighConvergenceError carrying the residual if max_sweeps is exhausted.
+    The contiguous diagonal blocks are read off the zero pattern of the input.
+    Every sweep rotates each (p, q) pair of each block in row order, skipping
+    pairs below 0.01 * threshold, until each off-diagonal magnitude falls below
+    the threshold tol * (1 + max |entry|) of the whole input. Rotations on
+    disjoint blocks commute and leave the zeros between blocks untouched, so
+    the result, the sweep count and the residual are exactly those of the same
+    sweeps over the full matrix. Raises EighConvergenceError carrying the
+    residual if max_sweeps is exhausted.
     """
     n = a.dim
-    m = a.a.copy()
-    vecs = np.eye(n)
+    m = a.a
     if n == 1:
-        return EigenDecomposition(m.diagonal().copy(), vecs)
+        return EigenDecomposition(m.diagonal().copy(), np.eye(1))
 
     thresh = tol * (1.0 + float(np.abs(m).max()))
     skip = 0.01 * thresh
-    off = _max_offdiag(m)
+    spans = [(lo, hi) for lo, hi in _diagonal_blocks(m) if hi - lo > 1]
+    # Row i of a block's work array holds row i of the block, then column i of
+    # its eigenvector matrix, so one row update rotates both.
+    work = [np.hstack((m[lo:hi, lo:hi], np.eye(hi - lo))) for lo, hi in spans]
+    off = _max_offdiag(work)
     sweeps = 0
     while off >= thresh:
         if sweeps == max_sweeps:
             raise EighConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                _rotate(m, vecs, p, q, c, s)
+        for w in work:
+            _sweep(w, skip)
         sweeps += 1
-        off = _max_offdiag(m)
+        off = _max_offdiag(work)
 
     vals = m.diagonal().copy()
+    vecs = np.eye(n)
+    for (lo, hi), w in zip(spans, work):
+        k = hi - lo
+        vals[lo:hi] = w[:, :k].diagonal()
+        vecs[lo:hi, lo:hi] = w[:, k:].T
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -290,50 +322,62 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     return EigenDecomposition(vals, vecs)
 
 
-def _max_offdiag(m: np.ndarray) -> float:
-    off = np.abs(m).copy()
-    np.fill_diagonal(off, 0.0)
-    return float(off.max())
+def _diagonal_blocks(m: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of the smallest contiguous diagonal blocks holding every
+    nonzero of the symmetric m: a block ends at row i when no row up to i
+    reaches a column beyond i."""
+    n = m.shape[0]
+    nz = m != 0.0
+    idx = np.arange(n)
+    last = np.where(nz.any(axis=1), n - 1 - np.argmax(nz[:, ::-1], axis=1), idx)
+    ends = np.flatnonzero(np.maximum.accumulate(np.maximum(last, idx)) == idx) + 1
+    return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
 
 
-def _rotate(m: np.ndarray, vecs: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    # two-sided rotation G^T M G with G acting in the (p, q) plane
-    col_p = m[:, p].copy()
-    col_q = m[:, q].copy()
-    m[:, p] = c * col_p - s * col_q
-    m[:, q] = s * col_p + c * col_q
-    row_p = m[p, :].copy()
-    row_q = m[q, :].copy()
-    m[p, :] = c * row_p - s * row_q
-    m[q, :] = s * row_p + c * row_q
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-    vp = vecs[:, p].copy()
-    vq = vecs[:, q].copy()
-    vecs[:, p] = c * vp - s * vq
-    vecs[:, q] = s * vp + c * vq
+def _max_offdiag(work: list[np.ndarray]) -> float:
+    worst = 0.0
+    for w in work:
+        off = np.abs(w[:, :w.shape[0]])
+        np.fill_diagonal(off, 0.0)
+        worst = max(worst, float(off.max()))
+    return worst
 
 
-class PsdStatus(Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-    INDEFINITE = "indefinite"
+def _sweep(w: np.ndarray, skip: float) -> None:
+    k = w.shape[0]
+    for p in range(k - 1):
+        for q in range(p + 1, k):
+            apq = w.item(p, q)
+            if abs(apq) <= skip:
+                continue
+            tau = (w.item(q, q) - w.item(p, p)) / (2.0 * apq)
+            t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+            c = 1.0 / np.hypot(1.0, t)
+            _rotate(w, p, q, c, t * c)
+
+
+def _rotate(w: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+    # G^T M G with G acting in the (p, q) plane, and V G. M is exactly
+    # symmetric, so its new columns p and q equal the new rows; only the two
+    # corners differ from the one-sided update, and take the two-sided formulas.
+    row_p, row_q = w[p], w[q]
+    new_p = c * row_p - s * row_q
+    new_q = s * row_p + c * row_q
+    new_p[p], new_q[q] = c * new_p[p] - s * new_p[q], s * new_q[p] + c * new_q[q]
+    new_p[q] = new_q[p] = 0.0
+    k = w.shape[0]
+    w[p], w[q] = new_p, new_q
+    w[:k, p], w[:k, q] = new_p[:k], new_q[:k]
 
 
 def psd_status(a: SymMatrix, tol: float = DEFAULT_TOL) -> PsdStatus:
     """Classify definiteness from the smallest eigenvalue with an absolute tol band."""
-    lam_min = float(eigh(a, tol).eigenvalues[0])
-    if lam_min > tol:
-        return PsdStatus.POSITIVE_DEFINITE
-    if lam_min >= -tol:
-        return PsdStatus.POSITIVE_SEMIDEFINITE
-    return PsdStatus.INDEFINITE
+    return eigh(a, tol).psd_status(tol)
 
 
 def numeric_rank(a: SymMatrix, tol: float = DEFAULT_TOL) -> int:
     """Count of eigenvalues with |lambda| > tol * max(1, |lambda|_max)."""
-    lam = np.abs(eigh(a, tol).eigenvalues)
-    return int(np.count_nonzero(lam > tol * max(1.0, float(lam.max()))))
+    return eigh(a, tol).rank(tol)
 
 
 def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:

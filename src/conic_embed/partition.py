@@ -32,7 +32,6 @@ from .linalg import (
     SymMatrix,
     eigh,
     orthonormal_complement,
-    psd_status,
     trace_inner,
 )
 from .sdo import SdoSolution, Side
@@ -292,18 +291,18 @@ def sdo_partition_from_solution(
     """
     if X.dim != S.dim:
         raise DimensionMismatch(f"dimensions differ: {X.dim} vs {S.dim}")
-    if psd_status(X, tol) is PsdStatus.INDEFINITE:
+    ex = eigh(X, tol)
+    if ex.psd_status(tol) is PsdStatus.INDEFINITE:
         raise NotPSD("X is indefinite beyond tolerance")
-    if psd_status(S, tol) is PsdStatus.INDEFINITE:
+    es = eigh(S, tol)
+    if es.psd_status(tol) is PsdStatus.INDEFINITE:
         raise NotPSD("S is indefinite beyond tolerance")
     t = trace_inner(X, S)
     if abs(t) > tol:
         raise NotComplementary(f"trace inner product {t:.3e} exceeds {tol:.1e}")
     n = X.dim
-    ex = eigh(X, tol)
-    es = eigh(S, tol)
-    bx = ex.eigenvectors[:, ex.eigenvalues > tol * max(1.0, float(np.abs(ex.eigenvalues).max()))]
-    ns = es.eigenvectors[:, es.eigenvalues > tol * max(1.0, float(np.abs(es.eigenvalues).max()))]
+    bx = ex.eigenvectors[:, ex.eigenvalues > ex.rank_cutoff(tol)]
+    ns = es.eigenvectors[:, es.eigenvalues > es.rank_cutoff(tol)]
     if bx.shape[1] and ns.shape[1]:
         overlap = float(np.abs(bx.T @ ns).max())
         if overlap > math.sqrt(tol):

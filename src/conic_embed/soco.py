@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead
-from .linalg import DEFAULT_TOL, SymMatrix, block_diag
+from .linalg import DEFAULT_TOL, SymMatrix, _require_finite, block_diag
 
 
 class ConePosition(Enum):
@@ -47,6 +47,19 @@ class BlockLayout:
         """Global index of block i's leading coordinate."""
         return self.offsets[i]
 
+    def max_off_block(self, m: SymMatrix) -> float:
+        """Largest magnitude of m outside the diagonal blocks; 0.0 for one block.
+
+        Reads the rows of each block to the right of it, which holds every
+        off-block value because m is symmetric.
+        """
+        worst = 0.0
+        for off, dim in zip(self.offsets, self.dims):
+            end = off + dim
+            if end < self.total:
+                worst = max(worst, float(np.abs(m.a[off:end, end:]).max()))
+        return worst
+
     def cone_of(self, idx: int) -> int:
         """Block number owning global coordinate idx."""
         if not 0 <= idx < self.total:
@@ -63,6 +76,7 @@ def _frozen_vector(v, length: int | None = None, what: str = "vector") -> np.nda
         raise DimensionMismatch(f"{what} must be one-dimensional, got shape {a.shape}")
     if length is not None and a.shape[0] != length:
         raise DimensionMismatch(f"{what} has length {a.shape[0]}, expected {length}")
+    _require_finite(a, what)
     a.setflags(write=False)
     return a
 
@@ -90,6 +104,7 @@ class SocoProblem:
                 raise DimensionMismatch(
                     f"A block {i} has shape {a.shape}, expected {(m, layout.dims[i])}"
                 )
+            _require_finite(a, f"A block {i}")
             a.setflags(write=False)
             A.append(a)
         c = [_frozen_vector(blk, layout.dims[i], f"c block {i}") for i, blk in enumerate(self.c_blocks)]

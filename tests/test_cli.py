@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import conic_embed
-from conic_embed import load_problem, load_solution
-from conic_embed.cli import ENV_TOL, main
+from conic_embed import cli, load_problem, load_solution
+from conic_embed.cli import ENV_TOL, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -225,6 +225,27 @@ class TestReports:
         code, out, _ = run(capsys, "example1", "--n", "3",
                            "--direction", "0.6,0.8")
         assert code == 0
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for n in ("3", "4"):
+                assert run(capsys, "example1", "--n", n)[0] == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["bogus"])
+            assert exc.value.code == 2
+            assert run(capsys, "example1")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert build_parser() is not build_parser()
 
     def test_module_entry(self, tmp_path):
         # The child runs in tmp_path, where a relative PYTHONPATH (such as

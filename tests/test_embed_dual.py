@@ -35,6 +35,7 @@ from conic_embed import (
     rank_one_map,
     sim_zhao_map,
 )
+from conic_embed import embed_dual, linalg
 from conic_embed.embed_dual import per_cone_choices
 from conic_embed.soco import BlockLayout
 from conic_embed.sdo import Side
@@ -255,6 +256,28 @@ class TestFullRankMap:
         with pytest.raises(EpsilonInvalid):
             full_rank_map(np.array([3.0, 1.0, 0.5]), eps=0.0)
 
+    @pytest.mark.parametrize("eps, attempts", [(None, 1), (0.0, 41)])
+    def test_one_decomposition_per_checked_attempt(self, monkeypatch, eps, attempts):
+        checked, decomposed = [], []
+        factors_valid, eigh = embed_dual._factors_valid, linalg.eigh
+
+        def counting_valid(x, betas, tol):
+            checked.append(x)
+            return factors_valid(x, betas, tol)
+
+        def counting_eigh(a, *args, **kwargs):
+            decomposed.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(embed_dual, "_factors_valid", counting_valid)
+        for module in (linalg, embed_dual):
+            monkeypatch.setattr(module, "eigh", counting_eigh)
+        try:
+            full_rank_factors(np.array([3.0, 1.0, 0.5]), eps=eps)
+        except EpsilonInvalid:
+            assert eps == 0.0
+        assert len(checked) == len(decomposed) == attempts
+
     def test_requires_interior(self):
         with pytest.raises(NotInterior):
             full_rank_map(np.array([1.0, 1.0]))
@@ -373,8 +396,10 @@ class TestInverseMapDual:
         s[0, 3] = s[3, 0] = 0.5
         from conic_embed import SdoSolution
 
-        with pytest.raises(NotArrowHead):
+        with pytest.raises(NotArrowHead) as exc:
             inverse_map_dual(sdo.meta, SdoSolution(S=SymMatrix(s)))
+        assert exc.value.violation == 0.5
+        assert str(exc.value).endswith("by 5.000e-01 at off-block entry")
 
     def test_rejects_wrong_dimension(self):
         inst = generate_instance((3,), ("B",), m=2, seed=37)

@@ -232,8 +232,10 @@ class TestInverseMapPrimal:
         x[0, 2] = x[2, 0] = 0.3
         from conic_embed import NotArrowHead
 
-        with pytest.raises(NotArrowHead):
+        with pytest.raises(NotArrowHead) as exc:
             inverse_map_primal(inst.problem, SdoSolution(X=SymMatrix(x)))
+        assert exc.value.violation == 0.3
+        assert str(exc.value).endswith("by 3.000e-01 at off-block entry")
 
     def test_rejects_tampered_slack(self):
         inst = generate_instance((3,), ("N",), m=2, seed=55)

@@ -9,20 +9,106 @@ from conic_embed import (
     NotFinite,
     NotSymmetric,
     PsdStatus,
+    RankOne,
+    SimZhao,
     SymMatrix,
     block_diag,
     eigh,
+    map_solution_dual,
+    map_solution_primal,
     numeric_rank,
     orthonormal_complement,
     psd_status,
     trace_inner,
 )
+from conic_embed.linalg import _diagonal_blocks
 from conic_embed.soco import arrow_head
+
+from helpers import corpus
 
 
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return SymMatrix(0.5 * (a + a.T))
+
+
+def dense_jacobi(a: SymMatrix, tol=1e-8, max_sweeps=100):
+    """Reference: cyclic Jacobi over the whole matrix, every (p, q) pair in row
+    order, each rotation applied to columns and then to rows. eigh must give
+    the same bits, sweep count and residual."""
+    n = a.dim
+    m = a.a.copy()
+    vecs = np.eye(n)
+    if n == 1:
+        return m.diagonal().copy(), vecs
+
+    def max_offdiag():
+        off = np.abs(m).copy()
+        np.fill_diagonal(off, 0.0)
+        return float(off.max())
+
+    thresh = tol * (1.0 + float(np.abs(m).max()))
+    skip = 0.01 * thresh
+    off = max_offdiag()
+    sweeps = 0
+    while off >= thresh:
+        if sweeps == max_sweeps:
+            raise EighConvergenceError(off, sweeps)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
+                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                col_p = m[:, p].copy()
+                col_q = m[:, q].copy()
+                m[:, p] = c * col_p - s * col_q
+                m[:, q] = s * col_p + c * col_q
+                row_p = m[p, :].copy()
+                row_q = m[q, :].copy()
+                m[p, :] = c * row_p - s * row_q
+                m[q, :] = s * row_p + c * row_q
+                m[p, q] = 0.0
+                m[q, p] = 0.0
+                vp = vecs[:, p].copy()
+                vq = vecs[:, q].copy()
+                vecs[:, p] = c * vp - s * vq
+                vecs[:, q] = s * vp + c * vq
+        sweeps += 1
+        off = max_offdiag()
+    vals = m.diagonal().copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
+def assert_matches_dense(a: SymMatrix):
+    want_vals, want_vecs = dense_jacobi(a)
+    dec = eigh(a)
+    assert np.array_equal(dec.eigenvalues, want_vals)
+    assert np.array_equal(dec.eigenvectors, want_vecs)
+
+
+def block_diagonal(rng, dims, kinds):
+    """Blocks of the given dims: "dense" random, "rank1" outer products,
+    "zero" all-zero."""
+    n = sum(dims)
+    a = np.zeros((n, n))
+    at = 0
+    for d, kind in zip(dims, kinds):
+        if kind == "dense":
+            b = rng.standard_normal((d, d))
+            b = b + b.T
+        elif kind == "rank1":
+            g = rng.standard_normal((d, 1))
+            b = g @ g.T
+        else:
+            b = np.zeros((d, d))
+        a[at:at + d, at:at + d] = b
+        at += d
+    return SymMatrix(a)
 
 
 class TestSymMatrix:
@@ -136,6 +222,70 @@ class TestEigh:
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 
 
+class TestBlockJacobiMatchesDense:
+    """eigh runs per diagonal block; its results are bit-identical to the
+    dense reference."""
+
+    @pytest.mark.parametrize("side", ["dual", "primal"])
+    def test_embedded_solutions(self, side):
+        transport = map_solution_dual if side == "dual" else map_solution_primal
+        checked = 0
+        for inst in corpus(20):
+            for spec in (RankOne(), SimZhao()):
+                mapped = transport(inst.problem, inst.solution, spec)
+                for mat in (mapped.X, mapped.S):
+                    assert_matches_dense(mat)
+                    checked += 1
+        assert checked == 80
+
+    def test_unit_and_zero_blocks(self):
+        rng = np.random.default_rng(7)
+        cases = [
+            ((1, 3, 2, 1, 4, 1), ("dense", "dense", "zero", "dense", "rank1", "zero")),
+            ((1, 1, 1), ("dense", "zero", "dense")),
+            ((3, 3), ("zero", "zero")),
+            ((2, 1, 5), ("rank1", "dense", "dense")),
+        ]
+        for dims, kinds in cases:
+            for _ in range(3):
+                assert_matches_dense(block_diagonal(rng, dims, kinds))
+
+    def test_sparse_patterns_not_block_contiguous(self):
+        rng = np.random.default_rng(8)
+        for n in (4, 7, 11, 15):
+            for trial in range(4):
+                a = np.triu(rng.standard_normal((n, n)))
+                a[rng.random((n, n)) < 0.75] = 0.0
+                if trial % 2:
+                    a[0, n - 1] = 0.5  # one block, coupled across zero rows
+                assert_matches_dense(SymMatrix(a + np.triu(a, 1).T))
+
+    def test_dense_random(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 6, 12):
+            assert_matches_dense(random_symmetric(rng, n, scale=2.0))
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1])
+    def test_convergence_error_matches(self, max_sweeps):
+        rng = np.random.default_rng(10)
+        a = block_diagonal(rng, (4, 1, 6), ("dense", "dense", "dense"))
+        with pytest.raises(EighConvergenceError) as want:
+            dense_jacobi(a, max_sweeps=max_sweeps)
+        with pytest.raises(EighConvergenceError) as got:
+            eigh(a, max_sweeps=max_sweeps)
+        assert got.value.residual == want.value.residual
+        assert got.value.sweeps == want.value.sweeps == max_sweeps
+
+    def test_blocks_read_from_zero_pattern(self):
+        a = np.zeros((8, 8))
+        a[0, 1] = a[1, 0] = 1.0  # block 0..1
+        a[3, 5] = a[5, 3] = 1.0  # block 3..5, row 4 all zero inside it
+        a[6, 6] = 2.0
+        assert _diagonal_blocks(a) == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8)]
+        a[1, 7] = a[7, 1] = 1.0
+        assert _diagonal_blocks(a) == [(0, 8)]
+
+
 class TestPsdQueries:
     def test_status_frozen_cases(self):
         assert psd_status(SymMatrix.identity(3)) is PsdStatus.POSITIVE_DEFINITE
@@ -153,6 +303,8 @@ class TestPsdQueries:
         assert numeric_rank(SymMatrix.diagonal([5.0, 1e-12, 0.0])) == 1
         assert numeric_rank(SymMatrix.diagonal([1.0, 1.0, 0.0])) == 2
         assert numeric_rank(SymMatrix.zeros(4)) == 0
+        # the cutoff scales with the largest magnitude: 1e-8 * 1e9 = 10 > 5
+        assert numeric_rank(SymMatrix.diagonal([1e9, 5.0, 0.0])) == 1
         rng = np.random.default_rng(5)
         for k in (1, 2, 3):
             g = rng.standard_normal((6, k))

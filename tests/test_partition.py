@@ -25,6 +25,7 @@ from conic_embed import (
     proper_map_solution,
     sdo_partition_from_solution,
 )
+from conic_embed import linalg, partition
 from conic_embed.sdo import Side
 
 from helpers import corpus
@@ -235,6 +236,20 @@ class TestEigenRoute:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sdo_partition_from_solution(SymMatrix.identity(2), SymMatrix.identity(3))
+
+    def test_decomposes_each_matrix_once(self, monkeypatch):
+        inst = generate_instance((3, 4), ("R", "T2"), m=2, seed=11)
+        proper = proper_map_solution(inst.problem, inst.solution, Side.DUAL)
+        seen, eigh = [], linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            seen.append(a)
+            return eigh(a, *args, **kwargs)
+
+        for module in (linalg, partition):
+            monkeypatch.setattr(module, "eigh", counting_eigh)
+        sdo_partition_from_solution(proper.X, proper.S)
+        assert [id(a) for a in seen] == [id(proper.X), id(proper.S)]
 
 
 class TestRouteAgreement:

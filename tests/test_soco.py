@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from conic_embed import (
     DimensionMismatch,
     MissingSolutionPart,
     NotArrowHead,
+    NotFinite,
     PsdStatus,
     SocoProblem,
     SocoSolution,
@@ -159,6 +162,16 @@ class TestBlockLayout:
         assert layout.block_slice(0) == slice(0, 3)
         assert [layout.cone_of(i) for i in range(5)] == [0, 0, 0, 1, 1]
 
+    def test_max_off_block(self):
+        layout = BlockLayout.from_dims((2, 1, 2))
+        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        a[0, 1] = a[1, 0] = 9.0  # inside block 0
+        assert layout.max_off_block(SymMatrix(a)) == 0.0
+        a[1, 4] = a[4, 1] = -0.25
+        a[2, 3] = a[3, 2] = 0.125
+        assert layout.max_off_block(SymMatrix(a)) == 0.25
+        assert BlockLayout.from_dims((5,)).max_off_block(SymMatrix(a)) == 0.0
+
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionMismatch):
             BlockLayout.from_dims(())
@@ -205,6 +218,38 @@ class TestProblemData:
             SocoSolution(y=np.zeros(3)).validate_against(p)
         with pytest.raises(DimensionMismatch):
             SocoSolution(s_blocks=(np.zeros(2),)).validate_against(p)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["b", "A block 1", "c block 0"])
+    def test_problem(self, field, bad):
+        A = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[2.0], [0.0]])]
+        c = [np.array([1.0, 0.5]), np.array([3.0])]
+        b = np.array([2.0, 1.0])
+        if field == "b":
+            b[1] = bad
+        elif field == "A block 1":
+            A[1][0, 0] = bad
+        else:
+            c[0][1] = bad
+        with pytest.raises(NotFinite, match=f"^{field} holds"):
+            SocoProblem((2, 1), A, c, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("field", ["x_blocks[2]", "y", "s_blocks[0]"])
+    def test_solution(self, field, bad):
+        parts = {
+            "x_blocks": [np.array([1.0, 0.5]), np.array([2.0]), np.array([1.0, 0.0, 0.5])],
+            "y": np.zeros(2),
+            "s_blocks": [np.array([1.0, 0.5]), np.array([2.0]), np.array([1.0, 0.0, 0.5])],
+        }
+        if field == "y":
+            parts["y"][1] = bad
+        else:
+            parts[field[:-3]][int(field[-2])][0] = bad
+        with pytest.raises(NotFinite, match="^" + re.escape(field) + " holds"):
+            SocoSolution(**parts)
 
 
 class TestResiduals:

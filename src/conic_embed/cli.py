@@ -103,13 +103,9 @@ def cmd_map(args) -> int:
     sol = io.load_solution(args.solution, problem)
     spec = _parse_rank(args.rank, problem.r)
     side = _side(args)
-    if side is Side.DUAL:
-        mapped = map_solution_dual(problem, sol, spec, tol=tol)
-        meta = build_dual_embedding(problem).meta
-    else:
-        mapped = map_solution_primal(problem, sol, spec, tol=tol)
-        meta = build_primal_embedding(problem).meta
-    io.save_sdo_solution(mapped, args.out, meta=meta)
+    transport = map_solution_dual if side is Side.DUAL else map_solution_primal
+    mapped = transport(problem, sol, spec, tol=tol)
+    io.save_sdo_solution(mapped, args.out, meta=_build(problem, side).meta)
     parts = [p for p, v in (("X", mapped.X), ("y", mapped.y), ("S", mapped.S)) if v is not None]
     print(f"mapped {'/'.join(parts)} to {args.out}")
     return 0

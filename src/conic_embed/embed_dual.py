@@ -20,7 +20,6 @@ from .errors import (
     BadSubset,
     DimensionMismatch,
     EpsilonInvalid,
-    NotArrowHead,
     NotInterior,
     NotPSD,
     OutsideCone,
@@ -41,9 +40,9 @@ from .soco import (
     ConePosition,
     SocoProblem,
     SocoSolution,
-    arrow_head_inv,
     arrow_head_triplets,
     block_arrow_head,
+    block_arrow_head_inv,
     cone_position,
 )
 
@@ -119,53 +118,70 @@ def _require_in_cone(x: np.ndarray, tol: float) -> ConePosition:
     return pos
 
 
-def rank_one_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Rank-one PSD block beta beta^T meeting the trace / first-row conditions.
+def _theta_block(theta: float, tail: np.ndarray, bump: float = 0.0, subset=()) -> SymMatrix:
+    """[[theta/4, t^T/2], [t/2, t t^T/theta]] plus bump on the 1-based diagonal
+    entries in subset.
 
-    beta = (x1 + delta, x[1:]) / sqrt(2 (x1 + delta)) with
-    delta = sqrt(x1^2 - ||x[1:]||^2). When the squared margin is below the
-    floating-point noise floor, delta is snapped to zero: on the boundary its
-    computed value is pure cancellation noise and the snap keeps this map
-    consistent with the closed-form transport.
+    This is nu nu^T for the leading factor nu = (theta/2, t) / sqrt(theta),
+    written so that the first row t/2 is exact. Every closed-form transport is
+    one of these blocks and differs only in theta and the bump.
     """
-    x = np.asarray(x, dtype=float)
-    pos = _require_in_cone(x, tol)
-    n = x.shape[0]
-    if pos is ConePosition.ZERO:
-        return SymMatrix.zeros(n)
-    head = float(x[0])
-    if n == 1:
-        return SymMatrix([[head]])
-    tail = x[1:]
+    n = tail.shape[0] + 1
+    m = np.empty((n, n))
+    m[0, 0] = theta / 4.0
+    m[0, 1:] = m[1:, 0] = tail / 2.0
+    m[1:, 1:] = np.outer(tail, tail) / theta
+    # added over the whole tail, as bump * I was, so signed zeros keep their bits
+    on = np.zeros(n - 1)
+    on[np.asarray(subset, dtype=int) - 2] = 1.0
+    m[1:, 1:] += bump * np.diag(on)
+    return SymMatrix(m)
+
+
+def _theta_one(head: float, tail: np.ndarray) -> float:
+    """theta = 2 (x1 + delta) with delta = sqrt(x1^2 - ||x[1:]||^2): the rank-one
+    member of the family. When the squared margin is below the floating-point
+    noise floor, delta is snapped to zero: on the boundary its computed value
+    is pure cancellation noise, and the snap keeps the rank-one block equal to
+    the closed-form one there."""
     margin2 = head * head - float(tail @ tail)
     delta = 0.0 if margin2 <= 4.0 * _EPS * head * head else math.sqrt(margin2)
-    beta = np.concatenate(([head + delta], tail)) / math.sqrt(2.0 * (head + delta))
-    return SymMatrix(np.outer(beta, beta))
+    return 2.0 * (head + delta)
+
+
+def _sim_zhao_block(x: np.ndarray, subset: Sequence[int]) -> SymMatrix:
+    """theta = x1 + rho + sqrt((x1 + rho)^2 - 4 rho^2), rho = ||x[1:]||, with
+    (x1 - rho) / (2 |subset|) added on subset."""
+    head = float(x[0])
+    tail = x[1:]
+    rho = float(np.linalg.norm(tail))
+    theta = head + rho + math.sqrt(max((head + rho) ** 2 - 4.0 * (rho * rho), 0.0))
+    return _theta_block(theta, tail, (head - rho) / (2.0 * len(subset)), subset)
+
+
+def _closed_form(x, tol: float, block) -> SymMatrix:
+    """block(x) for a nonzero cone vector of dim >= 2; the zero block at the
+    origin, and [[x1]] in one dimension, where x1^2 could overflow."""
+    x = np.asarray(x, dtype=float)
+    if _require_in_cone(x, tol) is ConePosition.ZERO:
+        return SymMatrix.zeros(x.shape[0])
+    if x.shape[0] == 1:
+        return SymMatrix([[float(x[0])]])
+    return block(x)
+
+
+def rank_one_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
+    """Rank-one PSD block beta beta^T meeting the trace / first-row conditions,
+    beta = (x1 + delta, x[1:]) / sqrt(2 (x1 + delta)) with
+    delta = sqrt(x1^2 - ||x[1:]||^2) (snapped to zero on the boundary)."""
+    return _closed_form(x, tol, lambda v: _theta_block(_theta_one(float(v[0]), v[1:]), v[1:]))
 
 
 def sim_zhao_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
     """Closed-form transport whose rank equals n inside the cone and 1 on the
-    nonzero boundary; reduces exactly to rank_one_map when x1 = ||x[1:]||."""
-    x = np.asarray(x, dtype=float)
-    pos = _require_in_cone(x, tol)
-    n = x.shape[0]
-    if pos is ConePosition.ZERO:
-        return SymMatrix.zeros(n)
-    if n == 1:
-        return SymMatrix([[float(x[0])]])
-    head = float(x[0])
-    tail = x[1:]
-    rho = float(np.linalg.norm(tail))
-    rho2 = rho * rho
-    disc = max((head + rho) ** 2 - 4.0 * rho2, 0.0)
-    theta = head + rho + math.sqrt(disc)
-    m = np.zeros((n, n))
-    m[0, 0] = theta / 4.0
-    m[0, 1:] = tail / 2.0
-    m[1:, 0] = tail / 2.0
-    m[1:, 1:] = np.outer(tail, tail) / theta
-    m[1:, 1:] += ((head - rho) / (2.0 * (n - 1))) * np.eye(n - 1)
-    return SymMatrix(m)
+    nonzero boundary: rank_k_map's block with subset 2..n, without its
+    interior gate. It equals rank_one_map bit for bit when x1 = ||x[1:]||."""
+    return _closed_form(x, tol, lambda v: _sim_zhao_block(v, range(2, v.shape[0] + 1)))
 
 
 def rank_k_map(x, subset: Sequence[int], tol: float = DEFAULT_TOL) -> SymMatrix:
@@ -184,26 +200,14 @@ def rank_k_map(x, subset: Sequence[int], tol: float = DEFAULT_TOL) -> SymMatrix:
         raise BadSubset(f"subset {subset} must consist of distinct indices in 2..{n}")
     if pos is ConePosition.ZERO:
         return SymMatrix.zeros(n)
-    k = len(subset) + 1
-    if k == 1:
+    if not subset:
         if pos is ConePosition.INTERIOR:
             raise BadSubset("empty subset needs a boundary vector; rank one cannot "
                             "carry an interior trace")
         return rank_one_map(x, tol)
     if pos is not ConePosition.INTERIOR:
         raise NotInterior("prescribed rank above one needs a cone-interior vector")
-    head = float(x[0])
-    tail = x[1:]
-    rho = float(np.linalg.norm(tail))
-    rho2 = rho * rho
-    disc = max((head + rho) ** 2 - 4.0 * rho2, 0.0)
-    theta = head + rho + math.sqrt(disc)
-    nu1 = np.concatenate(([theta / 2.0], tail)) / math.sqrt(theta)
-    m = np.outer(nu1, nu1)
-    bump = (head - rho) / (2.0 * (k - 1))
-    for j in subset:
-        m[j - 1, j - 1] += bump
-    return SymMatrix(m)
+    return _sim_zhao_block(x, subset)
 
 
 def full_rank_factors(
@@ -240,14 +244,12 @@ def full_rank_factors(
 
 
 def _rank_one_factor(v: np.ndarray) -> Optional[np.ndarray]:
+    """(theta/2, v[1:]) / sqrt(theta) with the rank-one theta; None outside the cone."""
     head = float(v[0])
-    if head <= 0.0:
+    if head <= 0.0 or head * head < float(v[1:] @ v[1:]):
         return None
-    margin2 = head * head - float(v[1:] @ v[1:])
-    if margin2 < 0.0:
-        return None
-    delta = math.sqrt(margin2)
-    return np.concatenate(([head + delta], v[1:])) / math.sqrt(2.0 * (head + delta))
+    theta = _theta_one(head, v[1:])
+    return np.concatenate(([theta / 2.0], v[1:])) / math.sqrt(theta)
 
 
 def _split_attempt(x: np.ndarray, eps: float) -> Optional[list[np.ndarray]]:
@@ -378,7 +380,7 @@ def inverse_map_dual(
     if sol.S is not None:
         if sol.S.dim != layout.total:
             raise DimensionMismatch(f"S has dim {sol.S.dim}, expected {layout.total}")
-        s_blocks = tuple(_inverse_block_arrow_head(sol.S, layout, tol))
+        s_blocks = block_arrow_head_inv(sol.S, layout, tol)
     y = sol.y.copy() if sol.y is not None else None
     return SocoSolution(x_blocks=x_blocks, y=y, s_blocks=s_blocks)
 
@@ -388,11 +390,3 @@ def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarra
     sl = layout.block_slice(i)
     block = X.a[sl, sl]
     return np.concatenate(([float(np.trace(block))], 2.0 * block[0, 1:]))
-
-
-def _inverse_block_arrow_head(S: SymMatrix, layout: BlockLayout, tol: float):
-    stray = layout.max_off_block(S)
-    if stray > tol:
-        raise NotArrowHead(stray, "off-block entry")
-    return [arrow_head_inv(SymMatrix(S.a[layout.block_slice(i), layout.block_slice(i)]), tol)
-            for i in range(len(layout.dims))]

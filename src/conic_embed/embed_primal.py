@@ -16,18 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentDual,
-    NotArrowHead,
-    TemplateViolation,
-)
+from .errors import DimensionMismatch, InconsistentDual, TemplateViolation
 from .linalg import DEFAULT_TOL, SparseRows, SymMatrix, block_diag
 from .sdo import DualSplit, EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .embed_dual import (
     RankOne,
     RankSpecLike,
     _require_in_cone,
+    extract_block_vector,
     map_block,
     per_cone_choices,
 )
@@ -36,8 +32,8 @@ from .soco import (
     SocoProblem,
     SocoSolution,
     arrow_head,
-    arrow_head_inv,
     arrow_head_triplets,
+    block_arrow_head_inv,
 )
 
 
@@ -73,9 +69,6 @@ class StructuralIndex:
     @property
     def tied_diagonals(self) -> tuple[int, ...]:
         return tuple(self.tied.tolist())
-
-    def cone_of(self, idx: int) -> int:
-        return self.layout.cone_of(idx)
 
 
 def scaled_arrow_head_blocks(blocks: Sequence[np.ndarray], dims: Sequence[int]) -> SymMatrix:
@@ -212,13 +205,7 @@ def inverse_map_primal(
     if sol.X is not None:
         if sol.X.dim != layout.total:
             raise DimensionMismatch(f"X has dim {sol.X.dim}, expected {layout.total}")
-        stray = layout.max_off_block(sol.X)
-        if stray > tol:
-            raise NotArrowHead(stray, "off-block entry")
-        x_blocks = tuple(
-            arrow_head_inv(SymMatrix(sol.X.a[layout.block_slice(i), layout.block_slice(i)]), tol)
-            for i in range(problem.r)
-        )
+        x_blocks = block_arrow_head_inv(sol.X, layout, tol)
     v = None
     if sol.y is not None:
         if sol.y.shape[0] < problem.m:
@@ -232,9 +219,7 @@ def inverse_map_primal(
             raise DimensionMismatch(f"S has dim {sol.S.dim}, expected {layout.total}")
         s_blocks = []
         for i in range(problem.r):
-            sl = layout.block_slice(i)
-            block = sol.S.a[sl, sl]
-            s = np.concatenate(([float(np.trace(block))], 2.0 * block[0, 1:]))
+            s = extract_block_vector(sol.S, layout, i)
             if v is not None:
                 alt = problem.c_blocks[i] - problem.A_blocks[i].T @ v
                 dev = float(np.abs(s - alt).max())

@@ -135,6 +135,31 @@ def _matrix(raw, what: str, path: PathLike, shape: Optional[tuple[int, int]] = N
     return m
 
 
+def _int_rows(raw, width: int, what: str, path: PathLike) -> list:
+    """A list of integers, or with width > 0 a list of width-long integer lists,
+    returned as tuples."""
+    def valid(e) -> bool:
+        if not width:
+            return type(e) is int
+        return isinstance(e, list) and len(e) == width and all(type(t) is int for t in e)
+
+    if not isinstance(raw, list) or not all(valid(e) for e in raw):
+        form = "integers" if not width else f"lists of {width} integers"
+        raise ParseError(f"{path}: field '{what}' must be a list of {form}")
+    return [tuple(e) if width else e for e in raw]
+
+
+def _indexed(raw, width: int, what: str, form: str, path: PathLike):
+    """Entries [index * width, value]: their integer indices as tuples, and
+    their values."""
+    if not isinstance(raw, list) or not all(
+        isinstance(e, list) and len(e) == width + 1 and all(type(t) is int for t in e[:width])
+        for e in raw
+    ):
+        raise ParseError(f"{path}: {what} entries must be {form}")
+    return [tuple(e[:width]) for e in raw], _vector([e[width] for e in raw], what, path).tolist()
+
+
 def load_problem(path: PathLike) -> SocoProblem:
     obj = _read_json(path)
     cones_raw = _field(obj, "cones", path)
@@ -282,12 +307,15 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
         except ValueError:
             raise ParseError(f"{path}: meta.side must be dual, primal or generic") from None
         cone_dims = meta_raw.get("cone_dims")
+        m_original = meta_raw.get("m_original", 0)
+        if type(m_original) is not int:
+            raise ParseError(f"{path}: field 'meta.m_original' must be an integer")
         meta = EmbeddingMeta(
             side,
-            tuple(cone_dims) if cone_dims is not None else None,
-            int(meta_raw.get("m_original", 0)),
-            tuple((int(h), int(l)) for h, l in meta_raw.get("zero_pairs", [])),
-            tuple(int(k) for k in meta_raw.get("tied_diagonals", [])),
+            None if cone_dims is None else _int_rows(cone_dims, 0, "meta.cone_dims", path),
+            m_original,
+            _int_rows(meta_raw.get("zero_pairs", []), 2, "meta.zero_pairs", path),
+            _int_rows(meta_raw.get("tied_diagonals", []), 0, "meta.tied_diagonals", path),
         )
     return SdoProblem(dim, C, rows, b, meta)
 
@@ -332,35 +360,19 @@ def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> S
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: field 'dual_split' must be an object")
         v = _vector(_field(raw, "v", path), "dual_split.v", path)
-        w_raw = raw.get("w", [])
-        u_raw = raw.get("u", [])
+        w_at, w = _indexed(raw.get("w", []), 2, "dual_split.w", "[h, l, value]", path)
+        u_at, u = _indexed(raw.get("u", []), 1, "dual_split.u", "[k, value]", path)
         if problem is not None and problem.meta.side is not Side.GENERIC:
             meta = problem.meta
-            w_map = {}
-            for entry in w_raw:
-                if not isinstance(entry, list) or len(entry) != 3:
-                    raise ParseError(f"{path}: dual_split.w entries must be [h, l, value]")
-                w_map[(int(entry[0]), int(entry[1]))] = float(entry[2])
+            w_map = dict(zip(w_at, w))
             if set(w_map) != set(meta.zero_pairs):
                 raise ParseError(f"{path}: dual_split.w pairs do not match the embedding")
-            u_map = {}
-            for entry in u_raw:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise ParseError(f"{path}: dual_split.u entries must be [k, value]")
-                u_map[int(entry[0])] = float(entry[1])
-            if set(u_map) != set(meta.tied_diagonals):
+            u_map = dict(zip(u_at, u))
+            if set(u_map) != {(k,) for k in meta.tied_diagonals}:
                 raise ParseError(f"{path}: dual_split.u indices do not match the embedding")
-            split = DualSplit(
-                v,
-                tuple(w_map[p] for p in meta.zero_pairs),
-                tuple(u_map[k] for k in meta.tied_diagonals),
-            )
-        else:
-            split = DualSplit(
-                v,
-                tuple(float(e[2]) for e in w_raw),
-                tuple(float(e[1]) for e in u_raw),
-            )
+            w = [w_map[p] for p in meta.zero_pairs]
+            u = [u_map[(k,)] for k in meta.tied_diagonals]
+        split = DualSplit(v, w, u)
     return SdoSolution(X=X, y=y, S=S, dual_split=split)
 
 

@@ -21,7 +21,7 @@ class SymMatrix:
 
     The backing array is symmetrized on construction (exact for input that is
     already symmetric) and marked read-only, so downstream code can rely on
-    entry(i, j) == entry(j, i) holding bit for bit.
+    a[i, j] == a[j, i] holding bit for bit.
     """
 
     __slots__ = ("a",)
@@ -41,9 +41,6 @@ class SymMatrix:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.a[i, j])
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":
@@ -289,9 +286,6 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     """
     n = a.dim
     m = a.a
-    if n == 1:
-        return EigenDecomposition(m.diagonal().copy(), np.eye(1))
-
     thresh = tol * (1.0 + float(np.abs(m).max()))
     skip = 0.01 * thresh
     spans = [(lo, hi) for lo, hi in _diagonal_blocks(m) if hi - lo > 1]

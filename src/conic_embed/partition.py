@@ -179,28 +179,28 @@ class SdoPartition:
             raise DimensionMismatch(f"bases deviate from orthonormality by {dev:.3e}")
 
 
-def _boundary_direction(blocks, i: int, what: str) -> np.ndarray:
+def _boundary_block(blocks, i: int, what: str) -> np.ndarray:
+    """Cone i's block, which must carry a boundary direction (a nonzero tail)."""
     if blocks is None:
         raise MissingSolutionPart(f"label needs the {what} block for cone {i}")
     v = np.asarray(blocks[i], dtype=float)
     if v.shape[0] < 2:
         raise LabelMismatch(f"cone {i} is one-dimensional; no boundary direction exists")
-    rho = float(np.linalg.norm(v[1:]))
-    if rho <= 0.0:
+    if float(np.linalg.norm(v[1:])) <= 0.0:
         raise LabelMismatch(f"cone {i}: {what} block has a zero tail, no direction")
-    return v[1:] / rho
+    return v
 
 
-def _block_frame(d: np.ndarray, n: int):
-    """(v_plus, v_minus, middles) columns for one block, local coordinates."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    vp = np.concatenate(([inv_sqrt2], d * inv_sqrt2)).reshape(n, 1)
-    vm = np.concatenate(([inv_sqrt2], -d * inv_sqrt2)).reshape(n, 1)
-    if n > 2:
-        mid = np.vstack([np.zeros((1, n - 2)), _tail_complement(d)])
-    else:
-        mid = np.zeros((n, 0))
-    return vp, vm, mid
+# Whole blocks go to one class.
+_WHOLE_ROUTE = {ConeLabel.B: "B", ConeLabel.N: "N", ConeLabel.T1: "T"}
+# Boundary labels: the block giving the direction d, the class of the x side
+# and the class of the s side. (1, d)/sqrt(2) goes to the class of the side
+# giving d, (1, -d)/sqrt(2) to the other one.
+_BOUNDARY_ROUTE = {
+    ConeLabel.R: ("x", "B", "N"),
+    ConeLabel.T2: ("x", "B", "T"),
+    ConeLabel.T3: ("s", "T", "N"),
+}
 
 
 def map_partition(
@@ -213,10 +213,12 @@ def map_partition(
     """Route per-cone eigenvector bases into (B, N, T) by label.
 
     Full blocks go wholesale: B for label B, N for label N, T for T1. Boundary
-    labels split a block into the aligned vector (1, d)/sqrt(2), the opposed
-    vector (1, -d)/sqrt(2), and the middle vectors (0, z), z perpendicular to
-    d; the two sides route those differently because the transported X is a
-    low-rank image on the dual side but an arrow-head on the primal side.
+    labels split a block along the arrow-head eigenvectors of the boundary
+    vector: the aligned vector (1, d)/sqrt(2), the opposed vector
+    (1, -d)/sqrt(2), and the middle vectors (0, z), z perpendicular to d. The
+    middle vectors join the side carried as an arrow-head (s on the dual side,
+    x on the primal side): the transported X is a low-rank image on the dual
+    side but an arrow-head on the primal side.
     """
     if side not in (Side.DUAL, Side.PRIMAL):
         raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
@@ -225,57 +227,30 @@ def map_partition(
         raise DimensionMismatch(f"{len(labels)} labels for {problem.r} cones")
     layout = problem.layout
     total = layout.total
-    cols_b, cols_n, cols_t = [], [], []
+    cols = {cls: [np.zeros((total, 0))] for cls in "BNT"}
 
-    def _embed(local: np.ndarray, i: int) -> np.ndarray:
+    def _add(cls: str, local: np.ndarray, i: int) -> None:
         out = np.zeros((total, local.shape[1]))
         out[layout.block_slice(i), :] = local
-        return out
+        cols[cls].append(out)
 
     for i, label in enumerate(labels):
         n = problem.cone_dims[i]
-        if label is ConeLabel.B:
-            cols_b.append(_embed(np.eye(n), i))
+        if label in _WHOLE_ROUTE:
+            _add(_WHOLE_ROUTE[label], np.eye(n), i)
             continue
-        if label is ConeLabel.N:
-            cols_n.append(_embed(np.eye(n), i))
-            continue
-        if label is ConeLabel.T1:
-            cols_t.append(_embed(np.eye(n), i))
-            continue
-        if label in (ConeLabel.R, ConeLabel.T2):
-            d = _boundary_direction(sol.x_blocks, i, "x")
-        else:
-            d = _boundary_direction(sol.s_blocks, i, "s")
-        vp, vm, mid = _block_frame(d, n)
-        if label is ConeLabel.R:
-            if side is Side.DUAL:
-                cols_b.append(_embed(vp, i))
-                cols_n.append(_embed(np.hstack([vm, mid]), i))
-            else:
-                cols_b.append(_embed(np.hstack([vp, mid]), i))
-                cols_n.append(_embed(vm, i))
-        elif label is ConeLabel.T2:
-            if side is Side.DUAL:
-                cols_b.append(_embed(vp, i))
-                cols_t.append(_embed(np.hstack([vm, mid]), i))
-            else:
-                cols_b.append(_embed(np.hstack([vp, mid]), i))
-                cols_t.append(_embed(vm, i))
-        elif label is ConeLabel.T3:
-            if side is Side.DUAL:
-                cols_n.append(_embed(np.hstack([vp, mid]), i))
-                cols_t.append(_embed(vm, i))
-            else:
-                cols_n.append(_embed(vp, i))
-                cols_t.append(_embed(np.hstack([vm, mid]), i))
-        else:
+        if label not in _BOUNDARY_ROUTE:
             raise LabelMismatch(f"unknown label {label!r}")
+        source, x_cls, s_cls = _BOUNDARY_ROUTE[label]
+        blocks = sol.x_blocks if source == "x" else sol.s_blocks
+        frame = arrowhead_eigensystem(_boundary_block(blocks, i, source)).eigenvectors
+        aligned, opposed = (x_cls, s_cls) if source == "x" else (s_cls, x_cls)
+        arrow = s_cls if side is Side.DUAL else x_cls
+        middle = list(range(1, n - 1))
+        for cls, col in ((aligned, n - 1), (opposed, 0)):
+            _add(cls, frame[:, [col] + (middle if cls == arrow else [])], i)
 
-    def _pack(cols) -> np.ndarray:
-        return np.hstack(cols) if cols else np.zeros((total, 0))
-
-    part = SdoPartition(_pack(cols_b), _pack(cols_n), _pack(cols_t))
+    part = SdoPartition(*(np.hstack(cols[cls]) for cls in "BNT"))
     part.validate()
     return part
 

@@ -43,10 +43,6 @@ class BlockLayout:
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.dims[i])
 
-    def lead(self, i: int) -> int:
-        """Global index of block i's leading coordinate."""
-        return self.offsets[i]
-
     def max_off_block(self, m: SymMatrix) -> float:
         """Largest magnitude of m outside the diagonal blocks; 0.0 for one block.
 
@@ -59,15 +55,6 @@ class BlockLayout:
             if end < self.total:
                 worst = max(worst, float(np.abs(m.a[off:end, end:]).max()))
         return worst
-
-    def cone_of(self, idx: int) -> int:
-        """Block number owning global coordinate idx."""
-        if not 0 <= idx < self.total:
-            raise DimensionMismatch(f"index {idx} out of range for total {self.total}")
-        for i, off in enumerate(self.offsets):
-            if off <= idx < off + self.dims[i]:
-                return i
-        raise DimensionMismatch(f"index {idx} not covered")  # unreachable
 
 
 def _frozen_vector(v, length: int | None = None, what: str = "vector") -> np.ndarray:
@@ -208,6 +195,19 @@ def block_arrow_head(blocks: Sequence[np.ndarray]) -> SymMatrix:
     return block_diag([arrow_head(v) for v in blocks])
 
 
+def block_arrow_head_inv(
+    m: SymMatrix, layout: BlockLayout, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, ...]:
+    """Inverse of block_arrow_head: the per-cone vectors of m. Entries outside
+    the diagonal blocks must vanish within tol, and each block must pass
+    arrow_head_inv; otherwise NotArrowHead reports the worst violation."""
+    stray = layout.max_off_block(m)
+    if stray > tol:
+        raise NotArrowHead(stray, "off-block entry")
+    slices = map(layout.block_slice, range(len(layout.dims)))
+    return tuple(arrow_head_inv(SymMatrix(m.a[sl, sl]), tol) for sl in slices)
+
+
 def arrow_head_triplets(
     blocks: Sequence[np.ndarray], layout: BlockLayout, head_div, tail_div: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -245,12 +245,6 @@ def jordan_product(x, s) -> np.ndarray:
     if x.shape != s.shape or x.ndim != 1:
         raise DimensionMismatch(f"operands differ in shape: {x.shape} vs {s.shape}")
     return np.concatenate(([float(x @ s)], x[0] * s[1:] + s[0] * x[1:]))
-
-
-def jordan_product_blocks(x_blocks, s_blocks) -> list[np.ndarray]:
-    if len(x_blocks) != len(s_blocks):
-        raise DimensionMismatch("block counts differ")
-    return [jordan_product(x, s) for x, s in zip(x_blocks, s_blocks)]
 
 
 def cone_position(v, tol: float = DEFAULT_TOL) -> ConePosition:

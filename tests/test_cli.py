@@ -181,6 +181,20 @@ class TestBadInput:
         assert code == 1
         assert "--sdpa" in err
 
+    def test_malformed_sdo_solution(self, tmp_path, capsys):
+        prob, sol = gen(capsys, tmp_path)
+        mapped = tmp_path / "mapped.json"
+        code, _, _ = run(capsys, "map", "--side", "primal", "--problem", prob,
+                         "--solution", sol, "--out", mapped)
+        assert code == 0
+        obj = json.loads(mapped.read_text())
+        obj["dual_split"]["w"][0] = ["a", 1, 2.0]
+        mapped.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "inverse", "--side", "primal", "--problem", prob,
+                           "--sdo-solution", mapped, "--out", tmp_path / "back.json")
+        assert code == 1
+        assert err.startswith("error:") and "dual_split.w" in err
+
     def test_gap_instance_fails_classification(self, tmp_path, capsys):
         prob, sol = gen(capsys, tmp_path, cones="3", labels="B", m=2, seed=1, gap=0.25)
         code, _, err = run(capsys, "classify", "--problem", prob, "--solution", sol)

@@ -221,6 +221,66 @@ class TestRankKMap:
         assert np.array_equal(rank_k_map(np.zeros(3), (2,)).a, np.zeros((3, 3)))
 
 
+def reference_rank_one(x):
+    """beta beta^T, beta = (x1 + delta, t) / sqrt(2 (x1 + delta)), as an outer
+    product."""
+    head, tail = float(x[0]), x[1:]
+    margin2 = head * head - float(tail @ tail)
+    delta = 0.0 if margin2 <= 4.0 * np.finfo(float).eps * head * head else math.sqrt(margin2)
+    beta = np.concatenate(([head + delta], tail)) / math.sqrt(2.0 * (head + delta))
+    return np.outer(beta, beta)
+
+
+def reference_rank_k(x, subset):
+    """nu1 nu1^T plus the diagonal bump, nu1 = (theta/2, t) / sqrt(theta), as an
+    outer product."""
+    head, tail = float(x[0]), x[1:]
+    rho = float(np.linalg.norm(tail))
+    theta = head + rho + math.sqrt(max((head + rho) ** 2 - 4.0 * rho * rho, 0.0))
+    nu1 = np.concatenate(([theta / 2.0], tail)) / math.sqrt(theta)
+    m = np.outer(nu1, nu1)
+    for j in subset:
+        m[j - 1, j - 1] += (head - rho) / (2.0 * len(subset))
+    return m
+
+
+class TestClosedFormKernel:
+    """Every closed-form transport is one theta-block."""
+
+    def vectors(self, seed, count=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(2, 9))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            tail = scale * rng.standard_normal(n - 1)
+            yield scale * interior_vec(rng, n), np.concatenate(([np.linalg.norm(tail)], tail))
+
+    def test_matches_outer_product_references(self):
+        rng = np.random.default_rng(31)
+        for x, b in self.vectors(30):
+            n = x.shape[0]
+            for v in (x, b):
+                gate = 2e-15 * (1.0 + np.abs(v).max())
+                assert np.abs(rank_one_map(v).a - reference_rank_one(v)).max() <= gate
+            k = int(rng.integers(2, n + 1))
+            subset = tuple(sorted(rng.choice(np.arange(2, n + 1), k - 1, replace=False)))
+            gate = 2e-15 * (1.0 + np.abs(x).max())
+            assert np.abs(rank_k_map(x, subset).a - reference_rank_k(x, subset)).max() <= gate
+
+    def test_sim_zhao_is_rank_k_on_every_coordinate(self):
+        for x, _ in self.vectors(32):
+            full = range(2, x.shape[0] + 1)
+            assert np.array_equal(sim_zhao_map(x).a, rank_k_map(x, full).a)
+
+    def test_first_row_exact_and_boundary_collapse(self):
+        for x, b in self.vectors(33):
+            for m, v in ((rank_one_map(x), x), (rank_one_map(b), b), (sim_zhao_map(x), x),
+                         (sim_zhao_map(b), b), (rank_k_map(x, (x.shape[0],)), x)):
+                assert np.array_equal(2.0 * m.a[0, 1:], v[1:])
+            # b1 == ||b[1:]|| exactly: the closed form is the rank-one block
+            assert np.array_equal(sim_zhao_map(b).a, rank_one_map(b).a)
+
+
 class TestFullRankMap:
     def test_factors_and_gram(self):
         rng = np.random.default_rng(26)

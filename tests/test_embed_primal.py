@@ -53,7 +53,7 @@ class TestStructuralIndex:
             (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
         )
         assert idx.tied_diagonals == (1, 2, 4)
-        assert idx.cone_of(4) == 1
+        assert idx.cone_ids.tolist() == [0, 0, 0, 1, 1]
 
     def test_counts(self):
         # pinned pairs cover every strict-upper coordinate outside the arrow

@@ -290,6 +290,37 @@ class TestSdoRoundTrip:
         with pytest.raises(ParseError):
             load_sdo_solution(path, sdo)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("m_original", "x"),
+            ("cone_dims", 3),
+            ("zero_pairs", [[1]]),
+            ("tied_diagonals", ["q"]),
+        ],
+    )
+    def test_malformed_meta_rejected(self, inst, tmp_path, field, value):
+        path = tmp_path / "p.json"
+        save_sdo_problem(build_primal_embedding(inst.problem), path)
+        obj = json.loads(path.read_text())
+        obj["meta"][field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=f"meta.{field}"):
+            load_sdo_problem(path)
+
+    @pytest.mark.parametrize("with_problem", [True, False])
+    @pytest.mark.parametrize("at,value", [(0, "a"), (2, "z")])
+    def test_malformed_split_entry_rejected(self, inst, tmp_path, with_problem, at, value):
+        sdo = build_primal_embedding(inst.problem)
+        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        path = tmp_path / "m.json"
+        save_sdo_solution(mapped, path, meta=sdo.meta)
+        obj = json.loads(path.read_text())
+        obj["dual_split"]["w"][0][at] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="dual_split.w"):
+            load_sdo_solution(path, sdo if with_problem else None)
+
 
 class TestSdpaExport:
     def test_frozen_file(self, tmp_path):

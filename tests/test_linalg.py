@@ -145,7 +145,6 @@ class TestSymMatrix:
         assert np.array_equal(SymMatrix.zeros(2).a, np.zeros((2, 2)))
         assert np.array_equal(SymMatrix.identity(2).a, np.eye(2))
         assert np.array_equal(SymMatrix.diagonal([1.0, 2.0]).a, np.diag([1.0, 2.0]))
-        assert SymMatrix.identity(4).entry(1, 1) == 1.0
 
 
 class TestTraceInner:
@@ -201,6 +200,15 @@ class TestEigh:
         dec = eigh(SymMatrix([[7.0]]))
         assert dec.eigenvalues[0] == 7.0
         assert dec.eigenvectors[0, 0] == 1.0
+
+    @pytest.mark.parametrize("a", [[[2.0]], [[2.0, 1.0], [1.0, 3.0]]])
+    def test_results_read_only(self, a):
+        dec = eigh(SymMatrix(a))
+        assert not dec.eigenvalues.flags.writeable
+        assert not dec.eigenvectors.flags.writeable
+        if len(a) == 1:
+            assert np.array_equal(dec.eigenvalues, [2.0])
+            assert np.array_equal(dec.eigenvectors, [[1.0]])
 
     def test_convergence_error_carries_residual(self):
         a = SymMatrix([[0.0, 1.0], [1.0, 0.0]])

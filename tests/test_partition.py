@@ -148,6 +148,43 @@ class TestSdoPartitionValidate:
             SdoPartition(np.zeros(3), np.zeros((3, 0)), np.zeros((3, 0)))
 
 
+def reference_map_partition(problem, sol, labels, side):
+    """The label routing written out branch by branch, as a reference for the
+    table in map_partition."""
+    layout = problem.layout
+    cols = {"B": [], "N": [], "T": []}
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+
+    def put(cls, local, i):
+        out = np.zeros((layout.total, local.shape[1]))
+        out[layout.block_slice(i), :] = local
+        cols[cls].append(out)
+
+    for i, label in enumerate(labels):
+        n = problem.cone_dims[i]
+        whole = {ConeLabel.B: "B", ConeLabel.N: "N", ConeLabel.T1: "T"}.get(label)
+        if whole is not None:
+            put(whole, np.eye(n), i)
+            continue
+        v = np.asarray((sol.x_blocks if label in (ConeLabel.R, ConeLabel.T2) else sol.s_blocks)[i])
+        d = v[1:] / float(np.linalg.norm(v[1:]))
+        vp = np.concatenate(([inv_sqrt2], d * inv_sqrt2)).reshape(n, 1)
+        vm = np.concatenate(([inv_sqrt2], -d * inv_sqrt2)).reshape(n, 1)
+        mid = np.vstack([np.zeros((1, n - 2)), partition._tail_complement(d)]) if n > 2 \
+            else np.zeros((n, 0))
+        dual = side is Side.DUAL
+        if label is ConeLabel.R:
+            put("B", vp if dual else np.hstack([vp, mid]), i)
+            put("N", np.hstack([vm, mid]) if dual else vm, i)
+        elif label is ConeLabel.T2:
+            put("B", vp if dual else np.hstack([vp, mid]), i)
+            put("T", np.hstack([vm, mid]) if dual else vm, i)
+        else:
+            put("N", np.hstack([vp, mid]) if dual else vp, i)
+            put("T", vm if dual else np.hstack([vm, mid]), i)
+    return [np.hstack(c) if c else np.zeros((layout.total, 0)) for c in cols.values()]
+
+
 class TestMapPartitionRouting:
     def test_full_block_labels(self):
         p = one_cone_problem(3)
@@ -197,6 +234,14 @@ class TestMapPartitionRouting:
         primal = map_partition(p, sol, [ConeLabel.R], Side.PRIMAL)
         assert np.abs(primal.basis_b[:, 0] - vp).max() < 1e-15
         assert np.abs(primal.basis_n[:, 0] - vm).max() < 1e-15
+
+    @pytest.mark.parametrize("side", [Side.DUAL, Side.PRIMAL])
+    def test_table_matches_branch_reference(self, side):
+        for inst in corpus(200):
+            part = map_partition(inst.problem, inst.solution, inst.labels, side)
+            want = reference_map_partition(inst.problem, inst.solution, inst.labels, side)
+            got = [part.basis_b, part.basis_n, part.basis_t]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_label_requires_direction(self):
         p = one_cone_problem(3)

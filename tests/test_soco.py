@@ -22,7 +22,6 @@ from conic_embed import (
     dual_residual,
     duality_gap,
     jordan_product,
-    jordan_product_blocks,
     primal_residual,
     psd_status,
 )
@@ -143,24 +142,13 @@ class TestJordanProduct:
         with pytest.raises(DimensionMismatch):
             jordan_product(np.zeros(3), np.zeros(2))
 
-    def test_blocks(self):
-        out = jordan_product_blocks(
-            [np.array([1.0, 0.0]), np.array([2.0])], [np.array([1.0, 1.0]), np.array([3.0])]
-        )
-        assert np.array_equal(out[0], [1.0, 1.0])
-        assert np.array_equal(out[1], [6.0])
-        with pytest.raises(DimensionMismatch):
-            jordan_product_blocks([np.zeros(2)], [])
-
 
 class TestBlockLayout:
     def test_bookkeeping(self):
         layout = BlockLayout.from_dims((3, 2))
         assert layout.offsets == (0, 3)
         assert layout.total == 5
-        assert layout.lead(1) == 3
         assert layout.block_slice(0) == slice(0, 3)
-        assert [layout.cone_of(i) for i in range(5)] == [0, 0, 0, 1, 1]
 
     def test_max_off_block(self):
         layout = BlockLayout.from_dims((2, 1, 2))
@@ -177,8 +165,6 @@ class TestBlockLayout:
             BlockLayout.from_dims(())
         with pytest.raises(DimensionMismatch):
             BlockLayout.from_dims((2, 0))
-        with pytest.raises(DimensionMismatch):
-            BlockLayout.from_dims((2,)).cone_of(5)
 
 
 def tiny_problem():

@@ -5,7 +5,7 @@ A cone vector x with x1 >= ||x[1:]|| lifts to a PSD block M constrained by
 sum(diag(M)) = x1 and M[0, j] = x_j / 2. Those two conditions leave rank
 freedom on cone-interior vectors; the block maps here realize rank 1, the
 closed-form rank that tracks the cone position, an arbitrary prescribed rank,
-and a perturbation split attaining full rank.
+and full rank, each as one theta-block (_theta_block).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     BadSubset,
     DimensionMismatch,
-    EpsilonInvalid,
     NotInterior,
     NotPSD,
     OutsideCone,
@@ -31,7 +30,6 @@ from .linalg import (
     SparseRows,
     SymMatrix,
     block_diag,
-    eigh,
     psd_status,
 )
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
@@ -79,10 +77,8 @@ class RankK:
 
 @dataclass(frozen=True)
 class FullRank:
-    """Full-rank transport via the perturbation split; eps defaults to
-    (x1 - ||x[1:]||) / (2 (n-1))."""
-
-    eps: Optional[float] = None
+    """Full-rank transport: the Sim-Zhao block behind an interior gate, so a
+    boundary or zero vector is refused instead of mapped at lower rank."""
 
 
 ConeRankChoice = Union[RankOne, SimZhao, RankK, FullRank]
@@ -118,6 +114,13 @@ def _require_in_cone(x: np.ndarray, tol: float) -> ConePosition:
     return pos
 
 
+def _require_interior(x, tol: float) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if cone_position(x, tol) is not ConePosition.INTERIOR:
+        raise NotInterior("full-rank transport needs a cone-interior vector")
+    return x
+
+
 def _theta_block(theta: float, tail: np.ndarray, bump: float = 0.0, subset=()) -> SymMatrix:
     """[[theta/4, t^T/2], [t/2, t t^T/theta]] plus bump on the 1-based diagonal
     entries in subset.
@@ -149,14 +152,18 @@ def _theta_one(head: float, tail: np.ndarray) -> float:
     return 2.0 * (head + delta)
 
 
-def _sim_zhao_block(x: np.ndarray, subset: Sequence[int]) -> SymMatrix:
-    """theta = x1 + rho + sqrt((x1 + rho)^2 - 4 rho^2), rho = ||x[1:]||, with
-    (x1 - rho) / (2 |subset|) added on subset."""
+def _sim_zhao_theta(x: np.ndarray) -> tuple[float, float]:
+    """theta = x1 + rho + sqrt((x1 + rho)^2 - 4 rho^2), rho = ||x[1:]||, and the
+    trace x1 - rho that the leading factor leaves to the diagonal."""
     head = float(x[0])
-    tail = x[1:]
-    rho = float(np.linalg.norm(tail))
-    theta = head + rho + math.sqrt(max((head + rho) ** 2 - 4.0 * (rho * rho), 0.0))
-    return _theta_block(theta, tail, (head - rho) / (2.0 * len(subset)), subset)
+    rho = float(np.linalg.norm(x[1:]))
+    return head + rho + math.sqrt(max((head + rho) ** 2 - 4.0 * (rho * rho), 0.0)), head - rho
+
+
+def _sim_zhao_block(x: np.ndarray, subset: Sequence[int]) -> SymMatrix:
+    """The Sim-Zhao theta-block with (x1 - rho) / (2 |subset|) added on subset."""
+    theta, rest = _sim_zhao_theta(x)
+    return _theta_block(theta, x[1:], rest / (2.0 * len(subset)), subset)
 
 
 def _closed_form(x, tol: float, block) -> SymMatrix:
@@ -210,93 +217,22 @@ def rank_k_map(x, subset: Sequence[int], tol: float = DEFAULT_TOL) -> SymMatrix:
     return _sim_zhao_block(x, subset)
 
 
-def full_rank_factors(
-    x,
-    eps: Optional[float] = None,
-    tol: float = DEFAULT_TOL,
-    max_halvings: int = 40,
-) -> list[np.ndarray]:
-    """Factors beta^1..beta^n whose Gram sum is a full-rank admissible block.
-
-    The vector is split into telescoping halves tau^k = pi^k / 2, each nudged
-    by +-eps in coordinate k+1 to break alignment, and every tau^k (plus the
-    final remainder) is sent through the rank-one factor formula. Any eps keeps
-    the trace / first-row conditions; validity (each piece inside the cone,
-    Gram sum PSD of full rank) is checked after the fact, halving eps up to
-    max_halvings times before giving up with EpsilonInvalid. Only defined for
-    cone-interior vectors.
-    """
-    x = np.asarray(x, dtype=float)
-    if cone_position(x, tol) is not ConePosition.INTERIOR:
-        raise NotInterior("full-rank split needs a cone-interior vector")
+def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Factors nu, sqrt(b) e_2, ..., sqrt(b) e_n whose Gram sum is full_rank_map(x):
+    the Sim-Zhao leading factor nu = (theta/2, x[1:]) / sqrt(theta) and
+    b = (x1 - ||x[1:]||) / (2 (n-1)). [sqrt(x1)] in one dimension."""
+    x = _require_interior(x, tol)
     n = x.shape[0]
     if n == 1:
         return [np.array([math.sqrt(float(x[0]))])]
-    rho = float(np.linalg.norm(x[1:]))
-    eps0 = float(eps) if eps is not None else (float(x[0]) - rho) / (2.0 * (n - 1))
-    for attempt in range(max_halvings + 1):
-        betas = _split_attempt(x, eps0 / (2.0 ** attempt))
-        if betas is not None and _factors_valid(x, betas, tol):
-            return betas
-    raise EpsilonInvalid(
-        f"no valid full-rank split for eps={eps0!r} after {max_halvings} halvings"
-    )
+    theta, rest = _sim_zhao_theta(x)
+    nu = np.concatenate(([theta / 2.0], x[1:])) / math.sqrt(theta)
+    return [nu, *(math.sqrt(rest / (2.0 * (n - 1))) * np.eye(n)[1:])]
 
 
-def _rank_one_factor(v: np.ndarray) -> Optional[np.ndarray]:
-    """(theta/2, v[1:]) / sqrt(theta) with the rank-one theta; None outside the cone."""
-    head = float(v[0])
-    if head <= 0.0 or head * head < float(v[1:] @ v[1:]):
-        return None
-    theta = _theta_one(head, v[1:])
-    return np.concatenate(([theta / 2.0], v[1:])) / math.sqrt(theta)
-
-
-def _split_attempt(x: np.ndarray, eps: float) -> Optional[list[np.ndarray]]:
-    n = x.shape[0]
-    pi = x.astype(float).copy()
-    betas = []
-    for step in range(n - 1):
-        tau = pi / 2.0
-        idx = step + 1
-        tau[idx] += eps if pi[idx] >= 0.0 else -eps
-        beta = _rank_one_factor(tau)
-        if beta is None:
-            return None
-        betas.append(beta)
-        pi = pi - tau
-    beta = _rank_one_factor(pi)
-    if beta is None:
-        return None
-    betas.append(beta)
-    return betas
-
-
-def _factors_valid(x: np.ndarray, betas: list[np.ndarray], tol: float) -> bool:
-    m = _gram_sum(betas)
-    n = x.shape[0]
-    scale = 1.0 + float(np.abs(x).max())
-    if abs(float(np.trace(m.a)) - float(x[0])) > tol * scale:
-        return False
-    if float(np.abs(2.0 * m.a[0, 1:] - x[1:]).max(initial=0.0)) > tol * scale:
-        return False
-    dec = eigh(m, tol)
-    if dec.psd_status(tol) is PsdStatus.INDEFINITE:
-        return False
-    return dec.rank(tol) == n
-
-
-def _gram_sum(betas: Sequence[np.ndarray]) -> SymMatrix:
-    n = betas[0].shape[0]
-    m = np.zeros((n, n))
-    for b in betas:
-        m += np.outer(b, b)
-    return SymMatrix(m)
-
-
-def full_rank_map(x, eps: Optional[float] = None, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Gram sum of full_rank_factors."""
-    return _gram_sum(full_rank_factors(x, eps, tol))
+def full_rank_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
+    """sim_zhao_map behind an interior gate: rank n on every interior vector."""
+    return sim_zhao_map(_require_interior(x, tol), tol)
 
 
 def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
@@ -306,9 +242,7 @@ def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
     no rank freedom in a 1x1 block.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] == 1:
-        return rank_one_map(x, tol)
-    if isinstance(choice, RankOne):
+    if x.shape[0] == 1 or isinstance(choice, RankOne):
         return rank_one_map(x, tol)
     if isinstance(choice, SimZhao):
         return sim_zhao_map(x, tol)
@@ -325,7 +259,7 @@ def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
             )
         return rank_k_map(x, subset, tol)
     if isinstance(choice, FullRank):
-        return full_rank_map(x, choice.eps, tol)
+        return full_rank_map(x, tol)
     raise TypeError(f"unknown rank choice {choice!r}")
 
 

@@ -53,7 +53,8 @@ class BadSubset(ConicEmbedError):
 
 
 class EpsilonInvalid(ConicEmbedError):
-    """No valid full-rank split found after exhausting epsilon halvings."""
+    """Formerly: no valid full-rank epsilon split. Full rank now needs no
+    epsilon, so nothing raises it; it stays only for bench/spans.py."""
 
 
 class NotPSD(ConicEmbedError):

@@ -8,6 +8,7 @@ overflow to infinity rejected as ParseError.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -111,25 +112,33 @@ def _field(obj: dict, key: str, path: PathLike):
     return obj[key]
 
 
-def _vector(raw, what: str, path: PathLike, length: Optional[int] = None) -> np.ndarray:
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(raw: list, entries, what: str, path: PathLike) -> np.ndarray:
+    """raw as a float array, if every one of its entries is a JSON number. The
+    exact type is checked: bool subclasses int, and numpy reads true as 1.0."""
     try:
-        v = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}: field '{what}' is not numeric") from None
-    if v.ndim != 1:
+        if _NUMBER_TYPES.issuperset(map(type, entries)):
+            return np.array(raw, dtype=float)
+    except (ValueError, OverflowError):
+        pass
+    raise ParseError(f"{path}: field '{what}' is not numeric")
+
+
+def _vector(raw, what: str, path: PathLike, length: Optional[int] = None) -> np.ndarray:
+    if not isinstance(raw, list):
         raise ParseError(f"{path}: field '{what}' must be a flat list")
+    v = _numbers(raw, raw, what, path)
     if length is not None and v.shape[0] != length:
         raise ParseError(f"{path}: field '{what}' has length {v.shape[0]}, expected {length}")
     return v
 
 
 def _matrix(raw, what: str, path: PathLike, shape: Optional[tuple[int, int]] = None) -> np.ndarray:
-    try:
-        m = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}: field '{what}' is not numeric") from None
-    if m.ndim != 2:
+    if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
         raise ParseError(f"{path}: field '{what}' must be a list of rows")
+    m = _numbers(raw, itertools.chain.from_iterable(raw), what, path)
     if shape is not None and m.shape != shape:
         raise ParseError(f"{path}: field '{what}' has shape {m.shape}, expected {shape}")
     return m

@@ -6,7 +6,6 @@ import pytest
 from conic_embed import (
     BadSubset,
     DimensionMismatch,
-    EpsilonInvalid,
     FullRank,
     NotArrowHead,
     NotInterior,
@@ -21,6 +20,8 @@ from conic_embed import (
     arrow_head,
     block_arrow_head,
     build_dual_embedding,
+    build_primal_embedding,
+    check_admissibility,
     cone_position,
     ConePosition,
     extract_block_vector,
@@ -30,12 +31,13 @@ from conic_embed import (
     inverse_map_dual,
     map_block,
     map_solution_dual,
+    map_solution_primal,
     numeric_rank,
     rank_k_map,
     rank_one_map,
     sim_zhao_map,
+    with_duality_gap,
 )
-from conic_embed import embed_dual, linalg
 from conic_embed.embed_dual import per_cone_choices
 from conic_embed.soco import BlockLayout
 from conic_embed.sdo import Side
@@ -284,59 +286,34 @@ class TestClosedFormKernel:
 class TestFullRankMap:
     def test_factors_and_gram(self):
         rng = np.random.default_rng(26)
-        for n in (2, 3, 5, 8):
+        for n in (2, 3, 5, 8, 14, 16, 32, 64, 96):
             x = interior_vec(rng, n)
             betas = full_rank_factors(x)
             assert len(betas) == n
             m = full_rank_map(x)
+            assert np.array_equal(m.a, sim_zhao_map(x).a)
             assert_admissible_block(m, x)
             assert numeric_rank(m) == n
             gram = sum(np.outer(b, b) for b in betas)
-            assert np.abs(gram - m.a).max() < 1e-13
+            assert np.abs(gram - m.a).max() < 1e-13 * np.abs(x).max()
 
     def test_one_dimensional(self):
         betas = full_rank_factors(np.array([4.0]))
         assert len(betas) == 1
         assert betas[0][0] == pytest.approx(2.0)
 
-    def test_explicit_eps(self):
-        x = np.array([3.0, 1.0, 0.5])
-        m = full_rank_map(x, eps=1e-3)
-        assert_admissible_block(m, x)
-        assert numeric_rank(m) == 3
-
-    def test_oversized_eps_recovers_by_halving(self):
-        x = np.array([3.0, 1.0, 0.5])
-        m = full_rank_map(x, eps=1e6)
-        assert_admissible_block(m, x)
-        assert numeric_rank(m) == 3
-
-    def test_zero_eps_exhausts_halvings(self):
-        # eps = 0 collapses every split onto one ray; halving zero never helps
-        with pytest.raises(EpsilonInvalid):
-            full_rank_map(np.array([3.0, 1.0, 0.5]), eps=0.0)
-
-    @pytest.mark.parametrize("eps, attempts", [(None, 1), (0.0, 41)])
-    def test_one_decomposition_per_checked_attempt(self, monkeypatch, eps, attempts):
-        checked, decomposed = [], []
-        factors_valid, eigh = embed_dual._factors_valid, linalg.eigh
-
-        def counting_valid(x, betas, tol):
-            checked.append(x)
-            return factors_valid(x, betas, tol)
-
-        def counting_eigh(a, *args, **kwargs):
-            decomposed.append(a)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(embed_dual, "_factors_valid", counting_valid)
-        for module in (linalg, embed_dual):
-            monkeypatch.setattr(module, "eigh", counting_eigh)
-        try:
-            full_rank_factors(np.array([3.0, 1.0, 0.5]), eps=eps)
-        except EpsilonInvalid:
-            assert eps == 0.0
-        assert len(checked) == len(decomposed) == attempts
+    def test_dim_16_instance_admissible_on_both_sides(self):
+        # x is interior (label B) and the gap shift makes s interior as well
+        inst = with_duality_gap(generate_instance((16,), ("B",), m=3, seed=16), 0.5)
+        for side, build, transport, block in (
+            (Side.DUAL, build_dual_embedding, map_solution_dual, lambda sol: sol.X),
+            (Side.PRIMAL, build_primal_embedding, map_solution_primal, lambda sol: sol.S),
+        ):
+            sdo = build(inst.problem)
+            mapped = transport(inst.problem, inst.solution, FullRank(), tol=1e-8)
+            report = check_admissibility(inst.problem, inst.solution, sdo, mapped, tol=1e-8)
+            assert report.passed, side
+            assert numeric_rank(block(mapped)) == 16, side
 
     def test_requires_interior(self):
         with pytest.raises(NotInterior):

@@ -157,6 +157,15 @@ class TestProblemRoundTrip:
         with pytest.raises(ParseError):
             load_problem(path)
 
+        # numpy alone would read "1.5" as 1.5 and true as 1.0
+        for field, data in (
+            ("b", '"b": ["1.5"], "c": [[0, 0]]'),
+            ("c", '"b": [1], "c": [[true, 0]]'),
+        ):
+            path.write_text('{"cones": [2], "m": 1, "A": [[[1, 2]]], ' + data + "}")
+            with pytest.raises(ParseError, match=f"'{field}"):
+                load_problem(path)
+
         path.write_text("[1, 2]")
         with pytest.raises(ParseError):
             load_problem(path)
@@ -309,7 +318,7 @@ class TestSdoRoundTrip:
             load_sdo_problem(path)
 
     @pytest.mark.parametrize("with_problem", [True, False])
-    @pytest.mark.parametrize("at,value", [(0, "a"), (2, "z")])
+    @pytest.mark.parametrize("at,value", [(0, "a"), (2, "z"), (2, True), (2, "1.5")])
     def test_malformed_split_entry_rejected(self, inst, tmp_path, with_problem, at, value):
         sdo = build_primal_embedding(inst.problem)
         mapped = map_solution_primal(inst.problem, inst.solution, RankOne())

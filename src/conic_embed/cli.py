@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -41,16 +42,22 @@ ENV_TOL = "CONIC_EMBED_TOL"
 
 
 def _resolve_tol(args) -> float:
+    """--tol, else $CONIC_EMBED_TOL, else DEFAULT_TOL; the chosen value must be
+    finite and positive."""
     tol = getattr(args, "tol", None)
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
+    source = "--tol"
+    if tol is None:
+        env = os.environ.get(ENV_TOL)
+        if env is None:
+            return DEFAULT_TOL
+        source = ENV_TOL
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise ConicEmbedError(f"{ENV_TOL} is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    if not 0.0 < tol < math.inf:
+        raise ConicEmbedError(f"{source} must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _parse_rank(text: str, r: int):
@@ -202,7 +209,10 @@ def cmd_gen(args) -> int:
 def cmd_example1(args) -> int:
     direction = None
     if args.direction:
-        direction = np.array([float(p) for p in args.direction.split(",")], dtype=float)
+        try:
+            direction = np.array([float(p) for p in args.direction.split(",")], dtype=float)
+        except ValueError:
+            raise ConicEmbedError(f"bad --direction value {args.direction!r}") from None
     X, S, residual = example1_counterexample(args.n, direction)
     print(f"n={args.n}: the pair satisfies x o s = 0, yet its arrow-head images give "
           f"Tr(XS)={float(np.sum(X.a * S.a)):.6g} and ||XS||_inf={residual:.6f}")

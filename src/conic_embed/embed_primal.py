@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentDual, TemplateViolation
-from .linalg import DEFAULT_TOL, SparseRows, SymMatrix, block_diag
+from .errors import DimensionMismatch, InconsistentDual, NotPSD, TemplateViolation
+from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, block_diag, psd_status
 from .sdo import DualSplit, EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .embed_dual import (
     RankOne,
@@ -198,7 +198,8 @@ def inverse_map_primal(
     X must be block arrow-head (within tol) and inverts blockwise; the original
     multipliers are the first m entries of y; slack blocks are read from S via
     (block trace; 2 * first block row) and cross-checked against c_i - A_i^T v
-    when both are available. Disagreement raises InconsistentDual.
+    when both are available. Disagreement raises InconsistentDual. S must be
+    PSD within tol, as X must be on the dual side.
     """
     layout = problem.layout
     x_blocks = None
@@ -228,6 +229,8 @@ def inverse_map_primal(
                         f"slack block {i} read from S deviates from c - A^T v by {dev:.3e}"
                     )
             s_blocks.append(s)
+        if psd_status(sol.S, tol) is PsdStatus.INDEFINITE:
+            raise NotPSD("S is indefinite beyond tolerance")
         s_blocks = tuple(s_blocks)
     elif v is not None:
         s_blocks = tuple(

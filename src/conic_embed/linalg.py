@@ -1,5 +1,10 @@
-"""Symmetric linear algebra: dense and sparse storage, trace inner product, a
-cyclic Jacobi eigensolver, and PSD / rank queries built on top of it."""
+"""Symmetric linear algebra: dense and sparse storage, trace inner product, an
+eigensolver, and PSD / rank queries built on top of it.
+
+The eigensolver answers each diagonal block of its input in closed form when
+the block is an arrow-head or a theta-block (the two shapes every embedding
+produces), and by cyclic Jacobi otherwise. Neither path calls LAPACK's
+eigensolvers."""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch, EighConvergenceError, NotFinite, NotSymmetric
 
 DEFAULT_TOL = 1e-8
-_EPS = float(np.finfo(float).eps)
 
 
 class SymMatrix:
@@ -273,22 +277,39 @@ class EigenDecomposition:
 
 
 def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecomposition by cyclic Jacobi rotations, run on each diagonal block.
+    """Eigendecomposition, block by block, in closed form where certified and
+    by cyclic Jacobi rotations elsewhere.
 
-    The contiguous diagonal blocks are read off the zero pattern of the input.
-    Every sweep rotates each (p, q) pair of each block in row order, skipping
-    pairs below 0.01 * threshold, until each off-diagonal magnitude falls below
-    the threshold tol * (1 + max |entry|) of the whole input. Rotations on
-    disjoint blocks commute and leave the zeros between blocks untouched, so
-    the result, the sweep count and the residual are exactly those of the same
-    sweeps over the full matrix. Raises EighConvergenceError carrying the
-    residual if max_sweeps is exhausted.
+    The contiguous diagonal blocks are read off the zero pattern of the input,
+    and both paths share the threshold tol * (1 + max |entry|) of the whole
+    input. Each block of size >= 2 first gets the closed-form candidate of
+    _two_level_eigensystem, with its tail read as acting as u^T T u on the
+    direction u of the first row and as the mean of the rest of its trace on
+    the complement. The candidate is exact for arrow-heads and for rank-one
+    and Sim-Zhao theta-blocks, and it is kept only when every entry of
+    B V - V diag(lambda) is within the threshold. The other blocks sweep in
+    lock-step: every sweep rotates each (p, q) pair of each block in row
+    order, skipping pairs below 0.01 * threshold, until each off-diagonal
+    magnitude falls below the threshold. Rotations on disjoint blocks commute,
+    so when no block is certified the result, the sweep count and the residual
+    are exactly those of the same sweeps over the full matrix. Raises
+    EighConvergenceError carrying the residual if max_sweeps is exhausted.
     """
     n = a.dim
     m = a.a
     thresh = tol * (1.0 + float(np.abs(m).max()))
     skip = 0.01 * thresh
-    spans = [(lo, hi) for lo, hi in _diagonal_blocks(m) if hi - lo > 1]
+    vals = m.diagonal().copy()
+    vecs = np.eye(n)
+    spans = []
+    for lo, hi in _diagonal_blocks(m):
+        if hi - lo == 1:
+            continue
+        closed = _certified_block(m[lo:hi, lo:hi], thresh)
+        if closed is None:
+            spans.append((lo, hi))
+        else:
+            vals[lo:hi], vecs[lo:hi, lo:hi] = closed
     # Row i of a block's work array holds row i of the block, then column i of
     # its eigenvector matrix, so one row update rotates both.
     work = [np.hstack((m[lo:hi, lo:hi], np.eye(hi - lo))) for lo, hi in spans]
@@ -302,8 +323,6 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
         sweeps += 1
         off = _max_offdiag(work)
 
-    vals = m.diagonal().copy()
-    vecs = np.eye(n)
     for (lo, hi), w in zip(spans, work):
         k = hi - lo
         vals[lo:hi] = w[:, :k].diagonal()
@@ -314,6 +333,66 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomposition(vals, vecs)
+
+
+def _two_level_eigensystem(
+    head: float, rho: float, u: np.ndarray, along: float, rest: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric B with B[0, 0] = head and first row
+    B[0, 1:] = rho * u (rho > 0, u a unit vector), whose tail block maps u to
+    along * u and acts as rest on the complement of u.
+
+    An arrow-head Arw(v) has along = rest = v1 (Alizadeh & Goldfarb 2003); a
+    theta-block nu nu^T + b sum_{j>=2} e_j e_j^T has rest = b, and b = 0 for
+    rank one (Sim & Zhao 2007). On span(e1, (0, u)), B is
+    [[head, rho], [rho, along]]; one Jacobi rotation
+    diagonalizes it. The remaining eigenvalue rest has the eigenvectors
+    (0, z), z spanning the Householder complement of u.
+
+    Returns the eigenvalues and column eigenvectors in frame order: the
+    rotation's p-pair, then the n - 2 complement pairs, then its q-pair. For
+    an arrow-head that order is ascending, v1 -/+ ||v[1:]|| are exact, and
+    the outer eigenvectors are (1, -/+ u) / sqrt(2).
+    """
+    n = u.shape[0] + 1
+    t, c, s = _jacobi_rotation(head, rho, along)
+    vals = np.empty(n)
+    vals[0], vals[1:n - 1], vals[n - 1] = head - t * rho, rest, along + t * rho
+    vecs = np.zeros((n, n))
+    vecs[0, 0], vecs[1:, 0] = c, -s * u
+    vecs[1:, 1:n - 1] = _tail_complement(u)
+    vecs[0, n - 1], vecs[1:, n - 1] = s, c * u
+    return vals, vecs
+
+
+def _certified_block(b: np.ndarray, thresh: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """_two_level_eigensystem's candidate for one diagonal block, or None when
+    some entry of B V - V diag(lambda) exceeds thresh (or is not finite)."""
+    n = b.shape[0]
+    row, tail = b[0, 1:], b[1:, 1:]
+    rho = float(np.linalg.norm(row))
+    if rho == 0.0:  # a first row that underflows in the norm
+        return None
+    u = row / rho
+    along = float(u @ tail @ u)
+    rest = (float(np.trace(tail)) - along) / (n - 2) if n > 2 else 0.0
+    vals, vecs = _two_level_eigensystem(float(b[0, 0]), rho, u, along, rest)
+    if not float(np.abs(b @ vecs - vecs * vals).max()) <= thresh:
+        return None
+    return vals, vecs
+
+
+def _tail_complement(d: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of unit d, via the Householder
+    reflector exchanging d with e1."""
+    k = d.shape[0]
+    w = d.copy()
+    w[0] -= 1.0
+    wtw = float(w @ w)
+    if wtw <= 1e-30:
+        return np.eye(k)[:, 1:]
+    h = np.eye(k) - (2.0 / wtw) * np.outer(w, w)
+    return h[:, 1:]
 
 
 def _diagonal_blocks(m: np.ndarray) -> list[tuple[int, int]]:
@@ -344,10 +423,17 @@ def _sweep(w: np.ndarray, skip: float) -> None:
             apq = w.item(p, q)
             if abs(apq) <= skip:
                 continue
-            tau = (w.item(q, q) - w.item(p, p)) / (2.0 * apq)
-            t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-            c = 1.0 / np.hypot(1.0, t)
-            _rotate(w, p, q, c, t * c)
+            _, c, s = _jacobi_rotation(w.item(p, p), apq, w.item(q, q))
+            _rotate(w, p, q, c, s)
+
+
+def _jacobi_rotation(app: float, apq: float, aqq: float) -> tuple[float, float, float]:
+    """tan, cos and sin of the rotation that zeroes apq in the (p, q) plane,
+    taking the smaller angle; the diagonal becomes app - t apq, aqq + t apq."""
+    tau = (aqq - app) / (2.0 * apq)
+    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+    c = 1.0 / np.hypot(1.0, t)
+    return t, c, t * c
 
 
 def _rotate(w: np.ndarray, p: int, q: int, c: float, s: float) -> None:

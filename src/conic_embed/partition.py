@@ -30,6 +30,7 @@ from .linalg import (
     EigenDecomposition,
     PsdStatus,
     SymMatrix,
+    _two_level_eigensystem,
     eigh,
     orthonormal_complement,
     trace_inner,
@@ -113,38 +114,14 @@ def arrowhead_eigensystem(v) -> EigenDecomposition:
         raise DimensionMismatch(f"need a nonempty vector, got shape {v.shape}")
     n = v.shape[0]
     head = float(v[0])
-    if n == 1:
-        return EigenDecomposition(np.array([head]), np.eye(1))
-    tail = v[1:]
-    rho = float(np.linalg.norm(tail))
+    rho = float(np.linalg.norm(v[1:]))
     if rho == 0.0:
-        return EigenDecomposition(np.full(n, head), np.eye(n))
-    d = tail / rho
-    vals = np.concatenate(([head - rho], np.full(n - 2, head), [head + rho]))
-    vecs = np.zeros((n, n))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    vecs[0, 0] = inv_sqrt2
-    vecs[1:, 0] = -d * inv_sqrt2
-    if n > 2:
-        vecs[1:, 1:n - 1] = _tail_complement(d)
-    vecs[0, n - 1] = inv_sqrt2
-    vecs[1:, n - 1] = d * inv_sqrt2
+        vals, vecs = np.full(n, head), np.eye(n)
+    else:
+        vals, vecs = _two_level_eigensystem(head, rho, v[1:] / rho, head, head)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomposition(vals, vecs)
-
-
-def _tail_complement(d: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of unit d, via the Householder
-    reflector exchanging d with e1."""
-    k = d.shape[0]
-    w = d.copy()
-    w[0] -= 1.0
-    wtw = float(w @ w)
-    if wtw <= 1e-30:
-        return np.eye(k)[:, 1:]
-    h = np.eye(k) - (2.0 / wtw) * np.outer(w, w)
-    return h[:, 1:]
 
 
 @dataclass(frozen=True, eq=False)

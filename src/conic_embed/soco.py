@@ -170,14 +170,23 @@ def arrow_head_inv(m: SymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     leading one, all within tol; otherwise NotArrowHead reports the worst
     violation.
     """
-    a = m.a
-    n = m.dim
+    return _arrow_head_vector(m.a, tol)
+
+
+def _arrow_head_vector(a: np.ndarray, tol: float) -> np.ndarray:
+    """arrow_head_inv on a square array already known symmetric and finite.
+
+    The worst violation is the first largest deviation, trailing diagonal
+    entries before off-arrow ones on a tie.
+    """
+    n = a.shape[0]
     worst = 0.0
     where = ""
-    for j in range(1, n):
-        dev = abs(a[j, j] - a[0, 0])
-        if dev > worst:
-            worst, where = dev, f"diagonal ({j},{j})"
+    if n > 1:
+        dev = np.abs(a.diagonal()[1:] - a[0, 0])
+        j = int(np.argmax(dev))
+        if dev[j] > worst:
+            worst, where = float(dev[j]), f"diagonal ({j + 1},{j + 1})"
     if n > 2:
         tri = np.triu(np.abs(a[1:, 1:]), 1)
         k = int(np.argmax(tri))
@@ -205,7 +214,7 @@ def block_arrow_head_inv(
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
     slices = map(layout.block_slice, range(len(layout.dims)))
-    return tuple(arrow_head_inv(SymMatrix(m.a[sl, sl]), tol) for sl in slices)
+    return tuple(_arrow_head_vector(m.a[sl, sl], tol) for sl in slices)
 
 
 def arrow_head_triplets(

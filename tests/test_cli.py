@@ -153,6 +153,23 @@ class TestVerifyCommand:
         assert code == 1
         assert "error:" in err and ENV_TOL in err
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(
+        self, tmp_path, capsys, monkeypatch, source, value
+    ):
+        prob, sol = gen(capsys, tmp_path)
+        argv = ["classify", "--problem", prob, "--solution", sol]
+        if source == "flag":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv(ENV_TOL, value)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert ("--tol" if source == "flag" else ENV_TOL) in err
+
 
 class TestBadInput:
     def test_bad_rank_spec(self, tmp_path, capsys):
@@ -194,6 +211,27 @@ class TestBadInput:
                            "--sdo-solution", mapped, "--out", tmp_path / "back.json")
         assert code == 1
         assert err.startswith("error:") and "dual_split.w" in err
+
+    def test_inverse_rejects_indefinite_slack(self, tmp_path, capsys):
+        prob, sol = gen(capsys, tmp_path, cones="3,3", labels="B,N", m=3, seed=5)
+        mapped = tmp_path / "mapped.json"
+        code, _, err = run(capsys, "map", "--side", "primal", "--rank", "simzhao",
+                           "--problem", prob, "--solution", sol, "--out", mapped)
+        assert code == 0, err
+        obj = json.loads(mapped.read_text())
+        obj["S"][4][4] += 50.0
+        obj["S"][5][5] -= 50.0
+        mapped.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "inverse", "--side", "primal", "--problem", prob,
+                           "--sdo-solution", mapped, "--out", tmp_path / "back.json")
+        assert code == 1
+        assert err.startswith("error:") and "indefinite" in err
+
+    def test_example1_bad_direction(self, capsys):
+        code, out, err = run(capsys, "example1", "--n", "3", "--direction", "a,b")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--direction" in err
 
     def test_gap_instance_fails_classification(self, tmp_path, capsys):
         prob, sol = gen(capsys, tmp_path, cones="3", labels="B", m=2, seed=1, gap=0.25)

@@ -6,6 +6,7 @@ import pytest
 from conic_embed import (
     DimensionMismatch,
     InconsistentDual,
+    NotPSD,
     OutsideCone,
     RankOne,
     SdoSolution,
@@ -244,6 +245,17 @@ class TestInverseMapPrimal:
         s[0, 1] += 0.2
         s[1, 0] += 0.2
         with pytest.raises(InconsistentDual):
+            inverse_map_primal(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
+
+    def test_rejects_indefinite_S(self):
+        # a trace-preserving change inside one slack block passes the c - A^T v
+        # cross-check, so only the PSD check can refuse it
+        inst = generate_instance((3, 3), ("B", "N"), m=3, seed=5)
+        mapped = map_solution_primal(inst.problem, inst.solution, SimZhao())
+        s = mapped.S.a.copy()
+        s[4, 4] += 50.0
+        s[5, 5] -= 50.0
+        with pytest.raises(NotPSD):
             inverse_map_primal(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
 
     def test_rejects_short_y(self):

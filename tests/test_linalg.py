@@ -19,9 +19,13 @@ from conic_embed import (
     numeric_rank,
     orthonormal_complement,
     psd_status,
+    rank_k_map,
+    rank_one_map,
+    sim_zhao_map,
     trace_inner,
 )
-from conic_embed.linalg import _diagonal_blocks
+from conic_embed.linalg import EigenDecomposition, _certified_block, _diagonal_blocks
+from conic_embed.partition import max_principal_angle
 from conic_embed.soco import arrow_head
 
 from helpers import corpus
@@ -34,8 +38,9 @@ def random_symmetric(rng, n, scale=1.0):
 
 def dense_jacobi(a: SymMatrix, tol=1e-8, max_sweeps=100):
     """Reference: cyclic Jacobi over the whole matrix, every (p, q) pair in row
-    order, each rotation applied to columns and then to rows. eigh must give
-    the same bits, sweep count and residual."""
+    order, each rotation applied to columns and then to rows. Where eigh
+    certifies no closed-form block, it must give the same bits, sweep count
+    and residual."""
     n = a.dim
     m = a.a.copy()
     vecs = np.eye(n)
@@ -84,11 +89,71 @@ def dense_jacobi(a: SymMatrix, tol=1e-8, max_sweeps=100):
     return vals[order], vecs[:, order]
 
 
-def assert_matches_dense(a: SymMatrix):
+def spans_of(a: SymMatrix, tol=1e-8):
+    """(all diagonal blocks of size >= 2, the ones eigh answers in closed form)."""
+    m = a.a
+    thresh = tol * (1.0 + float(np.abs(m).max()))
+    spans = [(lo, hi) for lo, hi in _diagonal_blocks(m) if hi - lo > 1]
+    closed = [(lo, hi) for lo, hi in spans if _certified_block(m[lo:hi, lo:hi], thresh) is not None]
+    return spans, closed
+
+
+def assert_bit_identical(a: SymMatrix):
+    """No block is certified, so eigh is Jacobi throughout and gives the dense
+    reference's bits."""
+    assert spans_of(a)[1] == []
     want_vals, want_vecs = dense_jacobi(a)
     dec = eigh(a)
     assert np.array_equal(dec.eigenvalues, want_vals)
     assert np.array_equal(dec.eigenvectors, want_vecs)
+
+
+def clusters(vals, gap):
+    """Index groups of ascending vals, split where consecutive values differ
+    by more than gap."""
+    cuts = np.flatnonzero(np.diff(vals) > gap) + 1
+    return np.split(np.arange(len(vals)), cuts)
+
+
+def assert_close_to_dense(a: SymMatrix):
+    """Some block is certified. The PSD status and rank equal the dense
+    reference's. Each certified block is compared with the reference run on
+    it alone, scaled to unit max and to tol 1e-14: eigenvalues within
+    1e-12 (1 + max|a|), and each cluster's eigenspace (eigenvalues closer than
+    1e-6 (1 + max|a|) merged) within 1e-10 rad. At the default tol and scale,
+    the reference is off by up to its stopping threshold, 1e-8 (1 + max|a|),
+    in eigenvalues of a degenerate block and by that over the spectral gap in
+    eigenvectors."""
+    dec = eigh(a)
+    want = EigenDecomposition(*dense_jacobi(a))
+    assert dec.psd_status() is want.psd_status()
+    assert dec.rank() == want.rank()
+    scale = 1.0 + float(np.abs(a.a).max())
+    for lo, hi in spans_of(a)[1]:
+        cols = np.flatnonzero(np.abs(dec.eigenvectors[lo:hi]).max(axis=0) > 0.0)
+        assert cols.shape == (hi - lo,)
+        block = a.a[lo:hi, lo:hi]
+        peak = float(np.abs(block).max())
+        ref_vals, ref_vecs = dense_jacobi(SymMatrix(block / peak), tol=1e-14)
+        ref_vals = ref_vals * peak
+        assert np.abs(dec.eigenvalues[cols] - ref_vals).max() <= 1e-12 * scale
+        for cl in clusters(ref_vals, 1e-6 * scale):
+            got = dec.eigenvectors[lo:hi, cols[cl]]
+            assert max_principal_angle(ref_vecs[:, cl], got) <= 1e-10
+
+
+def assert_matches_dense(a: SymMatrix):
+    if spans_of(a)[1]:
+        assert_close_to_dense(a)
+    else:
+        assert_bit_identical(a)
+
+
+def interior_vector(rng, n):
+    """Tail norm in [0.5, 2], margin in [0.1, 2]."""
+    tail = rng.standard_normal(n - 1)
+    tail *= rng.uniform(0.5, 2.0) / np.linalg.norm(tail)
+    return np.concatenate(([np.linalg.norm(tail) + rng.uniform(0.1, 2.0)], tail))
 
 
 def block_diagonal(rng, dims, kinds):
@@ -211,7 +276,9 @@ class TestEigh:
             assert np.array_equal(dec.eigenvectors, [[1.0]])
 
     def test_convergence_error_carries_residual(self):
-        a = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
+        # e2 is no eigenvector of the tail block, so no closed form is certified
+        a = SymMatrix([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert spans_of(a)[1] == []
         with pytest.raises(EighConvergenceError) as exc:
             eigh(a, max_sweeps=0)
         assert exc.value.residual == 1.0
@@ -231,20 +298,33 @@ class TestEigh:
 
 
 class TestBlockJacobiMatchesDense:
-    """eigh runs per diagonal block; its results are bit-identical to the
-    dense reference."""
+    """eigh runs per diagonal block. Where it certifies no closed form, its
+    results are bit-identical to the dense reference; elsewhere they are
+    within assert_close_to_dense's bounds."""
 
     @pytest.mark.parametrize("side", ["dual", "primal"])
     def test_embedded_solutions(self, side):
+        # arrow-heads and rank-one / Sim-Zhao theta-blocks: all closed form
         transport = map_solution_dual if side == "dual" else map_solution_primal
         checked = 0
         for inst in corpus(20):
             for spec in (RankOne(), SimZhao()):
                 mapped = transport(inst.problem, inst.solution, spec)
                 for mat in (mapped.X, mapped.S):
+                    spans, closed = spans_of(mat)
+                    assert closed == spans
                     assert_matches_dense(mat)
                     checked += 1
         assert checked == 80
+
+    def test_rank_k_theta_blocks(self):
+        # a bump on part of the tail leaves no single value on the complement
+        rng = np.random.default_rng(11)
+        blocks = []
+        for n, subset in ((3, (2,)), (5, (2, 3)), (8, (3, 5, 6)), (8, (2, 3, 4, 5, 6, 7))):
+            blocks.append(rank_k_map(interior_vector(rng, n), subset))
+            assert_bit_identical(blocks[-1])
+        assert_bit_identical(block_diag(blocks))
 
     def test_unit_and_zero_blocks(self):
         rng = np.random.default_rng(7)
@@ -270,8 +350,12 @@ class TestBlockJacobiMatchesDense:
 
     def test_dense_random(self):
         rng = np.random.default_rng(9)
-        for n in (2, 3, 6, 12):
-            assert_matches_dense(random_symmetric(rng, n, scale=2.0))
+        for n in (3, 6, 12):
+            assert_bit_identical(random_symmetric(rng, n, scale=2.0))
+        # every 2x2 block is its own closed form
+        a = random_symmetric(rng, 2, scale=2.0)
+        assert spans_of(a)[1] == [(0, 2)]
+        assert_close_to_dense(a)
 
     @pytest.mark.parametrize("max_sweeps", [0, 1])
     def test_convergence_error_matches(self, max_sweeps):
@@ -292,6 +376,57 @@ class TestBlockJacobiMatchesDense:
         assert _diagonal_blocks(a) == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8)]
         a[1, 7] = a[7, 1] = 1.0
         assert _diagonal_blocks(a) == [(0, 8)]
+
+
+def closed_form_block(kind, n, seed, exponent):
+    """An arrow-head (of a vector inside, on or outside the cone), a rank-one
+    or a Sim-Zhao theta-block of dim n, scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    x = interior_vector(rng, n)
+    if seed % 3 == 1:
+        x[0] = np.linalg.norm(x[1:])  # boundary
+    x *= 10.0 ** exponent
+    if kind == "arrow":
+        if seed % 3 == 2:
+            x[0] *= -rng.uniform(0.0, 1.0)  # outside the cone: indefinite
+        return arrow_head(x)
+    return rank_one_map(x) if kind == "one" else sim_zhao_map(x)
+
+
+class TestClosedForm:
+    """Blocks that eigh answers in closed form, against the dense reference."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(["arrow", "one", "simzhao"]),
+        st.integers(2, 64),
+        st.integers(0, 10_000),
+        st.integers(-6, 6),
+    )
+    def test_families(self, kind, n, seed, exponent):
+        a = closed_form_block(kind, n, seed, exponent)
+        assert spans_of(a)[1] == [(0, n)]
+        assert_close_to_dense(a)
+
+    @pytest.mark.parametrize("kind", ["arrow", "one", "simzhao"])
+    @pytest.mark.parametrize("entry", [(2, 2), (2, 4)])
+    def test_near_miss_falls_back_to_jacobi(self, kind, entry):
+        a = closed_form_block(kind, 6, 7, 0).a.copy()
+        i, j = entry
+        a[i, j] += 10.0 * 1e-8 * (1.0 + float(np.abs(a).max()))
+        a[j, i] = a[i, j]
+        assert_bit_identical(SymMatrix(a))
+
+    def test_mixed_blocks(self):
+        # a certified block does not sweep, so the Jacobi blocks beside it
+        # may stop earlier than in the dense reference
+        rng = np.random.default_rng(12)
+        blocks = [closed_form_block("simzhao", 5, 3, 0), random_symmetric(rng, 4),
+                  closed_form_block("arrow", 3, 4, 1), rank_k_map(interior_vector(rng, 6), (2, 4))]
+        a = block_diag(blocks)
+        spans, closed = spans_of(a)
+        assert closed == [spans[0], spans[2]]
+        assert_close_to_dense(a)
 
 
 class TestPsdQueries:

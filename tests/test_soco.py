@@ -18,6 +18,7 @@ from conic_embed import (
     arrow_head,
     arrow_head_inv,
     block_arrow_head,
+    block_arrow_head_inv,
     cone_position,
     dual_residual,
     duality_gap,
@@ -69,6 +70,30 @@ class TestArrowHead:
         a[1, 2] = a[2, 1] = 1e-10
         v = arrow_head_inv(SymMatrix(a), tol=1e-8)
         assert np.array_equal(v, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "off_arrow, violation, where",
+        [
+            (0.0, 0.25, "diagonal (2,2)"),
+            (0.25, 0.25, "diagonal (2,2)"),  # a tie goes to the diagonal
+            (0.5, 0.5, "off-arrow (1,3)"),
+        ],
+    )
+    def test_block_inverse_reports_first_worst_entry(self, off_arrow, violation, where):
+        blocks = [np.array([3.0, -1.0]), np.array([1.0, 0.5, -0.25, 2.0]), np.array([2.0, 0.0, 1.0])]
+        layout = BlockLayout.from_dims([2, 4, 3])
+        clean = block_arrow_head(blocks)
+        got = block_arrow_head_inv(clean, layout)
+        for g, v in zip(got, blocks):
+            assert np.array_equal(g, v)
+        a = clean.a.copy()
+        a[4, 4] += 0.25  # block 1, local (2, 2): 1.25 - 1.0 is exact
+        a[3, 5] = a[5, 3] = off_arrow  # block 1, local (1, 3)
+        a[7, 8] = a[8, 7] = 0.125  # a smaller violation in the last block
+        with pytest.raises(NotArrowHead) as exc:
+            block_arrow_head_inv(SymMatrix(a), layout)
+        assert exc.value.violation == violation
+        assert str(exc.value).endswith(f"by {violation:.3e} at {where}")
 
     def test_block_arrow_head(self):
         m = block_arrow_head([np.array([1.0, 2.0]), np.array([3.0])])

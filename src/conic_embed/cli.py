@@ -35,7 +35,7 @@ from .partition import (
     proper_map_solution,
     sdo_partition_from_solution,
 )
-from .sdo import Side
+from .sdo import EmbeddingMeta, Side
 from .verify import check_admissibility, example1_counterexample, generate_instance, with_duality_gap
 
 ENV_TOL = "CONIC_EMBED_TOL"
@@ -112,7 +112,7 @@ def cmd_map(args) -> int:
     side = _side(args)
     transport = map_solution_dual if side is Side.DUAL else map_solution_primal
     mapped = transport(problem, sol, spec, tol=tol)
-    io.save_sdo_solution(mapped, args.out, meta=_build(problem, side).meta)
+    io.save_sdo_solution(mapped, args.out, meta=EmbeddingMeta(side, problem.cone_dims, problem.m))
     parts = [p for p, v in (("X", mapped.X), ("y", mapped.y), ("S", mapped.S)) if v is not None]
     print(f"mapped {'/'.join(parts)} to {args.out}")
     return 0
@@ -161,8 +161,7 @@ def cmd_partition(args) -> int:
     sol = io.load_solution(args.solution, problem)
     side = _side(args)
     labels = classify_cones(problem, sol, tol=tol)
-    interior = "simzhao" if args.rank == "simzhao" else "full"
-    mapped = proper_map_solution(problem, sol, side, interior=interior, tol=tol)
+    mapped = proper_map_solution(problem, sol, side, tol=tol)
     part = map_partition(problem, sol, labels, side, tol=tol)
     agreement = None
     if mapped.X is not None and mapped.S is not None:
@@ -281,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_side(p)
     p.add_argument("--problem", required=True)
     p.add_argument("--solution", required=True)
-    p.add_argument("--rank", choices=["simzhao", "full"], default="simzhao",
-                   help="proper map used on interior cones")
     p.add_argument("--out", default=None, help="write basis vectors as JSON")
     add_tol(p)
     p.set_defaults(func=cmd_partition)

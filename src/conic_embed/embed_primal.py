@@ -5,20 +5,20 @@ The data rows spread each leading coefficient over the block diagonal (scale
 1/n_i) and halve the off-leading coefficients, so Tr of a row against an
 arrow-head X reproduces the original inner product. Structural rows then force
 X's off-arrow entries to zero and tie every non-leading diagonal entry to its
-block's leading one. The embedded dual vector is (v | w | u): original
-multipliers, one w per pinned pair, one u per tied diagonal.
+block's leading one; which entries they pin follows from the cone dimensions
+alone (BlockLayout.pins). The embedded dual vector is (v | w | u): original
+multipliers, one w per pinned pair, one u per tied diagonal, in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDual, NotPSD, TemplateViolation
 from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, block_diag, psd_status
-from .sdo import DualSplit, EmbeddingMeta, SdoProblem, SdoSolution, Side
+from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .embed_dual import (
     RankOne,
     RankSpecLike,
@@ -37,40 +37,6 @@ from .soco import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class StructuralIndex:
-    """Pinned entry pairs and tied diagonals for a cone layout (0-based, global).
-
-    pairs: (P, 2) array of every cross-block upper pair plus every within-block
-    off-arrow upper pair, lexicographic. tied: every non-leading index,
-    ascending. cone_ids: the cone owning each coordinate.
-    """
-
-    pairs: np.ndarray
-    tied: np.ndarray
-    cone_ids: np.ndarray
-    layout: BlockLayout
-
-    @classmethod
-    def from_dims(cls, cone_dims: Sequence[int]) -> "StructuralIndex":
-        layout = BlockLayout.from_dims(cone_dims)
-        cone_ids = np.repeat(np.arange(len(layout.dims)), layout.dims)
-        is_lead = np.zeros(layout.total, dtype=bool)
-        is_lead[list(layout.offsets)] = True
-        h, l = np.triu_indices(layout.total, 1)
-        pinned = (cone_ids[h] != cone_ids[l]) | ~is_lead[h]
-        pairs = np.stack((h[pinned], l[pinned]), axis=1)
-        return cls(pairs, np.flatnonzero(~is_lead), cone_ids, layout)
-
-    @property
-    def zero_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.pairs.tolist()))
-
-    @property
-    def tied_diagonals(self) -> tuple[int, ...]:
-        return tuple(self.tied.tolist())
-
-
 def scaled_arrow_head_blocks(blocks: Sequence[np.ndarray], dims: Sequence[int]) -> SymMatrix:
     """Block-diagonal arrow-head of (v1/n_i, v2/2, ..., vn/2) per block."""
     parts = []
@@ -87,13 +53,13 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     Row order: the m data rows; one row per zero pair, lexicographic; one row
     per tied diagonal, ascending. b is zero-padded to match.
     """
-    index = StructuralIndex.from_dims(problem.cone_dims)
-    layout = index.layout
-    m, pairs, tied = problem.m, index.pairs, index.tied
+    layout = problem.layout
+    m = problem.m
+    pairs, tied = layout.pins()
     C = scaled_arrow_head_blocks(problem.c_blocks, problem.cone_dims)
     row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, layout.dims, 2.0)
     # a tied row holds +1 at its block's leading diagonal and -1 at its own
-    lead_tied = np.stack((np.asarray(layout.offsets)[index.cone_ids[tied]], tied), axis=1).ravel()
+    lead_tied = np.stack((np.asarray(layout.offsets)[layout.cone_ids[tied]], tied), axis=1).ravel()
     n_pairs, n_tied = len(pairs), len(tied)
     rows = SparseRows(
         layout.total,
@@ -106,14 +72,7 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
         np.concatenate((v, np.ones(n_pairs), np.tile([1.0, -1.0], n_tied))),
     )
     b = np.concatenate([problem.b, np.zeros(n_pairs + n_tied)])
-    meta = EmbeddingMeta(
-        Side.PRIMAL,
-        problem.cone_dims,
-        m_original=m,
-        zero_pairs=index.zero_pairs,
-        tied_diagonals=index.tied_diagonals,
-    )
-    return SdoProblem(layout.total, C, rows, b, meta)
+    return SdoProblem(layout.total, C, rows, b, EmbeddingMeta(Side.PRIMAL, problem.cone_dims, m))
 
 
 def recover_uw(
@@ -121,16 +80,16 @@ def recover_uw(
     s_blocks: Sequence[np.ndarray],
     cone_dims: Sequence[int],
     tol: float = DEFAULT_TOL,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Read the structural multipliers out of a slack matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read the structural multipliers (u, w) out of a slack matrix, aligned
+    with the tied diagonals and pinned pairs of BlockLayout.pins.
 
     u_k = S[k, k] - s1_i / n_i for each tied diagonal k of block i;
     w_hl = -S[h, l] for each pinned pair. The block template (block trace
     equals s1, first block row equals s[1:] / 2) is verified within tol scaled
     by the block magnitude; violations raise TemplateViolation.
     """
-    index = StructuralIndex.from_dims(cone_dims)
-    layout = index.layout
+    layout = BlockLayout.from_dims(cone_dims)
     if S.dim != layout.total:
         raise DimensionMismatch(f"S has dim {S.dim}, expected {layout.total}")
     for i, s in enumerate(s_blocks):
@@ -149,11 +108,12 @@ def recover_uw(
                 raise TemplateViolation(
                     f"block {i} first row deviates from s/2 by {dev:.3e}"
                 )
+    pairs, tied = layout.pins()
     heads = np.array([float(np.asarray(s)[0]) for s in s_blocks])
-    tied_cone = index.cone_ids[index.tied]
-    u = S.a[index.tied, index.tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
-    w = -S.a[index.pairs[:, 0], index.pairs[:, 1]]
-    return tuple(u.tolist()), tuple(w.tolist())
+    tied_cone = layout.cone_ids[tied]
+    u = S.a[tied, tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
+    w = -S.a[pairs[:, 0], pairs[:, 1]]
+    return u, w
 
 
 def map_solution_primal(
@@ -178,14 +138,12 @@ def map_solution_primal(
         X = block_diag([arrow_head(x) for x in sol.x_blocks])
     S = None
     y_full = None
-    split = None
     if sol.s_blocks is not None:
         S = block_diag([map_block(s, ch, tol) for s, ch in zip(sol.s_blocks, choices)])
         if sol.y is not None:
             u, w = recover_uw(S, sol.s_blocks, problem.cone_dims, tol)
-            split = DualSplit(sol.y, w, u)
-            y_full = split.concatenated()
-    return SdoSolution(X=X, y=y_full, S=S, dual_split=split)
+            y_full = np.concatenate((sol.y, w, u))
+    return SdoSolution(X=X, y=y_full, S=S)
 
 
 def inverse_map_primal(

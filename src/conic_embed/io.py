@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConicEmbedError, DimensionMismatch, ParseError
 from .linalg import SparseRows, SymMatrix
-from .sdo import DualSplit, EmbeddingMeta, SdoProblem, SdoSolution, Side
-from .soco import SocoProblem, SocoSolution
+from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
+from .soco import BlockLayout, SocoProblem, SocoSolution
 
 PathLike = Union[str, Path]
 
@@ -32,14 +32,10 @@ def flatten_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray:
 def split_vector(v: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """Cut a flat vector back into per-cone blocks."""
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != sum(dims):
-        raise DimensionMismatch(f"vector length {v.shape[0]} does not match dims {tuple(dims)}")
-    out = []
-    at = 0
-    for n in dims:
-        out.append(v[at:at + n].copy())
-        at += n
-    return out
+    layout = BlockLayout.from_dims(dims)
+    if v.shape[0] != layout.total:
+        raise DimensionMismatch(f"vector length {v.shape[0]} does not match dims {layout.dims}")
+    return [v[layout.block_slice(i)].copy() for i in range(len(layout.dims))]
 
 
 def _fmt_float(x: float) -> str:
@@ -145,8 +141,8 @@ def _matrix(raw, what: str, path: PathLike, shape: Optional[tuple[int, int]] = N
 
 
 def _int_rows(raw, width: int, what: str, path: PathLike) -> list:
-    """A list of integers, or with width > 0 a list of width-long integer lists,
-    returned as tuples."""
+    """raw, if it is a list of integers, or with width > 0 a list of
+    width-long integer lists."""
     def valid(e) -> bool:
         if not width:
             return type(e) is int
@@ -155,7 +151,7 @@ def _int_rows(raw, width: int, what: str, path: PathLike) -> list:
     if not isinstance(raw, list) or not all(valid(e) for e in raw):
         form = "integers" if not width else f"lists of {width} integers"
         raise ParseError(f"{path}: field '{what}' must be a list of {form}")
-    return [tuple(e) if width else e for e in raw]
+    return raw
 
 
 def _indexed(raw, width: int, what: str, form: str, path: PathLike):
@@ -256,8 +252,8 @@ def save_sdo_problem(problem: SdoProblem, path: PathLike) -> None:
                 "side": meta.side.value,
                 "cone_dims": list(meta.cone_dims) if meta.cone_dims is not None else None,
                 "m_original": meta.m_original,
-                "zero_pairs": [list(p) for p in meta.zero_pairs],
-                "tied_diagonals": list(meta.tied_diagonals),
+                "zero_pairs": meta.zero_pairs.tolist(),
+                "tied_diagonals": meta.tied_diagonals.tolist(),
             },
         },
         path,
@@ -288,7 +284,11 @@ def _sparse_rows(a_raw: list, dim: int, path: PathLike) -> SparseRows:
 
 
 def load_sdo_problem(path: PathLike) -> SdoProblem:
-    """Read an SDO problem file, in the triplet form or the older dense form."""
+    """Read an SDO problem file, in the triplet form or the older dense form.
+
+    meta.cone_dims, when given, must be positive and sum to dim; stored
+    meta.zero_pairs and meta.tied_diagonals must equal the pins that side and
+    cone_dims imply."""
     obj = _read_json(path)
     fmt = obj.get("format")
     if fmt not in (None, SDO_FORMAT):
@@ -316,22 +316,30 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
         except ValueError:
             raise ParseError(f"{path}: meta.side must be dual, primal or generic") from None
         cone_dims = meta_raw.get("cone_dims")
+        if cone_dims is not None:
+            _int_rows(cone_dims, 0, "meta.cone_dims", path)
+            if not cone_dims or min(cone_dims) < 1 or sum(cone_dims) != dim:
+                raise ParseError(f"{path}: field 'meta.cone_dims' must be positive and sum to {dim}")
         m_original = meta_raw.get("m_original", 0)
         if type(m_original) is not int:
             raise ParseError(f"{path}: field 'meta.m_original' must be an integer")
-        meta = EmbeddingMeta(
-            side,
-            None if cone_dims is None else _int_rows(cone_dims, 0, "meta.cone_dims", path),
-            m_original,
-            _int_rows(meta_raw.get("zero_pairs", []), 2, "meta.zero_pairs", path),
-            _int_rows(meta_raw.get("tied_diagonals", []), 0, "meta.tied_diagonals", path),
-        )
+        meta = EmbeddingMeta(side, cone_dims, m_original)
+        for key, width, pinned in (
+            ("zero_pairs", 2, meta.zero_pairs),
+            ("tied_diagonals", 0, meta.tied_diagonals),
+        ):
+            what = f"meta.{key}"
+            if key in meta_raw and _int_rows(meta_raw[key], width, what, path) != pinned.tolist():
+                raise ParseError(f"{path}: field '{what}' does not follow from side and cone_dims")
     return SdoProblem(dim, C, rows, b, meta)
 
 
 def save_sdo_solution(
     sol: SdoSolution, path: PathLike, meta: Optional[EmbeddingMeta] = None
 ) -> None:
+    """Write an SDO solution. With a primal-side meta, y is also written split
+    as dual_split: the original multipliers v, then w and u indexed by the
+    pinned pairs and tied diagonals."""
     obj: dict = {}
     if sol.X is not None:
         obj["X"] = sol.X.a.tolist()
@@ -339,22 +347,28 @@ def save_sdo_solution(
         obj["y"] = sol.y.tolist()
     if sol.S is not None:
         obj["S"] = sol.S.a.tolist()
-    if sol.dual_split is not None:
-        if meta is None:
-            raise ConicEmbedError("saving a dual split needs the embedding meta for indices")
-        split = sol.dual_split
+    if sol.y is not None and meta is not None and meta.side is Side.PRIMAL:
+        pairs, tied = meta.zero_pairs.tolist(), meta.tied_diagonals.tolist()
+        m, y = meta.m_original, obj["y"]
+        if len(y) != m + len(pairs) + len(tied):
+            raise DimensionMismatch(f"y has length {len(y)}, not the {m}+{len(pairs)}+{len(tied)} "
+                                    "constraints of the primal embedding")
         obj["dual_split"] = {
-            "v": split.v.tolist(),
-            "w": [[h, l, val] for (h, l), val in zip(meta.zero_pairs, split.w)],
-            "u": [[k, val] for k, val in zip(meta.tied_diagonals, split.u)],
+            "v": y[:m],
+            "w": [[h, l, val] for (h, l), val in zip(pairs, y[m:])],
+            "u": [[k, val] for k, val in zip(tied, y[m + len(pairs):])],
         }
     write_json(obj, path)
 
 
 def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> SdoSolution:
+    """Read an SDO solution. A dual_split must index the problem's pins, when
+    a problem with a side is given, and concatenate to y exactly; a file with
+    a dual_split and no y takes y from it."""
     obj = _read_json(path)
     dim = problem.dim if problem is not None else None
-    X = y = S = split = None
+    length = problem.num_constraints if problem is not None else None
+    X = y = S = None
     if "X" in obj:
         shape = (dim, dim) if dim else None
         X = SymMatrix(_matrix(obj["X"], "X", path, shape))
@@ -362,7 +376,6 @@ def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> S
         shape = (dim, dim) if dim else None
         S = SymMatrix(_matrix(obj["S"], "S", path, shape))
     if "y" in obj:
-        length = problem.num_constraints if problem is not None else None
         y = _vector(obj["y"], "y", path, length)
     if "dual_split" in obj:
         raw = obj["dual_split"]
@@ -372,17 +385,24 @@ def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> S
         w_at, w = _indexed(raw.get("w", []), 2, "dual_split.w", "[h, l, value]", path)
         u_at, u = _indexed(raw.get("u", []), 1, "dual_split.u", "[k, value]", path)
         if problem is not None and problem.meta.side is not Side.GENERIC:
-            meta = problem.meta
+            pairs = list(map(tuple, problem.meta.zero_pairs.tolist()))
+            tied = [(k,) for k in problem.meta.tied_diagonals.tolist()]
             w_map = dict(zip(w_at, w))
-            if set(w_map) != set(meta.zero_pairs):
+            if set(w_map) != set(pairs):
                 raise ParseError(f"{path}: dual_split.w pairs do not match the embedding")
             u_map = dict(zip(u_at, u))
-            if set(u_map) != {(k,) for k in meta.tied_diagonals}:
+            if set(u_map) != set(tied):
                 raise ParseError(f"{path}: dual_split.u indices do not match the embedding")
-            w = [w_map[p] for p in meta.zero_pairs]
-            u = [u_map[(k,)] for k in meta.tied_diagonals]
-        split = DualSplit(v, w, u)
-    return SdoSolution(X=X, y=y, S=S, dual_split=split)
+            w = [w_map[p] for p in pairs]
+            u = [u_map[k] for k in tied]
+        joined = np.concatenate((v, w, u))
+        if y is None:
+            y = joined
+            if length is not None and len(y) != length:
+                raise ParseError(f"{path}: field 'dual_split' has {len(y)} entries, expected {length}")
+        elif not np.array_equal(joined, y):
+            raise ParseError(f"{path}: field 'dual_split' does not concatenate to y")
+    return SdoSolution(X=X, y=y, S=S)
 
 
 def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False) -> None:
@@ -404,11 +424,11 @@ def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False)
                 "multi-cone primal embeddings are not block-diagonal "
                 "(pinned pairs straddle blocks); export without splitting"
             )
-        dims = meta.cone_dims
+        layout = BlockLayout.from_dims(meta.cone_dims)
     else:
-        dims = (problem.dim,)
-    offsets = np.cumsum((0,) + dims[:-1])
-    cone = np.repeat(np.arange(len(dims)), dims)  # block of each coordinate
+        layout = BlockLayout.from_dims((problem.dim,))
+    offsets = np.asarray(layout.offsets)
+    cone = layout.cone_ids
     A = problem.constraints
     ci, cj = np.nonzero(np.triu(problem.C.a))
     mat = np.concatenate((np.zeros(len(ci), dtype=np.int64), A.row_ids() + 1))
@@ -428,8 +448,8 @@ def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False)
 
     lines = [
         str(problem.num_constraints),
-        str(len(dims)),
-        " ".join(str(n) for n in dims),
+        str(len(layout.dims)),
+        " ".join(str(n) for n in layout.dims),
         " ".join(_fmt_float(v) for v in problem.b),
     ]
     columns = (t[order].tolist() for t in (mat, blk + 1, local_i, local_j, val))

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, EighConvergenceError, NotFinite, NotSymmetric
 
 DEFAULT_TOL = 1e-8
+SYM_TOL = 1e-9  # largest |a - a.T| SymMatrix accepts, relative to 1 + max|a|
+_HALF_MAX = np.finfo(float).max / 2
 
 
 class SymMatrix:
@@ -30,17 +32,24 @@ class SymMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, array, sym_tol: float = 1e-9):
+    def __init__(self, array):
         a = np.array(array, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         _require_finite(a)
-        skew = float(np.abs(a - a.T).max())
-        if skew > sym_tol * (1.0 + float(np.abs(a).max())):
+        peak = float(np.abs(a).max())
+        with np.errstate(over="ignore"):  # beyond _HALF_MAX, a - a.T and a + a.T can overflow
+            skew = float(np.abs(a - a.T).max())
+            sym = 0.5 * (a + a.T)
+        if skew > SYM_TOL * (1.0 + peak):
             raise NotSymmetric(f"matrix deviates from symmetry by {skew:.3e}")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        self.a = a
+        if peak > _HALF_MAX:
+            # where a + a.T overflowed, both entries are large enough that
+            # halving each first is exact
+            over = np.isinf(sym)
+            sym[over] = (0.5 * a + 0.5 * a.T)[over]
+        sym.setflags(write=False)
+        self.a = sym
 
     @property
     def dim(self) -> int:

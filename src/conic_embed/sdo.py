@@ -3,20 +3,23 @@
 min Tr(CX)  s.t.  Tr(A_j X) = b_j,  X PSD, with the dual living in (y, S),
 C - sum_j y_j A_j = S. The constraints A_j are stored sparse, as one
 SparseRows stack of upper-triangle triplets; C is dense. Problems produced by
-the embedding builders carry meta describing which side they came from and how
-rows are laid out.
+the embedding builders carry meta: the side they came from, the cone
+dimensions and the original row count, from which the primal side's
+structural rows follow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart
 from .linalg import SparseRows, SymMatrix, trace_inner
+from .soco import BlockLayout
 
 
 class Side(Enum):
@@ -29,26 +32,34 @@ class Side(Enum):
 class EmbeddingMeta:
     """Provenance of an embedded problem.
 
-    zero_pairs lists the (h, l) coordinate pairs (global, 0-based, h < l) whose
-    X entries are pinned to zero by structural rows; tied_diagonals lists the
-    non-leading diagonal indices tied to their block's leading diagonal entry.
-    Both are empty for dual-side embeddings.
+    zero_pairs, the (P, 2) array of (h, l) coordinate pairs (global, 0-based,
+    h < l) whose X entries structural rows pin to zero, and tied_diagonals,
+    the non-leading diagonal indices tied to their block's leading diagonal
+    entry, follow from cone_dims (BlockLayout.pins). Both are empty off the
+    primal side.
     """
 
     side: Side
     cone_dims: Optional[tuple[int, ...]] = None
     m_original: int = 0
-    zero_pairs: tuple[tuple[int, int], ...] = ()
-    tied_diagonals: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.cone_dims is not None:
             object.__setattr__(self, "cone_dims", tuple(int(d) for d in self.cone_dims))
-        object.__setattr__(
-            self, "zero_pairs", tuple((int(h), int(l)) for h, l in self.zero_pairs)
-        )
-        object.__setattr__(self, "tied_diagonals", tuple(int(k) for k in self.tied_diagonals))
 
+    @cached_property
+    def _pins(self) -> tuple[np.ndarray, np.ndarray]:
+        primal = self.side is Side.PRIMAL and self.cone_dims is not None
+        # a single one-dimensional cone pins nothing
+        return BlockLayout.from_dims(self.cone_dims if primal else (1,)).pins()
+
+    @property
+    def zero_pairs(self) -> np.ndarray:
+        return self._pins[0]
+
+    @property
+    def tied_diagonals(self) -> np.ndarray:
+        return self._pins[1]
 
 GENERIC_META = EmbeddingMeta(Side.GENERIC)
 
@@ -88,32 +99,10 @@ class SdoProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class DualSplit:
-    """Dual vector decomposed as (v | w | u): original multipliers, zero-pair
-    multipliers aligned with meta.zero_pairs, tied-diagonal multipliers aligned
-    with meta.tied_diagonals."""
-
-    v: np.ndarray
-    w: tuple[float, ...] = ()
-    u: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", tuple(float(t) for t in self.w))
-        object.__setattr__(self, "u", tuple(float(t) for t in self.u))
-
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.v, np.asarray(self.w), np.asarray(self.u)])
-
-
-@dataclass(frozen=True, eq=False)
 class SdoSolution:
     X: Optional[SymMatrix] = None
     y: Optional[np.ndarray] = None
     S: Optional[SymMatrix] = None
-    dual_split: Optional[DualSplit] = None
 
     def __post_init__(self):
         if self.y is not None:
@@ -132,10 +121,6 @@ class SdoSolution:
             raise DimensionMismatch(
                 f"y has length {self.y.shape[0]}, expected {problem.num_constraints}"
             )
-        if self.dual_split is not None and self.y is not None:
-            cat = self.dual_split.concatenated()
-            if cat.shape != self.y.shape or float(np.abs(cat - self.y).max()) > 1e-12:
-                raise DimensionMismatch("dual_split does not concatenate to y")
 
 
 def sdo_primal_residual(problem: SdoProblem, sol: SdoSolution) -> float:

@@ -43,6 +43,28 @@ class BlockLayout:
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.dims[i])
 
+    @property
+    def cone_ids(self) -> np.ndarray:
+        """The cone owning each coordinate."""
+        return np.repeat(np.arange(len(self.dims)), self.dims)
+
+    def pins(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entries the primal embedding pins (0-based, global), as read-only
+        int arrays: the (P, 2) upper pairs held at zero, every cross-block
+        pair and every within-block off-arrow pair, lexicographic; and the
+        non-leading diagonals tied to their block's leading one, ascending.
+        """
+        cone = self.cone_ids
+        is_lead = np.zeros(self.total, dtype=bool)
+        is_lead[list(self.offsets)] = True
+        h, l = np.triu_indices(self.total, 1)
+        pinned = (cone[h] != cone[l]) | ~is_lead[h]
+        pairs = np.stack((h[pinned], l[pinned]), axis=1)
+        tied = np.flatnonzero(~is_lead)
+        for a in (pairs, tied):
+            a.setflags(write=False)
+        return pairs, tied
+
     def max_off_block(self, m: SymMatrix) -> float:
         """Largest magnitude of m outside the diagonal blocks; 0.0 for one block.
 

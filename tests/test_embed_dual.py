@@ -83,7 +83,7 @@ class TestBuildDualEmbedding:
         assert sdo.meta.side is Side.DUAL
         assert sdo.meta.cone_dims == (2, 1)
         assert sdo.meta.m_original == 2
-        assert sdo.meta.zero_pairs == ()
+        assert np.array_equal(sdo.meta.zero_pairs, np.empty((0, 2)))
 
     def test_trace_against_admissible_block_is_inner_product(self):
         # Tr(Arw(c) M) = c1 tr(M) + 2 sum_j c_j M[0,j] = c . x for any block

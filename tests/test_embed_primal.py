@@ -13,7 +13,6 @@ from conic_embed import (
     SimZhao,
     SocoProblem,
     SocoSolution,
-    StructuralIndex,
     SymMatrix,
     TemplateViolation,
     arrow_head,
@@ -28,45 +27,50 @@ from conic_embed import (
     sdo_primal_residual,
 )
 from conic_embed.sdo import Side
+from conic_embed.soco import BlockLayout
 
 from helpers import corpus, legal_rank_specs, max_block_diff
 
 
 class TestStructuralIndex:
+    """BlockLayout.pins: the entries the primal embedding's structural rows pin."""
+
     def test_single_cone_dim2(self):
-        idx = StructuralIndex.from_dims((2,))
-        assert idx.zero_pairs == ()
-        assert idx.tied_diagonals == (1,)
+        pairs, tied = BlockLayout.from_dims((2,)).pins()
+        assert np.array_equal(pairs, np.empty((0, 2)))
+        assert np.array_equal(tied, [1])
 
     def test_single_cone_dim3(self):
-        idx = StructuralIndex.from_dims((3,))
-        assert idx.zero_pairs == ((1, 2),)
-        assert idx.tied_diagonals == (1, 2)
+        pairs, tied = BlockLayout.from_dims((3,)).pins()
+        assert np.array_equal(pairs, [(1, 2)])
+        assert np.array_equal(tied, [1, 2])
 
     def test_two_cones_dim2(self):
-        idx = StructuralIndex.from_dims((2, 2))
-        assert idx.zero_pairs == ((0, 2), (0, 3), (1, 2), (1, 3))
-        assert idx.tied_diagonals == (1, 3)
+        pairs, tied = BlockLayout.from_dims((2, 2)).pins()
+        assert np.array_equal(pairs, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        assert np.array_equal(tied, [1, 3])
 
     def test_mixed_dims_order(self):
-        idx = StructuralIndex.from_dims((3, 2))
-        assert idx.zero_pairs == (
-            (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+        layout = BlockLayout.from_dims((3, 2))
+        pairs, tied = layout.pins()
+        assert np.array_equal(
+            pairs, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
         )
-        assert idx.tied_diagonals == (1, 2, 4)
-        assert idx.cone_ids.tolist() == [0, 0, 0, 1, 1]
+        assert np.array_equal(tied, [1, 2, 4])
+        assert layout.cone_ids.tolist() == [0, 0, 0, 1, 1]
+        assert not pairs.flags.writeable and not tied.flags.writeable
 
     def test_counts(self):
         # pinned pairs cover every strict-upper coordinate outside the arrow
         # patterns; tied diagonals cover every non-leading diagonal entry
         for dims in ((2,), (3,), (5, 2), (3, 3, 4)):
-            idx = StructuralIndex.from_dims(dims)
+            pairs, tied = BlockLayout.from_dims(dims).pins()
             total = sum(dims)
             off_arrow_tail = sum(d - 1 for d in dims)
-            assert len(idx.tied_diagonals) == off_arrow_tail
-            assert len(idx.zero_pairs) == total * (total - 1) // 2 - off_arrow_tail
-            assert len(set(idx.zero_pairs)) == len(idx.zero_pairs)
-            assert all(h < l for h, l in idx.zero_pairs)
+            assert len(tied) == off_arrow_tail
+            assert len(pairs) == total * (total - 1) // 2 - off_arrow_tail
+            assert len(set(map(tuple, pairs.tolist()))) == len(pairs)
+            assert all(h < l for h, l in pairs)
 
 
 class TestScaledArrowHead:
@@ -113,8 +117,8 @@ class TestBuildPrimalEmbedding:
         assert np.array_equal(sdo.constraints[1].a, [[1.0, 0.0], [0.0, -1.0]])
         assert np.array_equal(sdo.b, [5.0, 0.0])
         assert sdo.meta.side is Side.PRIMAL
-        assert sdo.meta.zero_pairs == ()
-        assert sdo.meta.tied_diagonals == (1,)
+        assert np.array_equal(sdo.meta.zero_pairs, np.empty((0, 2)))
+        assert np.array_equal(sdo.meta.tied_diagonals, [1])
 
     def test_pair_rows(self):
         p = SocoProblem(
@@ -149,7 +153,7 @@ class TestRecoverUW:
         root3 = math.sqrt(3.0)
         assert u[0] == pytest.approx((2.0 - root3) / 2.0 - 2.0 / 3.0, rel=1e-14)
         assert u[1] == pytest.approx(-2.0 / 3.0, rel=1e-14)
-        assert w == (pytest.approx(0.0, abs=1e-15),)
+        assert w.shape == (1,) and w[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_template_violation_trace(self):
         s = np.array([2.0, 1.0, 0.0])
@@ -181,25 +185,24 @@ class TestMapSolutionPrimal:
             sdo = build_primal_embedding(inst.problem)
             for name, spec in legal_rank_specs(inst, Side.PRIMAL):
                 mapped = map_solution_primal(inst.problem, inst.solution, spec)
-                assert mapped.dual_split is not None
+                assert mapped.y is not None
                 assert sdo_dual_residual(sdo, mapped) < 1e-11, name
 
     def test_split_alignment(self):
         inst = generate_instance((3, 2), ("R", "N"), m=2, seed=50)
         sdo = build_primal_embedding(inst.problem)
         mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
-        split = mapped.dual_split
-        assert np.array_equal(split.v, inst.solution.y)
-        assert len(split.w) == len(sdo.meta.zero_pairs)
-        assert len(split.u) == len(sdo.meta.tied_diagonals)
-        assert np.array_equal(split.concatenated(), mapped.y)
+        u, w = recover_uw(mapped.S, inst.solution.s_blocks, inst.problem.cone_dims)
+        assert len(w) == len(sdo.meta.zero_pairs)
+        assert len(u) == len(sdo.meta.tied_diagonals)
+        assert np.array_equal(mapped.y, np.concatenate((inst.solution.y, w, u)))
 
     def test_no_dual_without_y(self):
         inst = generate_instance((3,), ("N",), m=2, seed=51)
         sol = SocoSolution(s_blocks=inst.solution.s_blocks)
         mapped = map_solution_primal(inst.problem, sol, SimZhao())
         assert mapped.S is not None
-        assert mapped.y is None and mapped.dual_split is None
+        assert mapped.y is None
 
     def test_x_outside_rejected(self):
         inst = generate_instance((3,), ("B",), m=2, seed=52)

@@ -211,8 +211,8 @@ class TestSdoRoundTrip:
             assert loaded.dim == sdo.dim
             assert loaded.meta.side is sdo.meta.side
             assert loaded.meta.cone_dims == sdo.meta.cone_dims
-            assert loaded.meta.zero_pairs == sdo.meta.zero_pairs
-            assert loaded.meta.tied_diagonals == sdo.meta.tied_diagonals
+            assert np.array_equal(loaded.meta.zero_pairs, sdo.meta.zero_pairs)
+            assert np.array_equal(loaded.meta.tied_diagonals, sdo.meta.tied_diagonals)
             assert np.array_equal(loaded.C.a, sdo.C.a)
             assert all(
                 np.array_equal(a.a, b.a) for a, b in zip(loaded.constraints, sdo.constraints)
@@ -278,16 +278,13 @@ class TestSdoRoundTrip:
         assert np.array_equal(loaded.X.a, mapped.X.a)
         assert np.array_equal(loaded.S.a, mapped.S.a)
         assert np.array_equal(loaded.y, mapped.y)
-        assert loaded.dual_split.w == mapped.dual_split.w
-        assert loaded.dual_split.u == mapped.dual_split.u
+        split = json.loads(path.read_text())["dual_split"]
+        assert [e[:2] for e in split["w"]] == sdo.meta.zero_pairs.tolist()
+        assert [e[0] for e in split["u"]] == sdo.meta.tied_diagonals.tolist()
+        assert split["v"] + [e[-1] for e in split["w"] + split["u"]] == mapped.y.tolist()
         second = tmp_path / "m2.json"
         save_sdo_solution(loaded, second, meta=sdo.meta)
         assert path.read_bytes() == second.read_bytes()
-
-    def test_split_requires_meta_to_save(self, inst, tmp_path):
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
-        with pytest.raises(ConicEmbedError):
-            save_sdo_solution(mapped, tmp_path / "x.json")
 
     def test_split_pairs_must_match(self, inst, tmp_path):
         sdo = build_primal_embedding(inst.problem)
@@ -311,6 +308,28 @@ class TestSdoRoundTrip:
     def test_malformed_meta_rejected(self, inst, tmp_path, field, value):
         path = tmp_path / "p.json"
         save_sdo_problem(build_primal_embedding(inst.problem), path)
+        obj = json.loads(path.read_text())
+        obj["meta"][field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=f"meta.{field}"):
+            load_sdo_problem(path)
+
+    @pytest.mark.parametrize(
+        "side,field,value",
+        [
+            ("primal", "cone_dims", [7, 2]),
+            ("primal", "cone_dims", [0, 5]),
+            ("dual", "cone_dims", [1, 1]),
+            ("primal", "zero_pairs", [[0, 4], [0, 3], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4]]),
+            ("primal", "tied_diagonals", [1, 2]),
+            ("dual", "zero_pairs", [[0, 3]]),
+        ],
+    )
+    def test_meta_must_match_dims(self, inst, tmp_path, side, field, value):
+        # the instance has cones (3, 2): dim 5, pins as in BlockLayout.pins
+        build = build_primal_embedding if side == "primal" else build_dual_embedding
+        path = tmp_path / "p.json"
+        save_sdo_problem(build(inst.problem), path)
         obj = json.loads(path.read_text())
         obj["meta"][field] = value
         path.write_text(json.dumps(obj))

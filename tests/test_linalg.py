@@ -201,6 +201,14 @@ class TestSymMatrix:
         # 0.5 * (a + a^T) is exact when a is already symmetric
         assert np.array_equal(m.a, a)
 
+    def test_huge_entries_symmetrized_without_overflow(self):
+        # 0.5 * (a + a^T) overflowed to inf beyond half the largest float
+        big = np.finfo(float).max
+        a = np.array([[-0.0, big, 1e308], [big, 5e-324, -0.0], [1e308, -0.0, 0.0]])
+        assert SymMatrix(a).a.tobytes() == a.tobytes()
+        near = SymMatrix([[0.0, big], [big * (1 - 1e-15), 0.0]]).a
+        assert np.isfinite(near).all() and near[0, 1] == near[1, 0]
+
     def test_backing_array_read_only(self):
         m = SymMatrix.identity(3)
         with pytest.raises(ValueError):

@@ -1,20 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
 from conic_embed import (
     DimensionMismatch,
-    DualSplit,
     EmbeddingMeta,
     MissingSolutionPart,
+    ParseError,
     SdoProblem,
     SdoSolution,
     Side,
+    SocoProblem,
     SymMatrix,
+    build_primal_embedding,
+    load_sdo_solution,
+    save_sdo_solution,
     sdo_dual_residual,
     sdo_gap,
     sdo_primal_residual,
     trace_inner,
 )
+from conic_embed.soco import BlockLayout
 
 
 def random_sdo(rng, n=4, m=3):
@@ -39,24 +46,51 @@ class TestProblemData:
             SdoProblem(3, C, (C,), np.zeros(2))
 
     def test_meta_coercion(self):
-        meta = EmbeddingMeta(Side.DUAL, [3.0, 2.0], 4, [(0.0, 1.0)], [2.0])
+        # the pins follow from side and cone_dims, and exist on the primal side only
+        meta = EmbeddingMeta(Side.PRIMAL, [3.0, 2.0], 4)
         assert meta.cone_dims == (3, 2)
-        assert meta.zero_pairs == ((0, 1),)
-        assert meta.tied_diagonals == (2,)
+        assert np.array_equal(meta.zero_pairs, BlockLayout.from_dims((3, 2)).pins()[0])
+        assert np.array_equal(meta.tied_diagonals, [1, 2, 4])
+        dual = EmbeddingMeta(Side.DUAL, [3.0, 2.0], 4)
+        assert np.array_equal(dual.zero_pairs, np.empty((0, 2)))
+        assert np.array_equal(dual.tied_diagonals, [])
 
 
 class TestDualSplit:
-    def test_concatenation(self):
-        split = DualSplit(np.array([1.0, 2.0]), (3.0,), (4.0, 5.0))
-        assert np.array_equal(split.concatenated(), [1, 2, 3, 4, 5])
+    """The dual_split field of an SDO solution file: y cut at the embedding's
+    pins, which must concatenate back to y exactly."""
 
-    def test_solution_rejects_mismatched_split(self):
-        split = DualSplit(np.array([1.0]), (2.0,), ())
-        SdoSolution(y=np.array([1.0, 2.0]), dual_split=split)  # consistent
-        with pytest.raises(DimensionMismatch):
-            rng = np.random.default_rng(0)
-            p = random_sdo(rng, n=2, m=2)
-            SdoSolution(y=np.array([1.0, 9.0]), dual_split=split).validate_against(p)
+    @staticmethod
+    def _saved(tmp_path):
+        problem = SocoProblem((2,), (np.array([[1.0, 2.0]]),), (np.array([3.0, 1.0]),),
+                              np.array([4.0]))
+        sdo = build_primal_embedding(problem)
+        path = tmp_path / "m.json"
+        save_sdo_solution(SdoSolution(y=np.array([1.0, 2.0])), path, meta=sdo.meta)
+        return sdo, path
+
+    def test_solution_rejects_mismatched_split(self, tmp_path):
+        sdo, path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        assert obj["dual_split"] == {"v": [1], "w": [], "u": [[1, 2]]}
+        assert np.array_equal(load_sdo_solution(path, sdo).y, [1.0, 2.0])  # consistent
+        obj["y"] = [1, 9]
+        path.write_text(json.dumps(obj))
+        for problem in (sdo, None):
+            with pytest.raises(ParseError, match="dual_split"):
+                load_sdo_solution(path, problem)
+
+    def test_y_taken_from_split(self, tmp_path):
+        sdo, path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        del obj["y"]
+        path.write_text(json.dumps(obj))
+        for problem in (sdo, None):
+            assert np.array_equal(load_sdo_solution(path, problem).y, [1.0, 2.0])
+        obj["dual_split"]["v"] = [1, 1]  # one multiplier too many for the problem
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="entries"):
+            load_sdo_solution(path, sdo)
 
 
 class TestResiduals:

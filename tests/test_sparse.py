@@ -188,8 +188,8 @@ class TestEquivalence:
                 assert sdo.b.tobytes() == np.asarray(want_b, dtype=float).tobytes()
                 if structure:
                     pairs, tied = structure
-                    assert sdo.meta.zero_pairs == tuple(pairs)
-                    assert sdo.meta.tied_diagonals == tuple(tied)
+                    assert np.array_equal(sdo.meta.zero_pairs, np.reshape(pairs, (-1, 2)))
+                    assert np.array_equal(sdo.meta.tied_diagonals, tied)
         assert {"R", "T2", "T3"} <= labels
 
     def test_primal_build_memory_at_total_dim_160(self):

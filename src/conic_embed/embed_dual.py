@@ -1,11 +1,18 @@
-"""Dual-side embedding: arrow-head images of the problem data plus per-cone
-solution transports of selectable rank.
+"""Dual-side embedding: arrow-head images of the problem data plus one per-cone
+solution transport of selectable rank.
 
 A cone vector x with x1 >= ||x[1:]|| lifts to a PSD block M constrained by
 sum(diag(M)) = x1 and M[0, j] = x_j / 2. Those two conditions leave rank
-freedom on cone-interior vectors; the block maps here realize rank 1, the
-closed-form rank that tracks the cone position, an arbitrary prescribed rank,
-and full rank, each as one theta-block (_theta_block).
+freedom on cone-interior vectors. map_block is the one transport: each choice
+is one theta-block (_theta_block) and picks only theta and the diagonal subset
+that receives the trace the leading factor leaves over:
+- RankOne: theta = 2 (x1 + delta), no subset; rank one;
+- SimZhao: the Sim-Zhao theta, subset 2..n; the rank that tracks the cone
+  position (n inside, one on the boundary);
+- RankK(k): the Sim-Zhao theta, k - 1 indices; rank k on interior vectors;
+- FullRank: SimZhao behind an interior gate; rank n.
+A one-dimensional cone has no rank freedom and maps to [[x1]] under every
+choice (FullRank only on interior x1); the origin maps to the zero block.
 """
 
 from __future__ import annotations
@@ -107,23 +114,20 @@ def build_dual_embedding(problem: SocoProblem) -> SdoProblem:
     return SdoProblem(n, C, rows, problem.b, meta)
 
 
-def _require_in_cone(x: np.ndarray, tol: float) -> ConePosition:
+def _require_in_cone(x: np.ndarray, tol: float, interior: bool = False) -> ConePosition:
+    """x's cone position; OutsideCone outside the cone, and NotInterior off
+    the interior when interior is set."""
     pos = cone_position(x, tol)
+    if interior and pos is not ConePosition.INTERIOR:
+        raise NotInterior("full-rank transport needs a cone-interior vector")
     if pos is ConePosition.OUTSIDE:
         raise OutsideCone(f"vector {x} lies outside its cone")
     return pos
 
 
-def _require_interior(x, tol: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if cone_position(x, tol) is not ConePosition.INTERIOR:
-        raise NotInterior("full-rank transport needs a cone-interior vector")
-    return x
-
-
-def _theta_block(theta: float, tail: np.ndarray, bump: float = 0.0, subset=()) -> SymMatrix:
+def _theta_block(theta: float, tail: np.ndarray, bump: float = 0.0, subset=()) -> np.ndarray:
     """[[theta/4, t^T/2], [t/2, t t^T/theta]] plus bump on the 1-based diagonal
-    entries in subset.
+    entries in subset, as a plain array that is symmetric bit for bit.
 
     This is nu nu^T for the leading factor nu = (theta/2, t) / sqrt(theta),
     written so that the first row t/2 is exact. Every closed-form transport is
@@ -138,7 +142,7 @@ def _theta_block(theta: float, tail: np.ndarray, bump: float = 0.0, subset=()) -
     on = np.zeros(n - 1)
     on[np.asarray(subset, dtype=int) - 2] = 1.0
     m[1:, 1:] += bump * np.diag(on)
-    return SymMatrix(m)
+    return m
 
 
 def _theta_one(head: float, tail: np.ndarray) -> float:
@@ -160,68 +164,55 @@ def _sim_zhao_theta(x: np.ndarray) -> tuple[float, float]:
     return head + rho + math.sqrt(max((head + rho) ** 2 - 4.0 * (rho * rho), 0.0)), head - rho
 
 
-def _sim_zhao_block(x: np.ndarray, subset: Sequence[int]) -> SymMatrix:
-    """The Sim-Zhao theta-block with (x1 - rho) / (2 |subset|) added on subset."""
+def _rank_k_subset(choice: RankK, n: int) -> tuple[int, ...]:
+    """The k - 1 bump indices of a RankK choice on a block of size n >= 2."""
+    if not 1 <= choice.k <= n:
+        raise BadSubset(f"rank {choice.k} impossible for a block of size {n}")
+    subset = choice.subset
+    if subset is None:
+        return tuple(range(2, choice.k + 1))
+    if len(subset) != choice.k - 1:
+        raise BadSubset(f"subset {subset} has {len(subset)} indices, expected {choice.k - 1}")
+    if len(set(subset)) != len(subset) or any(j < 2 or j > n for j in subset):
+        raise BadSubset(f"subset {subset} must consist of distinct indices in 2..{n}")
+    return subset
+
+
+def _cone_block(x: np.ndarray, choice: ConeRankChoice, tol: float) -> np.ndarray:
+    """map_block's block as a plain array, symmetric bit for bit, so that the
+    matrix it is assembled into is checked once. A one-dimensional cone gives
+    [[x1]] without squaring x1, which could overflow."""
+    n = x.shape[0]
+    if not isinstance(choice, (RankOne, SimZhao, RankK, FullRank)):
+        raise TypeError(f"unknown rank choice {choice!r}")
+    subset = tuple(range(2, n + 1))
+    if isinstance(choice, RankK) and n > 1:
+        subset = _rank_k_subset(choice, n)
+    pos = _require_in_cone(x, tol, interior=isinstance(choice, FullRank))
+    if pos is ConePosition.ZERO:
+        return np.zeros((n, n))
+    if n == 1:
+        return np.array([[float(x[0])]])
+    if isinstance(choice, RankK):
+        interior = pos is ConePosition.INTERIOR
+        if subset and not interior:
+            raise NotInterior("prescribed rank above one needs a cone-interior vector")
+        if interior and not subset:
+            raise BadSubset("empty subset needs a boundary vector; rank one cannot "
+                            "carry an interior trace")
+    if isinstance(choice, RankOne) or not subset:
+        return _theta_block(_theta_one(float(x[0]), x[1:]), x[1:])
     theta, rest = _sim_zhao_theta(x)
     return _theta_block(theta, x[1:], rest / (2.0 * len(subset)), subset)
 
 
-def _closed_form(x, tol: float, block) -> SymMatrix:
-    """block(x) for a nonzero cone vector of dim >= 2; the zero block at the
-    origin, and [[x1]] in one dimension, where x1^2 could overflow."""
-    x = np.asarray(x, dtype=float)
-    if _require_in_cone(x, tol) is ConePosition.ZERO:
-        return SymMatrix.zeros(x.shape[0])
-    if x.shape[0] == 1:
-        return SymMatrix([[float(x[0])]])
-    return block(x)
-
-
-def rank_one_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Rank-one PSD block beta beta^T meeting the trace / first-row conditions,
-    beta = (x1 + delta, x[1:]) / sqrt(2 (x1 + delta)) with
-    delta = sqrt(x1^2 - ||x[1:]||^2) (snapped to zero on the boundary)."""
-    return _closed_form(x, tol, lambda v: _theta_block(_theta_one(float(v[0]), v[1:]), v[1:]))
-
-
-def sim_zhao_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Closed-form transport whose rank equals n inside the cone and 1 on the
-    nonzero boundary: rank_k_map's block with subset 2..n, without its
-    interior gate. It equals rank_one_map bit for bit when x1 = ||x[1:]||."""
-    return _closed_form(x, tol, lambda v: _sim_zhao_block(v, range(2, v.shape[0] + 1)))
-
-
-def rank_k_map(x, subset: Sequence[int], tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Rank-(|subset| + 1) transport on interior vectors.
-
-    The leading factor nu1 = (theta/2, x[1:]) / sqrt(theta) carries the
-    first-row conditions; each 1-based index j in subset adds
-    (x1 - ||x[1:]||) / (2 (k-1)) to diagonal entry j. An empty subset is only
-    meaningful on the boundary, where the result equals rank_one_map.
-    """
-    x = np.asarray(x, dtype=float)
-    pos = _require_in_cone(x, tol)
-    n = x.shape[0]
-    subset = tuple(sorted(int(j) for j in subset))
-    if len(set(subset)) != len(subset) or any(j < 2 or j > n for j in subset):
-        raise BadSubset(f"subset {subset} must consist of distinct indices in 2..{n}")
-    if pos is ConePosition.ZERO:
-        return SymMatrix.zeros(n)
-    if not subset:
-        if pos is ConePosition.INTERIOR:
-            raise BadSubset("empty subset needs a boundary vector; rank one cannot "
-                            "carry an interior trace")
-        return rank_one_map(x, tol)
-    if pos is not ConePosition.INTERIOR:
-        raise NotInterior("prescribed rank above one needs a cone-interior vector")
-    return _sim_zhao_block(x, subset)
-
-
 def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Factors nu, sqrt(b) e_2, ..., sqrt(b) e_n whose Gram sum is full_rank_map(x):
-    the Sim-Zhao leading factor nu = (theta/2, x[1:]) / sqrt(theta) and
-    b = (x1 - ||x[1:]||) / (2 (n-1)). [sqrt(x1)] in one dimension."""
-    x = _require_interior(x, tol)
+    """Factors nu, sqrt(b) e_2, ..., sqrt(b) e_n whose Gram sum is
+    map_block(x, FullRank()): the Sim-Zhao leading factor
+    nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1)).
+    [sqrt(x1)] in one dimension."""
+    x = np.asarray(x, dtype=float)
+    _require_in_cone(x, tol, interior=True)
     n = x.shape[0]
     if n == 1:
         return [np.array([math.sqrt(float(x[0]))])]
@@ -230,37 +221,24 @@ def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     return [nu, *(math.sqrt(rest / (2.0 * (n - 1))) * np.eye(n)[1:])]
 
 
-def full_rank_map(x, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """sim_zhao_map behind an interior gate: rank n on every interior vector."""
-    return sim_zhao_map(_require_interior(x, tol), tol)
-
-
 def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Apply one per-cone transport choice to one block vector.
+    """The per-cone transport: the PSD block of one cone vector x under one
+    choice, with trace x1 and first row x[1:] / 2.
 
-    One-dimensional cones collapse every choice to the rank-one map: there is
-    no rank freedom in a 1x1 block.
+    - RankOne: rank one, theta = 2 (x1 + delta), delta = sqrt(x1^2 - ||x[1:]||^2)
+      snapped to zero on the boundary; no bump.
+    - SimZhao: the Sim-Zhao theta, bump (x1 - ||x[1:]||) / (2 (n-1)) on subset
+      2..n; rank n inside the cone, rank one on the boundary.
+    - RankK(k, subset): the Sim-Zhao theta, bump (x1 - ||x[1:]||) / (2 (k-1))
+      on the k - 1 indices of subset (default 2..k); rank k, interior only.
+      k = 1 is the RankOne block and needs a boundary vector.
+    - FullRank: the SimZhao block behind an interior gate (NotInterior).
+
+    The origin maps to the zero block. A one-dimensional cone has no rank
+    freedom: every choice gives [[x1]], and FullRank still refuses a
+    non-interior x1.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] == 1 or isinstance(choice, RankOne):
-        return rank_one_map(x, tol)
-    if isinstance(choice, SimZhao):
-        return sim_zhao_map(x, tol)
-    if isinstance(choice, RankK):
-        n = x.shape[0]
-        if not 1 <= choice.k <= n:
-            raise BadSubset(f"rank {choice.k} impossible for a block of size {n}")
-        subset = choice.subset
-        if subset is None:
-            subset = tuple(range(2, choice.k + 1))
-        elif len(subset) != choice.k - 1:
-            raise BadSubset(
-                f"subset {subset} has {len(subset)} indices, expected {choice.k - 1}"
-            )
-        return rank_k_map(x, subset, tol)
-    if isinstance(choice, FullRank):
-        return full_rank_map(x, tol)
-    raise TypeError(f"unknown rank choice {choice!r}")
+    return SymMatrix(_cone_block(np.asarray(x, dtype=float), choice, tol))
 
 
 def map_solution_dual(
@@ -278,7 +256,7 @@ def map_solution_dual(
     choices = per_cone_choices(spec, problem.r)
     X = None
     if sol.x_blocks is not None:
-        X = block_diag([map_block(x, ch, tol) for x, ch in zip(sol.x_blocks, choices)])
+        X = block_diag([_cone_block(x, ch, tol) for x, ch in zip(sol.x_blocks, choices)])
     S = None
     if sol.s_blocks is not None:
         for s in sol.s_blocks:

@@ -22,29 +22,19 @@ from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .embed_dual import (
     RankOne,
     RankSpecLike,
+    _cone_block,
     _require_in_cone,
     extract_block_vector,
-    map_block,
     per_cone_choices,
 )
 from .soco import (
     BlockLayout,
     SocoProblem,
     SocoSolution,
-    arrow_head,
     arrow_head_triplets,
+    block_arrow_head,
     block_arrow_head_inv,
 )
-
-
-def scaled_arrow_head_blocks(blocks: Sequence[np.ndarray], dims: Sequence[int]) -> SymMatrix:
-    """Block-diagonal arrow-head of (v1/n_i, v2/2, ..., vn/2) per block."""
-    parts = []
-    for v, n in zip(blocks, dims):
-        v = np.asarray(v, dtype=float)
-        scaled = np.concatenate(([v[0] / n], v[1:] / 2.0))
-        parts.append(arrow_head(scaled))
-    return block_diag(parts)
 
 
 def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
@@ -56,8 +46,9 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     layout = problem.layout
     m = problem.m
     pairs, tied = layout.pins()
-    C = scaled_arrow_head_blocks(problem.c_blocks, problem.cone_dims)
-    row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, layout.dims, 2.0)
+    scale = (layout.dims, 2.0)  # divisors of each block's head and tail
+    C = block_arrow_head(problem.c_blocks, *scale)
+    row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, *scale)
     # a tied row holds +1 at its block's leading diagonal and -1 at its own
     lead_tied = np.stack((np.asarray(layout.offsets)[layout.cone_ids[tied]], tied), axis=1).ravel()
     n_pairs, n_tied = len(pairs), len(tied)
@@ -135,11 +126,11 @@ def map_solution_primal(
     if sol.x_blocks is not None:
         for x in sol.x_blocks:
             _require_in_cone(x, tol)
-        X = block_diag([arrow_head(x) for x in sol.x_blocks])
+        X = block_arrow_head(sol.x_blocks)
     S = None
     y_full = None
     if sol.s_blocks is not None:
-        S = block_diag([map_block(s, ch, tol) for s, ch in zip(sol.s_blocks, choices)])
+        S = block_diag([_cone_block(s, ch, tol) for s, ch in zip(sol.s_blocks, choices)])
         if sol.y is not None:
             u, w = recover_uw(S, sol.s_blocks, problem.cone_dims, tol)
             y_full = np.concatenate((sol.y, w, u))

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -22,20 +22,6 @@ from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import BlockLayout, SocoProblem, SocoSolution
 
 PathLike = Union[str, Path]
-
-
-def flatten_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-cone vectors into one flat vector."""
-    return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
-
-
-def split_vector(v: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    """Cut a flat vector back into per-cone blocks."""
-    v = np.asarray(v, dtype=float)
-    layout = BlockLayout.from_dims(dims)
-    if v.shape[0] != layout.total:
-        raise DimensionMismatch(f"vector length {v.shape[0]} does not match dims {layout.dims}")
-    return [v[layout.block_slice(i)].copy() for i in range(len(layout.dims))]
 
 
 def _fmt_float(x: float) -> str:

@@ -230,16 +230,23 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def block_diag(blocks: Sequence[SymMatrix]) -> SymMatrix:
-    """Assemble symmetric blocks into one block-diagonal SymMatrix."""
+def block_diag(blocks: Sequence[np.ndarray]) -> SymMatrix:
+    """Write square arrays into one block-diagonal SymMatrix.
+
+    The blocks are plain arrays and are not checked one by one: finiteness
+    and symmetry are checked once, on the assembled matrix."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
     if not blocks:
         raise DimensionMismatch("need at least one block")
-    n = sum(b.dim for b in blocks)
+    for b in blocks:
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise DimensionMismatch(f"expected square blocks, got shape {b.shape}")
+    n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n))
     at = 0
     for b in blocks:
-        out[at:at + b.dim, at:at + b.dim] = b.a
-        at += b.dim
+        out[at:at + b.shape[0], at:at + b.shape[0]] = b
+        at += b.shape[0]
     return SymMatrix(out)
 
 

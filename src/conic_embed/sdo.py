@@ -68,7 +68,7 @@ GENERIC_META = EmbeddingMeta(Side.GENERIC)
 class SdoProblem:
     """Standard-form SDO data. The constraints may be passed as a SparseRows
     stack or as a sequence of SparseSym or SymMatrix rows; they are stored as
-    SparseRows."""
+    SparseRows. meta.cone_dims, when given, must be positive and sum to dim."""
 
     dim: int
     C: SymMatrix
@@ -79,6 +79,11 @@ class SdoProblem:
     def __post_init__(self):
         if self.C.dim != self.dim:
             raise DimensionMismatch(f"C has dim {self.C.dim}, expected {self.dim}")
+        dims = self.meta.cone_dims
+        if dims is not None and (min(dims, default=0) < 1 or sum(dims) != self.dim):
+            raise DimensionMismatch(
+                f"meta.cone_dims {dims} must be positive and sum to dim {self.dim}"
+            )
         rows = self.constraints
         if not isinstance(rows, SparseRows):
             rows = SparseRows.from_rows(self.dim, rows)

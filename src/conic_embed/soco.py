@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead
-from .linalg import DEFAULT_TOL, SymMatrix, _require_finite, block_diag
+from .linalg import DEFAULT_TOL, SymMatrix, _require_finite
 
 
 class ConePosition(Enum):
@@ -174,15 +174,7 @@ class SocoSolution:
 
 def arrow_head(v) -> SymMatrix:
     """Arrow-head matrix [[v1, t^T], [t, v1*I]] with t = v[1:]."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DimensionMismatch(f"arrow_head needs a nonempty vector, got shape {v.shape}")
-    n = v.shape[0]
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, v[0])
-    m[0, 1:] = v[1:]
-    m[1:, 0] = v[1:]
-    return SymMatrix(m)
+    return block_arrow_head([v])
 
 
 def arrow_head_inv(m: SymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -221,9 +213,24 @@ def _arrow_head_vector(a: np.ndarray, tol: float) -> np.ndarray:
     return np.concatenate(([a[0, 0]], a[0, 1:]))
 
 
-def block_arrow_head(blocks: Sequence[np.ndarray]) -> SymMatrix:
-    """Block-diagonal arrow-head matrix of per-cone vectors."""
-    return block_diag([arrow_head(v) for v in blocks])
+def block_arrow_head(
+    blocks: Sequence[np.ndarray], head_div=1.0, tail_div: float = 1.0
+) -> SymMatrix:
+    """Block-diagonal arrow-head matrix of the per-cone vectors
+    (v1 / head_div[i], v[1:] / tail_div), with head_div and tail_div as in
+    arrow_head_triplets, whose entries it scatters into one dense array.
+    Finiteness and symmetry are checked once, on the whole matrix."""
+    vectors = [np.asarray(v, dtype=float) for v in blocks]
+    for v in vectors:
+        if v.ndim != 1 or v.shape[0] < 1:
+            raise DimensionMismatch(f"arrow_head needs a nonempty vector, got shape {v.shape}")
+    layout = BlockLayout.from_dims([v.shape[0] for v in vectors])
+    rows = [v[None, :] for v in vectors]
+    _, i, j, vals = arrow_head_triplets(rows, layout, head_div, tail_div)
+    m = np.zeros((layout.total, layout.total))
+    m[i, j] = vals
+    m[j, i] = vals
+    return SymMatrix(m)
 
 
 def block_arrow_head_inv(

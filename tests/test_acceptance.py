@@ -19,6 +19,7 @@ from conic_embed import (
     RankK,
     RankOne,
     Side,
+    SimZhao,
     SymMatrix,
     arrow_head,
     arrowhead_eigensystem,
@@ -28,7 +29,6 @@ from conic_embed import (
     cone_position,
     eigh,
     example1_counterexample,
-    full_rank_map,
     generate_instance,
     inverse_map_dual,
     inverse_map_primal,
@@ -40,9 +40,7 @@ from conic_embed import (
     max_principal_angle,
     numeric_rank,
     proper_map_solution,
-    rank_one_map,
     sdo_partition_from_solution,
-    sim_zhao_map,
     trace_inner,
     with_duality_gap,
 )
@@ -143,11 +141,11 @@ def test_jordan_complementary_pair_with_non_commuting_images():
             worst_jordan = max(worst_jordan, float(np.abs(jordan_product(x, s)).max()))
             _, _, residual = example1_counterexample(n, d)
             worst_residual = min(worst_residual, residual)
-            for f in (rank_one_map, sim_zhao_map):
+            for choice in (RankOne(), SimZhao()):
                 worst_trace = max(
                     worst_trace,
-                    abs(trace_inner(f(x), arrow_head(s))),
-                    abs(trace_inner(arrow_head(x), f(s))),
+                    abs(trace_inner(map_block(x, choice), arrow_head(s))),
+                    abs(trace_inner(arrow_head(x), map_block(s, choice))),
                 )
     ok = worst_jordan <= 1e-12 and worst_residual >= 0.5 and worst_trace <= 1e-10
     _report(
@@ -170,22 +168,22 @@ def test_mapped_block_ranks_follow_the_laws():
             boundary = np.concatenate([[rho], tail])
             interior = np.concatenate([[rho * (1.0 + rng.uniform(0.2, 2.0))], tail])
             zero = np.zeros(n)
-            for m in (rank_one_map(boundary), sim_zhao_map(boundary),
+            for m in (map_block(boundary, RankOne()), map_block(boundary, SimZhao()),
                       map_block(boundary, RankK(1))):
                 assert numeric_rank(m, 1e-7) == 1
                 checked += 1
-            for m in (full_rank_map(interior), sim_zhao_map(interior)):
+            for m in (map_block(interior, FullRank()), map_block(interior, SimZhao())):
                 assert numeric_rank(m, 1e-7) == n
                 checked += 1
-            for m in (rank_one_map(zero), sim_zhao_map(zero)):
+            for m in (map_block(zero, RankOne()), map_block(zero, SimZhao())):
                 assert numeric_rank(m, 1e-7) == 0
                 checked += 1
             for k in range(2, n + 1):
                 assert numeric_rank(map_block(interior, RankK(k)), 1e-7) == k
                 checked += 1
     one_d = np.array([1.7])
-    assert numeric_rank(rank_one_map(one_d), 1e-7) == 1
-    assert numeric_rank(sim_zhao_map(np.zeros(1)), 1e-7) == 0
+    assert numeric_rank(map_block(one_d, RankOne()), 1e-7) == 1
+    assert numeric_rank(map_block(np.zeros(1), SimZhao()), 1e-7) == 0
     checked += 2
     _report(
         "rank one on the boundary, full rank inside, zero at the origin, k on demand",
@@ -294,7 +292,7 @@ def test_closed_form_map_collapses_to_rank_one_on_the_boundary():
         n = int(rng.integers(2, 11))
         tail = 10.0 ** rng.uniform(-2, 2) * rng.normal(size=n - 1)
         v = np.concatenate([[np.linalg.norm(tail)], tail])
-        diff = np.abs(sim_zhao_map(v).a - rank_one_map(v).a).max()
+        diff = np.abs(map_block(v, SimZhao()).a - map_block(v, RankOne()).a).max()
         worst = max(worst, float(diff))
     _report(
         "closed-form and rank-one maps coincide on boundary points",

@@ -102,6 +102,15 @@ class TestPipeline:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_full_rank_rejected_on_one_dimensional_zero_cone(self, tmp_path, capsys):
+        # x = [0] on the N cone has rank 0; full rank is for interior cones only
+        prob, sol = gen(capsys, tmp_path, cones="1,3", labels="N,B", m=2, seed=9)
+        code, _, err = run(capsys, "map", "--side", "dual", "--rank", "full",
+                           "--problem", prob, "--solution", sol,
+                           "--out", tmp_path / "x.json")
+        assert code == 1
+        assert "interior" in err
+
 
 class TestVerifyCommand:
     def test_tampered_solution_fails(self, tmp_path, capsys):

@@ -26,16 +26,12 @@ from conic_embed import (
     ConePosition,
     extract_block_vector,
     full_rank_factors,
-    full_rank_map,
     generate_instance,
     inverse_map_dual,
     map_block,
     map_solution_dual,
     map_solution_primal,
     numeric_rank,
-    rank_k_map,
-    rank_one_map,
-    sim_zhao_map,
     with_duality_gap,
 )
 from conic_embed.embed_dual import per_cone_choices
@@ -92,7 +88,7 @@ class TestBuildDualEmbedding:
         rng = np.random.default_rng(20)
         c = rng.standard_normal(4)
         x = interior_vec(rng, 4)
-        for m in (rank_one_map(x), sim_zhao_map(x), full_rank_map(x)):
+        for m in (map_block(x, RankOne()), map_block(x, SimZhao()), map_block(x, FullRank())):
             got = float(np.sum(arrow_head(c).a * m.a))
             assert got == pytest.approx(float(c @ x), abs=1e-12)
 
@@ -101,22 +97,22 @@ class TestRankOneMap:
     def test_frozen_interior_axis(self):
         # the head entry comes out of an outer product, so it carries one
         # rounding of 4/sqrt(8) squared; the off-axis entries are exact zeros
-        m = rank_one_map(np.array([2.0, 0.0, 0.0]))
+        m = map_block(np.array([2.0, 0.0, 0.0]), RankOne())
         assert m.a[0, 0] == pytest.approx(2.0, rel=1e-15)
         off = m.a.copy()
         off[0, 0] = 0.0
         assert np.array_equal(off, np.zeros((3, 3)))
 
     def test_frozen_boundary(self):
-        m = rank_one_map(np.array([1.0, 1.0]))
+        m = map_block(np.array([1.0, 1.0]), RankOne())
         assert np.abs(m.a - 0.5).max() <= 1e-15
 
     def test_zero_maps_to_zero(self):
-        assert np.array_equal(rank_one_map(np.zeros(4)).a, np.zeros((4, 4)))
+        assert np.array_equal(map_block(np.zeros(4), RankOne()).a, np.zeros((4, 4)))
 
     def test_outside_rejected(self):
         with pytest.raises(OutsideCone):
-            rank_one_map(np.array([1.0, 2.0]))
+            map_block(np.array([1.0, 2.0]), RankOne())
 
     def test_conditions_and_rank(self):
         rng = np.random.default_rng(21)
@@ -125,7 +121,7 @@ class TestRankOneMap:
                 if n == 1 and make is boundary_vec:
                     continue
                 x = make(rng, n)
-                m = rank_one_map(x)
+                m = map_block(x, RankOne())
                 assert_admissible_block(m, x)
                 assert numeric_rank(m) == 1
                 assert np.linalg.matrix_rank(m.a, tol=1e-8) == 1
@@ -136,24 +132,24 @@ class TestRankOneMap:
         rng = np.random.default_rng(22)
         t = rng.standard_normal(4)
         x = np.concatenate(([np.linalg.norm(t)], t))
-        m = rank_one_map(x)
+        m = map_block(x, RankOne())
         beta0 = math.sqrt(m.a[0, 0])
         assert beta0 == pytest.approx(math.sqrt(x[0] / 2.0), rel=1e-14)
 
 
 class TestSimZhaoMap:
     def test_frozen_axis(self):
-        m = sim_zhao_map(np.array([1.0, 0.0, 0.0]))
+        m = map_block(np.array([1.0, 0.0, 0.0]), SimZhao())
         assert np.array_equal(m.a, np.diag([0.5, 0.25, 0.25]))
 
     def test_one_dimensional(self):
-        assert np.array_equal(sim_zhao_map(np.array([2.5])).a, [[2.5]])
+        assert np.array_equal(map_block(np.array([2.5]), SimZhao()).a, [[2.5]])
 
     def test_interior_full_rank(self):
         rng = np.random.default_rng(23)
         for n in (2, 3, 6):
             x = interior_vec(rng, n)
-            m = sim_zhao_map(x)
+            m = map_block(x, SimZhao())
             assert_admissible_block(m, x)
             assert numeric_rank(m) == n
             assert float(np.linalg.eigvalsh(m.a)[0]) > 0.0
@@ -162,19 +158,19 @@ class TestSimZhaoMap:
         rng = np.random.default_rng(24)
         for n in (2, 3, 5, 8):
             x = boundary_vec(rng, n)
-            diff = np.abs(sim_zhao_map(x).a - rank_one_map(x).a).max()
+            diff = np.abs(map_block(x, SimZhao()).a - map_block(x, RankOne()).a).max()
             assert diff < 1e-14 * (1.0 + abs(x[0]))
 
     def test_zero_and_outside(self):
-        assert np.array_equal(sim_zhao_map(np.zeros(3)).a, np.zeros((3, 3)))
+        assert np.array_equal(map_block(np.zeros(3), SimZhao()).a, np.zeros((3, 3)))
         with pytest.raises(OutsideCone):
-            sim_zhao_map(np.array([-1.0, 0.0]))
+            map_block(np.array([-1.0, 0.0]), SimZhao())
 
 
 class TestRankKMap:
     def test_frozen_example(self):
         x = np.array([2.0, 1.0, 0.0])
-        m = rank_k_map(x, subset=(2,))
+        m = map_block(x, RankK(2, (2,)))
         assert_admissible_block(m, x)
         assert numeric_rank(m) == 2
         # the bump lands on coordinate 2 only
@@ -184,8 +180,8 @@ class TestRankKMap:
 
     def test_subset_choice_changes_matrix_not_rank(self):
         x = np.array([2.0, 1.0, 0.0])
-        m_a = rank_k_map(x, subset=(2,))
-        m_b = rank_k_map(x, subset=(3,))
+        m_a = map_block(x, RankK(2, (2,)))
+        m_b = map_block(x, RankK(2, (3,)))
         assert not np.array_equal(m_a.a, m_b.a)
         for m in (m_a, m_b):
             assert_admissible_block(m, x)
@@ -196,31 +192,31 @@ class TestRankKMap:
         for n in (2, 4, 7):
             x = interior_vec(rng, n)
             for k in range(2, n + 1):
-                m = rank_k_map(x, subset=tuple(range(2, k + 1)))
+                m = map_block(x, RankK(k, tuple(range(2, k + 1))))
                 assert_admissible_block(m, x)
                 assert numeric_rank(m) == k
 
     def test_bad_subsets(self):
         x = np.array([2.0, 1.0, 0.0])
         with pytest.raises(BadSubset):
-            rank_k_map(x, subset=(1,))
+            map_block(x, RankK(2, (1,)))
         with pytest.raises(BadSubset):
-            rank_k_map(x, subset=(2, 2))
+            map_block(x, RankK(3, (2, 2)))
         with pytest.raises(BadSubset):
-            rank_k_map(x, subset=(4,))
+            map_block(x, RankK(2, (4,)))
         with pytest.raises(BadSubset):
-            rank_k_map(x, subset=())  # interior trace cannot sit in rank one
+            map_block(x, RankK(1, ()))  # interior trace cannot sit in rank one
 
     def test_boundary_empty_subset_is_rank_one(self):
         x = np.array([1.0, 1.0, 0.0])
-        assert np.array_equal(rank_k_map(x, ()).a, rank_one_map(x).a)
+        assert np.array_equal(map_block(x, RankK(1, ())).a, map_block(x, RankOne()).a)
 
     def test_boundary_rejects_higher_rank(self):
         with pytest.raises(NotInterior):
-            rank_k_map(np.array([1.0, 1.0, 0.0]), subset=(2,))
+            map_block(np.array([1.0, 1.0, 0.0]), RankK(2, (2,)))
 
     def test_zero_vector(self):
-        assert np.array_equal(rank_k_map(np.zeros(3), (2,)).a, np.zeros((3, 3)))
+        assert np.array_equal(map_block(np.zeros(3), RankK(2, (2,))).a, np.zeros((3, 3)))
 
 
 def reference_rank_one(x):
@@ -263,24 +259,26 @@ class TestClosedFormKernel:
             n = x.shape[0]
             for v in (x, b):
                 gate = 2e-15 * (1.0 + np.abs(v).max())
-                assert np.abs(rank_one_map(v).a - reference_rank_one(v)).max() <= gate
+                assert np.abs(map_block(v, RankOne()).a - reference_rank_one(v)).max() <= gate
             k = int(rng.integers(2, n + 1))
             subset = tuple(sorted(rng.choice(np.arange(2, n + 1), k - 1, replace=False)))
             gate = 2e-15 * (1.0 + np.abs(x).max())
-            assert np.abs(rank_k_map(x, subset).a - reference_rank_k(x, subset)).max() <= gate
+            m = map_block(x, RankK(k, subset))
+            assert np.abs(m.a - reference_rank_k(x, subset)).max() <= gate
 
     def test_sim_zhao_is_rank_k_on_every_coordinate(self):
         for x, _ in self.vectors(32):
             full = range(2, x.shape[0] + 1)
-            assert np.array_equal(sim_zhao_map(x).a, rank_k_map(x, full).a)
+            assert np.array_equal(map_block(x, SimZhao()).a, map_block(x, RankK(x.shape[0], full)).a)
 
     def test_first_row_exact_and_boundary_collapse(self):
         for x, b in self.vectors(33):
-            for m, v in ((rank_one_map(x), x), (rank_one_map(b), b), (sim_zhao_map(x), x),
-                         (sim_zhao_map(b), b), (rank_k_map(x, (x.shape[0],)), x)):
+            for m, v in ((map_block(x, RankOne()), x), (map_block(b, RankOne()), b),
+                         (map_block(x, SimZhao()), x), (map_block(b, SimZhao()), b),
+                         (map_block(x, RankK(2, (x.shape[0],))), x)):
                 assert np.array_equal(2.0 * m.a[0, 1:], v[1:])
             # b1 == ||b[1:]|| exactly: the closed form is the rank-one block
-            assert np.array_equal(sim_zhao_map(b).a, rank_one_map(b).a)
+            assert np.array_equal(map_block(b, SimZhao()).a, map_block(b, RankOne()).a)
 
 
 class TestFullRankMap:
@@ -290,8 +288,8 @@ class TestFullRankMap:
             x = interior_vec(rng, n)
             betas = full_rank_factors(x)
             assert len(betas) == n
-            m = full_rank_map(x)
-            assert np.array_equal(m.a, sim_zhao_map(x).a)
+            m = map_block(x, FullRank())
+            assert np.array_equal(m.a, map_block(x, SimZhao()).a)
             assert_admissible_block(m, x)
             assert numeric_rank(m) == n
             gram = sum(np.outer(b, b) for b in betas)
@@ -317,11 +315,11 @@ class TestFullRankMap:
 
     def test_requires_interior(self):
         with pytest.raises(NotInterior):
-            full_rank_map(np.array([1.0, 1.0]))
+            map_block(np.array([1.0, 1.0]), FullRank())
         with pytest.raises(NotInterior):
-            full_rank_map(np.zeros(3))
+            map_block(np.zeros(3), FullRank())
         with pytest.raises(NotInterior):
-            full_rank_map(np.array([1.0, 2.0]))
+            map_block(np.array([1.0, 2.0]), FullRank())
 
 
 class TestMapBlock:
@@ -329,6 +327,17 @@ class TestMapBlock:
         x = np.array([2.0])
         for choice in (RankOne(), SimZhao(), RankK(1), FullRank()):
             assert np.array_equal(map_block(x, choice).a, [[2.0]])
+
+    def test_one_dimensional_full_rank_needs_interior(self):
+        # [[0]] and [[1e-9]] would be rank 0 or off the interior
+        for x in (np.array([0.0]), np.array([1e-9]), np.array([-1.0])):
+            with pytest.raises(NotInterior):
+                map_block(x, FullRank())
+        for choice in (RankOne(), SimZhao(), RankK(1), RankK(3)):
+            assert np.array_equal(map_block(np.array([0.0]), choice).a, [[0.0]])
+        inst = generate_instance((1, 3), ("N", "B"), m=2, seed=9)
+        with pytest.raises(NotInterior):
+            map_solution_dual(inst.problem, inst.solution, FullRank())
 
     def test_rank_k_validation(self):
         x = np.array([2.0, 1.0, 0.0])
@@ -339,7 +348,7 @@ class TestMapBlock:
         with pytest.raises(BadSubset):
             map_block(x, RankK(2, subset=(2, 3)))
         m = map_block(x, RankK(2))  # default subset (2,)
-        assert np.array_equal(m.a, rank_k_map(x, (2,)).a)
+        assert np.array_equal(m.a, map_block(x, RankK(2, (2,))).a)
 
     def test_unknown_choice(self):
         with pytest.raises(TypeError):
@@ -352,6 +361,31 @@ class TestMapBlock:
             per_cone_choices([RankOne()], 2)
 
 
+class TestOneMatrixCheckEach:
+    """Per-cone blocks are plain arrays, so each assembled matrix is built and
+    checked as one SymMatrix, whatever the cone count."""
+
+    def test_symmatrix_constructions_on_six_cones(self, monkeypatch):
+        inst = generate_instance((4,) * 6, ("B", "N", "R", "T1", "T2", "T3"), m=3, seed=6)
+        built = []
+        init = SymMatrix.__init__
+
+        def counting(self, array):
+            built.append(1)
+            init(self, array)
+
+        monkeypatch.setattr(SymMatrix, "__init__", counting)
+        for call, want in (
+            (lambda: map_solution_dual(inst.problem, inst.solution, SimZhao()), 2),
+            (lambda: map_solution_primal(inst.problem, inst.solution, SimZhao()), 2),
+            (lambda: build_dual_embedding(inst.problem), 1),
+            (lambda: build_primal_embedding(inst.problem), 1),
+        ):
+            built.clear()
+            call()
+            assert len(built) == want
+
+
 class TestMapSolutionDual:
     def test_block_structure(self):
         inst = generate_instance((3, 2), ("B", "R"), m=3, seed=30)
@@ -359,8 +393,8 @@ class TestMapSolutionDual:
         mapped = map_solution_dual(inst.problem, sol, [SimZhao(), RankOne()])
         assert np.array_equal(mapped.y, sol.y)
         x0, x1 = sol.x_blocks
-        assert np.array_equal(mapped.X.a[:3, :3], sim_zhao_map(x0).a)
-        assert np.array_equal(mapped.X.a[3:, 3:], rank_one_map(x1).a)
+        assert np.array_equal(mapped.X.a[:3, :3], map_block(x0, SimZhao()).a)
+        assert np.array_equal(mapped.X.a[3:, 3:], map_block(x1, RankOne()).a)
         assert np.abs(mapped.X.a[:3, 3:]).max() == 0.0
         assert np.array_equal(mapped.S.a, block_arrow_head(sol.s_blocks).a)
 

@@ -16,13 +16,13 @@ from conic_embed import (
     SymMatrix,
     TemplateViolation,
     arrow_head,
+    block_arrow_head,
     build_primal_embedding,
     generate_instance,
     inverse_map_primal,
+    map_block,
     map_solution_primal,
-    rank_one_map,
     recover_uw,
-    scaled_arrow_head_blocks,
     sdo_dual_residual,
     sdo_primal_residual,
 )
@@ -75,7 +75,7 @@ class TestStructuralIndex:
 
 class TestScaledArrowHead:
     def test_frozen_block(self):
-        m = scaled_arrow_head_blocks([np.array([3.0, 2.0])], (2,))
+        m = block_arrow_head([np.array([3.0, 2.0])], (2,), 2.0)
         assert np.array_equal(m.a, [[1.5, 1.0], [1.0, 1.5]])
 
     def test_trace_identity(self):
@@ -86,7 +86,7 @@ class TestScaledArrowHead:
             x_blocks = [rng.standard_normal(n) for n in dims]
             lhs = float(
                 np.sum(
-                    scaled_arrow_head_blocks(a_blocks, dims).a
+                    block_arrow_head(a_blocks, dims, 2.0).a
                     * _block_diag_dense([arrow_head(x).a for x in x_blocks])
                 )
             )
@@ -148,7 +148,7 @@ class TestBuildPrimalEmbedding:
 class TestRecoverUW:
     def test_frozen_slack_multipliers(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = rank_one_map(s)
+        S = map_block(s, RankOne())
         u, w = recover_uw(S, [s], (3,))
         root3 = math.sqrt(3.0)
         assert u[0] == pytest.approx((2.0 - root3) / 2.0 - 2.0 / 3.0, rel=1e-14)
@@ -157,7 +157,7 @@ class TestRecoverUW:
 
     def test_template_violation_trace(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = rank_one_map(s).a.copy()
+        S = map_block(s, RankOne()).a.copy()
         S[1, 1] += 0.5
         with pytest.raises(TemplateViolation) as exc:
             recover_uw(SymMatrix(S), [s], (3,))
@@ -165,7 +165,7 @@ class TestRecoverUW:
 
     def test_template_violation_first_row(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = rank_one_map(s).a.copy()
+        S = map_block(s, RankOne()).a.copy()
         S[0, 1] += 0.25
         S[1, 0] += 0.25
         with pytest.raises(TemplateViolation) as exc:

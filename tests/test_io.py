@@ -5,7 +5,6 @@ import pytest
 
 from conic_embed import (
     ConicEmbedError,
-    DimensionMismatch,
     ParseError,
     RankOne,
     SimZhao,
@@ -17,7 +16,6 @@ from conic_embed import (
 )
 from conic_embed.io import (
     export_sdpa,
-    flatten_blocks,
     load_problem,
     load_sdo_problem,
     load_sdo_solution,
@@ -26,7 +24,6 @@ from conic_embed.io import (
     save_sdo_problem,
     save_sdo_solution,
     save_solution,
-    split_vector,
 )
 from conic_embed.sdo import Side
 from conic_embed.soco import SocoProblem
@@ -91,19 +88,6 @@ def _legacy_problem():
 @pytest.fixture
 def inst():
     return generate_instance((3, 2), ("B", "R"), m=3, seed=7)
-
-
-class TestVectorHelpers:
-    def test_flatten_split_round_trip(self):
-        blocks = [np.array([1.0, 2.0]), np.array([3.0])]
-        flat = flatten_blocks(blocks)
-        assert np.array_equal(flat, [1.0, 2.0, 3.0])
-        back = split_vector(flat, (2, 1))
-        assert all(np.array_equal(a, b) for a, b in zip(back, blocks))
-
-    def test_split_length_check(self):
-        with pytest.raises(DimensionMismatch):
-            split_vector(np.zeros(4), (2, 1))
 
 
 class TestProblemRoundTrip:

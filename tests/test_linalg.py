@@ -9,19 +9,18 @@ from conic_embed import (
     NotFinite,
     NotSymmetric,
     PsdStatus,
+    RankK,
     RankOne,
     SimZhao,
     SymMatrix,
     block_diag,
     eigh,
+    map_block,
     map_solution_dual,
     map_solution_primal,
     numeric_rank,
     orthonormal_complement,
     psd_status,
-    rank_k_map,
-    rank_one_map,
-    sim_zhao_map,
     trace_inner,
 )
 from conic_embed.linalg import EigenDecomposition, _certified_block, _diagonal_blocks
@@ -330,9 +329,9 @@ class TestBlockJacobiMatchesDense:
         rng = np.random.default_rng(11)
         blocks = []
         for n, subset in ((3, (2,)), (5, (2, 3)), (8, (3, 5, 6)), (8, (2, 3, 4, 5, 6, 7))):
-            blocks.append(rank_k_map(interior_vector(rng, n), subset))
+            blocks.append(map_block(interior_vector(rng, n), RankK(len(subset) + 1, subset)))
             assert_bit_identical(blocks[-1])
-        assert_bit_identical(block_diag(blocks))
+        assert_bit_identical(block_diag([b.a for b in blocks]))
 
     def test_unit_and_zero_blocks(self):
         rng = np.random.default_rng(7)
@@ -398,7 +397,7 @@ def closed_form_block(kind, n, seed, exponent):
         if seed % 3 == 2:
             x[0] *= -rng.uniform(0.0, 1.0)  # outside the cone: indefinite
         return arrow_head(x)
-    return rank_one_map(x) if kind == "one" else sim_zhao_map(x)
+    return map_block(x, RankOne()) if kind == "one" else map_block(x, SimZhao())
 
 
 class TestClosedForm:
@@ -430,8 +429,9 @@ class TestClosedForm:
         # may stop earlier than in the dense reference
         rng = np.random.default_rng(12)
         blocks = [closed_form_block("simzhao", 5, 3, 0), random_symmetric(rng, 4),
-                  closed_form_block("arrow", 3, 4, 1), rank_k_map(interior_vector(rng, 6), (2, 4))]
-        a = block_diag(blocks)
+                  closed_form_block("arrow", 3, 4, 1),
+                  map_block(interior_vector(rng, 6), RankK(3, (2, 4)))]
+        a = block_diag([b.a for b in blocks])
         spans, closed = spans_of(a)
         assert closed == [spans[0], spans[2]]
         assert_close_to_dense(a)
@@ -484,10 +484,22 @@ class TestOrthonormalComplement:
 
 class TestBlockDiag:
     def test_assembly(self):
-        m = block_diag([SymMatrix.identity(2), SymMatrix.diagonal([3.0])])
+        m = block_diag([np.eye(2), np.diag([3.0])])
         want = np.diag([1.0, 1.0, 3.0])
         assert np.array_equal(m.a, want)
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             block_diag([])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            block_diag([np.eye(2), np.zeros((1, 2))])
+
+    def test_assembled_matrix_is_checked(self):
+        # the blocks are plain arrays; the one SymMatrix built from them
+        # checks finiteness and symmetry
+        with pytest.raises(NotSymmetric):
+            block_diag([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
+        with pytest.raises(NotFinite):
+            block_diag([np.array([[np.nan]]), np.eye(1)])

@@ -45,6 +45,14 @@ class TestProblemData:
         with pytest.raises(DimensionMismatch):
             SdoProblem(3, C, (C,), np.zeros(2))
 
+    def test_meta_must_match_dim(self):
+        C = SymMatrix.identity(5)
+        for dims in ((1, 1), (3, 3), (5, 0), ()):
+            meta = EmbeddingMeta(Side.DUAL, dims, 0)
+            with pytest.raises(DimensionMismatch):
+                SdoProblem(5, C, (), np.zeros(0), meta)
+        SdoProblem(5, C, (), np.zeros(0), EmbeddingMeta(Side.DUAL, (3, 2), 0))
+
     def test_meta_coercion(self):
         # the pins follow from side and cone_dims, and exist on the primal side only
         meta = EmbeddingMeta(Side.PRIMAL, [3.0, 2.0], 4)

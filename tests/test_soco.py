@@ -26,7 +26,7 @@ from conic_embed import (
     primal_residual,
     psd_status,
 )
-from conic_embed.soco import BlockLayout
+from conic_embed.soco import BlockLayout, arrow_head_triplets
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -99,6 +99,21 @@ class TestArrowHead:
         m = block_arrow_head([np.array([1.0, 2.0]), np.array([3.0])])
         want = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 3]], dtype=float)
         assert np.array_equal(m.a, want)
+
+    def test_block_arrow_head_scatters_the_triplets(self):
+        # the dense matrix holds exactly the entries the data rows are built from
+        rng = np.random.default_rng(3)
+        dims = (3, 1, 4)
+        blocks = [rng.standard_normal(n) for n in dims]
+        layout = BlockLayout.from_dims(dims)
+        for div in ((1.0, 1.0), (dims, 2.0)):
+            m = block_arrow_head(blocks, *div)
+            _, i, j, v = arrow_head_triplets([b[None, :] for b in blocks], layout, *div)
+            want = np.zeros((8, 8))
+            want[i, j] = want[j, i] = v
+            assert np.array_equal(m.a, want)
+        with pytest.raises(DimensionMismatch):
+            block_arrow_head([np.ones(2), np.zeros((2, 2))])
 
 
 class TestConeGeometry:

@@ -65,10 +65,10 @@ class TestExample1:
             u /= np.linalg.norm(u)
             x = np.concatenate(([1.0], u))
             s = np.concatenate(([1.0], -u))
-            from conic_embed import arrow_head, rank_one_map
+            from conic_embed import RankOne, arrow_head, map_block
 
-            assert abs(trace_inner(rank_one_map(x), arrow_head(s))) < 1e-10
-            assert abs(trace_inner(arrow_head(x), rank_one_map(s))) < 1e-10
+            assert abs(trace_inner(map_block(x, RankOne()), arrow_head(s))) < 1e-10
+            assert abs(trace_inner(arrow_head(x), map_block(s, RankOne()))) < 1e-10
 
 
 class TestGenerator:

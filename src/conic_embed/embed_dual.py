@@ -206,6 +206,19 @@ def _cone_block(x: np.ndarray, choice: ConeRankChoice, tol: float) -> np.ndarray
     return _theta_block(theta, x[1:], rest / (2.0 * len(subset)), subset)
 
 
+def _each_cone(fn, *columns) -> list:
+    """fn applied to each cone's entries of the columns, with "cone i: "
+    (0-based) prefixed to the NotInterior, BadSubset and OutsideCone errors
+    fn raises, so that the user can tell which cone to change."""
+    out = []
+    for i, args in enumerate(zip(*columns)):
+        try:
+            out.append(fn(*args))
+        except (NotInterior, BadSubset, OutsideCone) as exc:
+            raise type(exc)(f"cone {i}: {exc}") from None
+    return out
+
+
 def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Factors nu, sqrt(b) e_2, ..., sqrt(b) e_n whose Gram sum is
     map_block(x, FullRank()): the Sim-Zhao leading factor
@@ -256,11 +269,10 @@ def map_solution_dual(
     choices = per_cone_choices(spec, problem.r)
     X = None
     if sol.x_blocks is not None:
-        X = block_diag([_cone_block(x, ch, tol) for x, ch in zip(sol.x_blocks, choices)])
+        X = block_diag(_each_cone(lambda x, ch: _cone_block(x, ch, tol), sol.x_blocks, choices))
     S = None
     if sol.s_blocks is not None:
-        for s in sol.s_blocks:
-            _require_in_cone(s, tol)
+        _each_cone(lambda s: _require_in_cone(s, tol), sol.s_blocks)
         S = block_arrow_head(sol.s_blocks)
     y = sol.y.copy() if sol.y is not None else None
     return SdoSolution(X=X, y=y, S=S)

@@ -23,6 +23,7 @@ from .embed_dual import (
     RankOne,
     RankSpecLike,
     _cone_block,
+    _each_cone,
     _require_in_cone,
     extract_block_vector,
     per_cone_choices,
@@ -124,13 +125,12 @@ def map_solution_primal(
     choices = per_cone_choices(spec, problem.r)
     X = None
     if sol.x_blocks is not None:
-        for x in sol.x_blocks:
-            _require_in_cone(x, tol)
+        _each_cone(lambda x: _require_in_cone(x, tol), sol.x_blocks)
         X = block_arrow_head(sol.x_blocks)
     S = None
     y_full = None
     if sol.s_blocks is not None:
-        S = block_diag([_cone_block(s, ch, tol) for s, ch in zip(sol.s_blocks, choices)])
+        S = block_diag(_each_cone(lambda s, ch: _cone_block(s, ch, tol), sol.s_blocks, choices))
         if sol.y is not None:
             u, w = recover_uw(S, sol.s_blocks, problem.cone_dims, tol)
             y_full = np.concatenate((sol.y, w, u))

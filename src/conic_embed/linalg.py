@@ -2,9 +2,9 @@
 eigensolver, and PSD / rank queries built on top of it.
 
 The eigensolver answers each diagonal block of its input in closed form when
-the block is an arrow-head or a theta-block (the two shapes every embedding
-produces), and by cyclic Jacobi otherwise. Neither path calls LAPACK's
-eigensolvers."""
+the block is an arrow-head or a theta-block with a bump on any subset of its
+tail (the shapes every embedding produces), all blocks of one size at once,
+and by cyclic Jacobi otherwise. Neither path calls LAPACK's eigensolvers."""
 
 from __future__ import annotations
 
@@ -268,11 +268,15 @@ class EigenDecomposition:
     """Eigenvalues in ascending order with matching orthonormal column eigenvectors.
 
     The PSD and rank rules read the eigenvalues only, so one decomposition
-    answers every query about a matrix.
+    answers every query about a matrix. jacobi_blocks counts the diagonal
+    blocks that eigh answered by Jacobi sweeps rather than in closed form, and
+    sweeps the sweeps they took; both are readouts of the work done.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    jacobi_blocks: int = 0
+    sweeps: int = 0
 
     def psd_status(self, tol: float = DEFAULT_TOL) -> PsdStatus:
         """Definiteness from the smallest eigenvalue with an absolute tol band."""
@@ -298,18 +302,20 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
 
     The contiguous diagonal blocks are read off the zero pattern of the input,
     and both paths share the threshold tol * (1 + max |entry|) of the whole
-    input. Each block of size >= 2 first gets the closed-form candidate of
-    _two_level_eigensystem, with its tail read as acting as u^T T u on the
-    direction u of the first row and as the mean of the rest of its trace on
-    the complement. The candidate is exact for arrow-heads and for rank-one
-    and Sim-Zhao theta-blocks, and it is kept only when every entry of
-    B V - V diag(lambda) is within the threshold. The other blocks sweep in
-    lock-step: every sweep rotates each (p, q) pair of each block in row
-    order, skipping pairs below 0.01 * threshold, until each off-diagonal
-    magnitude falls below the threshold. Rotations on disjoint blocks commute,
-    so when no block is certified the result, the sweep count and the residual
-    are exactly those of the same sweeps over the full matrix. Raises
-    EighConvergenceError carrying the residual if max_sweeps is exhausted.
+    input. The blocks of one size are stacked, and _closed_forms answers
+    them with two closed-form candidates, each built and checked for the
+    whole stack at once: _two_level_candidates, exact for arrow-heads, and
+    _theta_candidates, exact for a theta-block with a bump on any subset of
+    its tail (none for rank one, all of it for Sim-Zhao). A candidate is kept
+    for a block only when every entry of B V - V diag(lambda) is within the
+    threshold. The blocks that no candidate certifies, counted in
+    jacobi_blocks of the result, sweep in lock-step: every sweep
+    rotates each (p, q) pair of each block in row order, skipping pairs below
+    0.01 * threshold, until each off-diagonal magnitude falls below the
+    threshold. Rotations on disjoint blocks commute, so when no block is
+    certified the result, the sweep count and the residual are exactly those
+    of the same sweeps over the full matrix. Raises EighConvergenceError
+    carrying the residual if max_sweeps is exhausted.
     """
     n = a.dim
     m = a.a
@@ -317,15 +323,14 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     skip = 0.01 * thresh
     vals = m.diagonal().copy()
     vecs = np.eye(n)
+    starts, stops = _diagonal_blocks(m)
+    sizes = stops - starts
     spans = []
-    for lo, hi in _diagonal_blocks(m):
-        if hi - lo == 1:
-            continue
-        closed = _certified_block(m[lo:hi, lo:hi], thresh)
-        if closed is None:
-            spans.append((lo, hi))
-        else:
-            vals[lo:hi], vecs[lo:hi, lo:hi] = closed
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        at = starts[sizes == size, None] + np.arange(size)  # (blocks, size) indices
+        left = _closed_forms(m, at, thresh, vals, vecs)
+        spans += [(lo, lo + size) for lo in left.tolist()]
+    spans.sort()
     # Row i of a block's work array holds row i of the block, then column i of
     # its eigenvector matrix, so one row update rotates both.
     work = [np.hstack((m[lo:hi, lo:hi], np.eye(hi - lo))) for lo, hi in spans]
@@ -348,15 +353,53 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     vecs = vecs[:, order]
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return EigenDecomposition(vals, vecs)
+    return EigenDecomposition(vals, vecs, len(spans), sweeps)
 
 
-def _two_level_eigensystem(
-    head: float, rho: float, u: np.ndarray, along: float, rest: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _closed_forms(
+    m: np.ndarray, at: np.ndarray, thresh: float, vals: np.ndarray, vecs: np.ndarray
+) -> np.ndarray:
+    """Answer the diagonal blocks of m on the (k, n) indices at, all of one
+    size n, in closed form where certified, writing their eigenpairs into
+    vals and vecs; return the starts of the blocks left uncertified.
+
+    The k blocks are stacked, and each candidate is built and checked for
+    the whole stack at once. A block is certified when a candidate leaves
+    every entry of B V - V diag(lambda) within thresh. Near the threshold an
+    inexact candidate can pass, so each block first tries the one that is
+    exact for its shape: _two_level_candidates when its tail is diagonal, as
+    an arrow-head's is, _theta_candidates otherwise. It tries the other one
+    only when the first is not certified."""
+    flat = (at * m.shape[0])[:, :, None] + at[:, None, :]  # entries of each block in m.flat
+    stack = m.take(flat)
+    arrow = ~(stack[:, 1:, 1:] * (1.0 - np.eye(at.shape[1] - 1))).any(axis=(1, 2))
+    left = []
+    with np.errstate(all="ignore"):  # blocks outside a family may give inf or NaN
+        for idx, *candidates in (
+            (np.flatnonzero(arrow), _two_level_candidates, _theta_candidates),
+            (np.flatnonzero(~arrow), _theta_candidates, _two_level_candidates),
+        ):
+            for candidate in candidates:
+                if not idx.size:
+                    break
+                b = stack[idx]
+                cand_vals, cand_vecs = candidate(b)
+                resid = b @ cand_vecs - cand_vecs * cand_vals[:, None, :]
+                good = np.abs(resid).max(axis=(1, 2)) <= thresh
+                done = idx[good]
+                vals[at[done]] = cand_vals[good]
+                vecs.reshape(-1)[flat[done]] = cand_vecs[good]  # vecs is contiguous: a view
+                idx = idx[~good]
+            left.append(idx)
+    return at[np.concatenate(left), 0]
+
+
+def _two_level_eigensystem(head, rho, u: np.ndarray, along, rest) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric B with B[0, 0] = head and first row
     B[0, 1:] = rho * u (rho > 0, u a unit vector), whose tail block maps u to
-    along * u and acts as rest on the complement of u.
+    along * u and acts as rest on the complement of u. Works on one block
+    (scalars and u of shape (n - 1,)) or on a stack of k blocks (columns of
+    shape (k, 1) and u of shape (k, n - 1)).
 
     An arrow-head Arw(v) has along = rest = v1 (Alizadeh & Goldfarb 2003); a
     theta-block nu nu^T + b sum_{j>=2} e_j e_j^T has rest = b, and b = 0 for
@@ -370,57 +413,94 @@ def _two_level_eigensystem(
     an arrow-head that order is ascending, v1 -/+ ||v[1:]|| are exact, and
     the outer eigenvectors are (1, -/+ u) / sqrt(2).
     """
-    n = u.shape[0] + 1
+    lead, n = u.shape[:-1], u.shape[-1] + 1
     t, c, s = _jacobi_rotation(head, rho, along)
-    vals = np.empty(n)
-    vals[0], vals[1:n - 1], vals[n - 1] = head - t * rho, rest, along + t * rho
-    vecs = np.zeros((n, n))
-    vecs[0, 0], vecs[1:, 0] = c, -s * u
-    vecs[1:, 1:n - 1] = _tail_complement(u)
-    vecs[0, n - 1], vecs[1:, n - 1] = s, c * u
+    vals = np.empty(lead + (n,))
+    vals[..., :1], vals[..., 1:n - 1], vals[..., n - 1:] = head - t * rho, rest, along + t * rho
+    vecs = np.zeros(lead + (n, n))
+    vecs[..., :1, 0], vecs[..., 1:, 0] = c, -s * u
+    w = u.copy()
+    w[..., 0] -= 1.0
+    vecs[..., 1:, 1:n - 1] = _reflectors(w)[..., 1:]
+    vecs[..., :1, n - 1], vecs[..., 1:, n - 1] = s, c * u
     return vals, vecs
 
 
-def _certified_block(b: np.ndarray, thresh: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """_two_level_eigensystem's candidate for one diagonal block, or None when
-    some entry of B V - V diag(lambda) exceeds thresh (or is not finite)."""
-    n = b.shape[0]
-    row, tail = b[0, 1:], b[1:, 1:]
-    rho = float(np.linalg.norm(row))
-    if rho == 0.0:  # a first row that underflows in the norm
-        return None
-    u = row / rho
-    along = float(u @ tail @ u)
-    rest = (float(np.trace(tail)) - along) / (n - 2) if n > 2 else 0.0
-    vals, vecs = _two_level_eigensystem(float(b[0, 0]), rho, u, along, rest)
-    if not float(np.abs(b @ vecs - vecs * vals).max()) <= thresh:
-        return None
+def _two_level_candidates(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_two_level_eigensystem read off each block of a (k, n, n) stack: its
+    tail taken to act as u^T T u on the direction u of the first row and as
+    the mean of the rest of its trace on the complement."""
+    n = b.shape[1]
+    row, tail = b[:, :1, 1:], b[:, 1:, 1:]  # row as a (k, 1, n - 1) stack
+    rho = np.sqrt(row @ row.transpose(0, 2, 1))[:, 0]
+    u = row[:, 0] / rho
+    along = (u[:, None] @ tail @ u[:, :, None])[:, 0]
+    rest = (np.trace(tail, axis1=1, axis2=2)[:, None] - along) / max(n - 2, 1)  # unused at n = 2
+    return _two_level_eigensystem(b[:, :1, 0], rho, u, along, rest)
+
+
+def _theta_candidates(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each block of a (k, n, n) stack read as a theta-block
+    nu nu^T + bump sum_{j in P} e_j e_j^T, P a subset of the tail.
+
+    nu = B[0, :] / sqrt(B[0, 0]); the bump is the entry of the diagonal of
+    B - nu nu^T largest in magnitude, and P holds the tail entries nearer to
+    it than to zero. Write nu = nu_P + nu_Q by support. The eigenvalue is bump
+    on the complement of nu_P inside the P coordinates and zero on the
+    complement of nu_Q inside the others, each one Householder reflector; on
+    span(nu_P, nu_Q), B is [[|nu_P|^2 + bump, |nu_P| |nu_Q|],
+    [|nu_P| |nu_Q|, |nu_Q|^2]] and one Jacobi rotation diagonalizes it
+    (Sim & Zhao 2007).
+    """
+    k, n = b.shape[:2]
+    blk = np.arange(k)
+    nu = b[:, 0] / np.sqrt(b[:, :1, 0])
+    resid = np.diagonal(b, axis1=1, axis2=2) - nu * nu
+    resid[:, 0] = 0.0
+    mag = np.abs(resid)
+    bump = resid[blk, mag.argmax(axis=1), None]
+    on = np.abs(resid - bump) < mag  # P; never the head
+    dirs = np.where(np.stack((on, ~on), axis=1), nu[:, None, :], 0.0)  # nu_P and nu_Q
+    sq = (dirs * dirs).sum(axis=2)
+    lens = np.sqrt(sq)
+    dirs /= lens[:, :, None]
+    pivot = on.argmax(axis=1)  # first index of P
+    # The reflectors exchanging nu_P with e_pivot and nu_Q with e_1 act on
+    # disjoint coordinates, so their product is I - 2 W^T W for the rows of W
+    # normalized (a row within 1e-15 of zero is dropped).
+    w = dirs.copy()
+    w[blk, 0, pivot] -= 1.0
+    w[:, 1, 0] -= 1.0
+    size = np.sqrt((w * w).sum(axis=2, keepdims=True))
+    w = np.where(size > 1e-15, w / size, 0.0)
+    vecs = np.eye(n) - 2.0 * (w.transpose(0, 2, 1) @ w)
+    app, apq, aqq = sq[:, :1] + bump, lens[:, :1] * lens[:, 1:], sq[:, 1:]
+    t, c, s = _jacobi_rotation(app, apq, aqq)
+    vals = np.where(on, bump, 0.0)
+    vals[blk, pivot], vals[:, :1] = (app - t * apq)[:, 0], aqq + t * apq
+    p, q = dirs[:, 0], dirs[:, 1]
+    vecs[blk, :, pivot], vecs[:, :, 0] = c * p - s * q, s * p + c * q
     return vals, vecs
 
 
-def _tail_complement(d: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of unit d, via the Householder
-    reflector exchanging d with e1."""
-    k = d.shape[0]
-    w = d.copy()
-    w[0] -= 1.0
-    wtw = float(w @ w)
-    if wtw <= 1e-30:
-        return np.eye(k)[:, 1:]
-    h = np.eye(k) - (2.0 / wtw) * np.outer(w, w)
-    return h[:, 1:]
+def _reflectors(w: np.ndarray) -> np.ndarray:
+    """I - 2 w w^T / (w^T w) for each vector w along the last axis, or I where
+    w^T w <= 1e-30. For w = d - e_p with d a unit vector, the reflector
+    exchanges d and e_p, and its columns other than p span the complement of
+    d on the support of w."""
+    wtw = (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    scale = 2.0 / np.maximum(wtw, 1e-30) * (wtw > 1e-30)
+    return np.eye(w.shape[-1]) - scale[..., None, None] * (w[..., :, None] * w[..., None, :])
 
 
-def _diagonal_blocks(m: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of the smallest contiguous diagonal blocks holding every
-    nonzero of the symmetric m: a block ends at row i when no row up to i
-    reaches a column beyond i."""
-    n = m.shape[0]
-    nz = m != 0.0
-    idx = np.arange(n)
-    last = np.where(nz.any(axis=1), n - 1 - np.argmax(nz[:, ::-1], axis=1), idx)
+def _diagonal_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and stops of the smallest contiguous diagonal blocks holding
+    every nonzero of the symmetric m: a block ends at row i when no row up to
+    i reaches a column beyond i."""
+    idx = np.arange(m.shape[0])
+    last = ((m != 0.0) * idx).max(axis=1)  # last nonzero column of each row, 0 if none
     ends = np.flatnonzero(np.maximum.accumulate(np.maximum(last, idx)) == idx) + 1
-    return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+    return np.concatenate(([0], ends[:-1])), ends
 
 
 def _max_offdiag(work: list[np.ndarray]) -> float:
@@ -445,9 +525,11 @@ def _sweep(w: np.ndarray, skip: float) -> None:
 
 def _jacobi_rotation(app: float, apq: float, aqq: float) -> tuple[float, float, float]:
     """tan, cos and sin of the rotation that zeroes apq in the (p, q) plane,
-    taking the smaller angle; the diagonal becomes app - t apq, aqq + t apq."""
+    taking the smaller angle; the diagonal becomes app - t apq, aqq + t apq.
+    Elementwise on arrays."""
     tau = (aqq - app) / (2.0 * apq)
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+    # the sign of tau, and +1 at tau = +-0 (equal diagonals): adding +0.0 clears a sign bit of zero
+    t = np.copysign(1.0, tau + 0.0) / (np.abs(tau) + np.hypot(1.0, tau))
     c = 1.0 / np.hypot(1.0, t)
     return t, c, t * c
 
@@ -479,13 +561,14 @@ def numeric_rank(a: SymMatrix, tol: float = DEFAULT_TOL) -> int:
 def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the given columns in R^dim.
 
-    Columns are assumed orthonormal (within roundoff); the complement is filled
-    deterministically by Householder QR against the standard basis.
+    Columns are assumed orthonormal (within roundoff); the complement is the
+    trailing dim - k columns of the complete Householder QR of the k columns,
+    which is deterministic.
     """
     k = vectors.shape[1] if vectors.size else 0
     if k == 0:
         return np.eye(dim)
     if k >= dim:
         return np.zeros((dim, 0))
-    q, _ = np.linalg.qr(np.hstack([vectors, np.eye(dim)]))
-    return q[:, k:dim]
+    q, _ = np.linalg.qr(vectors, mode="complete")
+    return q[:, k:]

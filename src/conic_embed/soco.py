@@ -242,8 +242,22 @@ def block_arrow_head_inv(
     stray = layout.max_off_block(m)
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
-    slices = map(layout.block_slice, range(len(layout.dims)))
-    return tuple(_arrow_head_vector(m.a[sl, sl], tol) for sl in slices)
+    a = m.a
+    dims, offs = np.asarray(layout.dims), np.asarray(layout.offsets)
+    # the worst deviation of every block, the blocks of one size at once
+    worst = np.zeros(dims.shape[0])
+    for n in set(layout.dims) - {1}:
+        ids = np.flatnonzero(dims == n)
+        at = offs[ids, None] + np.arange(n)
+        stack = a[at[:, :, None], at[:, None, :]]
+        diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)[:, 1:] - stack[:, :1, 0])
+        off_arrow = np.abs(stack[:, 1:, 1:]) * np.triu(np.ones((n - 1, n - 1)), 1)
+        worst[ids] = np.maximum(diag.max(axis=1), off_arrow.max(axis=(1, 2)))
+    bad = np.flatnonzero(worst > tol)
+    if bad.size:
+        sl = layout.block_slice(int(bad[0]))
+        _arrow_head_vector(a[sl, sl], tol)  # raises with that block's worst violation
+    return tuple(a[o, o:o + n].copy() for o, n in zip(layout.offsets, layout.dims))
 
 
 def arrow_head_triplets(
@@ -258,20 +272,29 @@ def arrow_head_triplets(
     (n entries) and then its n - 1 trailing diagonal entries, so the triplets
     come sorted by (row, i, j). Zero values are kept.
     """
-    heads = np.broadcast_to(np.asarray(head_div, dtype=float), (len(layout.dims),))
-    ii, jj, vals = [], [], []
-    for blk, off, n, div in zip(blocks, layout.offsets, layout.dims, heads):
-        blk = np.asarray(blk, dtype=float)
-        head = blk[:, :1] / div
-        ii += [np.full(n, off), np.arange(off + 1, off + n)]
-        jj += [np.arange(off, off + n), np.arange(off + 1, off + n)]
-        vals += [head, blk[:, 1:] / tail_div, np.repeat(head, n - 1, axis=1)]
-    v = np.concatenate(vals, axis=1)
+    dims, offs = np.asarray(layout.dims), np.asarray(layout.offsets)
+    r = dims.shape[0]
+    heads = np.broadcast_to(np.asarray(head_div, dtype=float), (r,))
+    data = np.concatenate([np.asarray(blk, dtype=float) for blk in blocks], axis=1)
+    # every value, leads first: data[:, offs] / heads, then data / tail_div,
+    # whose lead columns go unused
+    values = np.concatenate((data[:, offs] / heads, data / tail_div), axis=1)
+    # position p within each block's 2n - 1 triplets: its lead row for p < n,
+    # then its trailing diagonal
+    count = 2 * dims - 1
+    cone = np.repeat(np.arange(r), count)
+    p = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    n, off = dims[cone], offs[cone]
+    lead_row = p < n
+    ii = np.where(lead_row, off, off + p - n + 1)
+    jj = np.where(lead_row, off + p, ii)
+    src = np.where(lead_row & (p > 0), r + off + p, cone)
+    v = values[:, src]
     m, width = v.shape
     return (
         np.repeat(np.arange(m), width),
-        np.tile(np.concatenate(ii), m),
-        np.tile(np.concatenate(jj), m),
+        np.tile(ii, m),
+        np.tile(jj, m),
         v.ravel(),
     )
 

@@ -250,6 +250,38 @@ def test_closed_form_eigensystem_matches_jacobi():
     )
 
 
+# the large-ladder benchmark shapes: total dim 32/64/96 as two large or n/4
+# small cones, 64 also as 4x16
+_LADDER_SHAPES = [
+    ((16, 16), ("B", "N")),
+    ((4,) * 8, tuple(LABELS_ANY[i % 6] for i in range(8))),
+    ((32, 32), ("B", "N")),
+    ((16,) * 4, LABELS_ANY[:4]),
+    ((4,) * 16, tuple(LABELS_ANY[i % 6] for i in range(16))),
+    ((48, 48), ("B", "N")),
+    ((4,) * 24, tuple(LABELS_ANY[i % 6] for i in range(24))),
+]
+
+
+def test_transported_matrices_decompose_without_jacobi():
+    insts, _ = corpus200()
+    ladder = [generate_instance(dims, labels, m=6, seed=41 + i)
+              for i, (dims, labels) in enumerate(_LADDER_SHAPES)]
+    decomposed = jacobi = 0
+    for inst in [*insts, *ladder]:
+        for side in (Side.DUAL, Side.PRIMAL):
+            for _, spec in legal_rank_specs(inst, side):
+                mapped = _map(inst.problem, inst.solution, spec, side)
+                for mat in (mapped.X, mapped.S):
+                    jacobi += eigh(mat).jacobi_blocks
+                    decomposed += 1
+    _report(
+        "every X and S of every legal transport is decomposed in closed form",
+        jacobi == 0,
+        f"{decomposed} matrices on 200 + {len(ladder)} instances, {jacobi} Jacobi blocks",
+    )
+
+
 def test_partition_table_matches_eigenspaces_of_proper_images():
     rng = np.random.default_rng(97)
     seen = set()

@@ -111,6 +111,15 @@ class TestPipeline:
         assert code == 1
         assert "interior" in err
 
+    def test_transport_error_names_the_cone(self, tmp_path, capsys):
+        # cone 1 is the one-dimensional zero cone of the N label
+        prob, sol = gen(capsys, tmp_path, cones="3,1,3", labels="B,N,B", m=2, seed=9)
+        code, _, err = run(capsys, "map", "--side", "dual", "--rank", "full",
+                           "--problem", prob, "--solution", sol,
+                           "--out", tmp_path / "x.json")
+        assert code == 1
+        assert err.strip() == "error: cone 1: full-rank transport needs a cone-interior vector"
+
 
 class TestVerifyCommand:
     def test_tampered_solution_fails(self, tmp_path, capsys):

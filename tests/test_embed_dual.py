@@ -415,6 +415,32 @@ class TestMapSolutionDual:
             map_solution_dual(inst.problem, bad)
 
 
+class TestTransportErrorsNameTheCone:
+    """Both transports and the proper map prefix "cone i: " (0-based, as
+    classify prints it) to the per-cone errors, keeping their class."""
+
+    def test_both_sides_and_proper_map(self):
+        from conic_embed import proper_map_solution
+
+        inst = generate_instance((3, 1, 3), ("B", "N", "B"), m=2, seed=9)
+        with pytest.raises(NotInterior, match=r"^cone 1: full-rank transport"):
+            map_solution_dual(inst.problem, inst.solution, FullRank())
+        # on the primal side the slacks are mapped: cone 0's is the origin
+        with pytest.raises(NotInterior, match=r"^cone 0: "):
+            map_solution_primal(inst.problem, inst.solution, FullRank())
+        with pytest.raises(BadSubset, match=r"^cone 2: subset"):
+            map_solution_dual(inst.problem, inst.solution,
+                              (RankOne(), RankOne(), RankK(2, (5,))))
+        outside = SocoSolution(x_blocks=inst.solution.x_blocks,
+                               s_blocks=(np.zeros(3), np.ones(1), np.array([-1.0, 0.0, 0.0])))
+        with pytest.raises(OutsideCone, match=r"^cone 2: vector"):
+            map_solution_dual(inst.problem, outside)
+        with pytest.raises(OutsideCone, match=r"^cone 2: vector"):
+            map_solution_primal(inst.problem, outside)
+        with pytest.raises(OutsideCone, match=r"^cone 2: vector"):
+            proper_map_solution(inst.problem, outside, Side.PRIMAL)
+
+
 class TestInverseMapDual:
     def test_round_trip_all_legal_specs(self):
         for inst in corpus(12, master_seed=77):

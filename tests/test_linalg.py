@@ -23,7 +23,7 @@ from conic_embed import (
     psd_status,
     trace_inner,
 )
-from conic_embed.linalg import EigenDecomposition, _certified_block, _diagonal_blocks
+from conic_embed.linalg import EigenDecomposition, _diagonal_blocks
 from conic_embed.partition import max_principal_angle
 from conic_embed.soco import arrow_head
 
@@ -89,11 +89,18 @@ def dense_jacobi(a: SymMatrix, tol=1e-8, max_sweeps=100):
 
 
 def spans_of(a: SymMatrix, tol=1e-8):
-    """(all diagonal blocks of size >= 2, the ones eigh answers in closed form)."""
+    """(all diagonal blocks of size >= 2, the ones eigh answers in closed form).
+
+    A block is closed form when eigh reports no Jacobi block for it set beside
+    a 1 x 1 block holding the largest magnitude of a, which keeps the
+    threshold of the whole input. The Jacobi blocks eigh reports for the
+    whole input must be the others."""
     m = a.a
-    thresh = tol * (1.0 + float(np.abs(m).max()))
-    spans = [(lo, hi) for lo, hi in _diagonal_blocks(m) if hi - lo > 1]
-    closed = [(lo, hi) for lo, hi in spans if _certified_block(m[lo:hi, lo:hi], thresh) is not None]
+    peak = float(np.abs(m).max())
+    spans = [(lo, hi) for lo, hi in zip(*_diagonal_blocks(m)) if hi - lo > 1]
+    closed = [(lo, hi) for lo, hi in spans
+              if eigh(block_diag([m[lo:hi, lo:hi], [[peak]]]), tol).jacobi_blocks == 0]
+    assert eigh(a, tol).jacobi_blocks == len(spans) - len(closed)
     return spans, closed
 
 
@@ -325,13 +332,17 @@ class TestBlockJacobiMatchesDense:
         assert checked == 80
 
     def test_rank_k_theta_blocks(self):
-        # a bump on part of the tail leaves no single value on the complement
+        # a bump on part of the tail: the theta candidate certifies it
         rng = np.random.default_rng(11)
         blocks = []
         for n, subset in ((3, (2,)), (5, (2, 3)), (8, (3, 5, 6)), (8, (2, 3, 4, 5, 6, 7))):
             blocks.append(map_block(interior_vector(rng, n), RankK(len(subset) + 1, subset)))
-            assert_bit_identical(blocks[-1])
-        assert_bit_identical(block_diag([b.a for b in blocks]))
+            assert spans_of(blocks[-1])[1] == [(0, n)]
+            assert_close_to_dense(blocks[-1])
+        a = block_diag([b.a for b in blocks])
+        spans, closed = spans_of(a)
+        assert closed == spans
+        assert_close_to_dense(a)
 
     def test_unit_and_zero_blocks(self):
         rng = np.random.default_rng(7)
@@ -364,6 +375,23 @@ class TestBlockJacobiMatchesDense:
         assert spans_of(a)[1] == [(0, 2)]
         assert_close_to_dense(a)
 
+    def test_counts_report_the_jacobi_work(self):
+        # two dense blocks sweep and an arrow-head beside them does not; the
+        # sweep count is the fewest max_sweeps that converges
+        rng = np.random.default_rng(13)
+        a = block_diag([random_symmetric(rng, 5).a, arrow_head([3.0, 1.0, -1.0]).a,
+                        random_symmetric(rng, 4).a])
+        dec = eigh(a)
+        assert dec.jacobi_blocks == 2
+        assert dec.sweeps >= 1
+        eigh(a, max_sweeps=dec.sweeps)
+        with pytest.raises(EighConvergenceError):
+            eigh(a, max_sweeps=dec.sweeps - 1)
+        dec = eigh(arrow_head([3.0, 1.0, -1.0]))
+        assert (dec.jacobi_blocks, dec.sweeps) == (0, 0)
+        with pytest.raises(AttributeError):
+            dec.sweeps = 1
+
     @pytest.mark.parametrize("max_sweeps", [0, 1])
     def test_convergence_error_matches(self, max_sweeps):
         rng = np.random.default_rng(10)
@@ -380,23 +408,29 @@ class TestBlockJacobiMatchesDense:
         a[0, 1] = a[1, 0] = 1.0  # block 0..1
         a[3, 5] = a[5, 3] = 1.0  # block 3..5, row 4 all zero inside it
         a[6, 6] = 2.0
-        assert _diagonal_blocks(a) == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8)]
+        assert list(zip(*_diagonal_blocks(a))) == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8)]
         a[1, 7] = a[7, 1] = 1.0
-        assert _diagonal_blocks(a) == [(0, 8)]
+        assert list(zip(*_diagonal_blocks(a))) == [(0, 8)]
 
 
 def closed_form_block(kind, n, seed, exponent):
-    """An arrow-head (of a vector inside, on or outside the cone), a rank-one
-    or a Sim-Zhao theta-block of dim n, scaled by 10**exponent."""
+    """An arrow-head (of a vector inside, on or outside the cone), a rank-one,
+    a Sim-Zhao or a rank-k theta-block of dim n, scaled by 10**exponent. The
+    rank-k block takes an interior vector and a random nonempty subset of the
+    tail."""
     rng = np.random.default_rng(seed)
     x = interior_vector(rng, n)
-    if seed % 3 == 1:
+    if seed % 3 == 1 and kind != "rankk":
         x[0] = np.linalg.norm(x[1:])  # boundary
     x *= 10.0 ** exponent
     if kind == "arrow":
         if seed % 3 == 2:
             x[0] *= -rng.uniform(0.0, 1.0)  # outside the cone: indefinite
         return arrow_head(x)
+    if kind == "rankk":
+        size = int(rng.integers(1, n))
+        subset = tuple(int(j) for j in rng.choice(np.arange(2, n + 1), size, replace=False))
+        return map_block(x, RankK(size + 1, subset))
     return map_block(x, RankOne()) if kind == "one" else map_block(x, SimZhao())
 
 
@@ -405,7 +439,7 @@ class TestClosedForm:
 
     @settings(deadline=None, max_examples=40)
     @given(
-        st.sampled_from(["arrow", "one", "simzhao"]),
+        st.sampled_from(["arrow", "one", "simzhao", "rankk"]),
         st.integers(2, 64),
         st.integers(0, 10_000),
         st.integers(-6, 6),
@@ -418,11 +452,20 @@ class TestClosedForm:
     @pytest.mark.parametrize("kind", ["arrow", "one", "simzhao"])
     @pytest.mark.parametrize("entry", [(2, 2), (2, 4)])
     def test_near_miss_falls_back_to_jacobi(self, kind, entry):
+        # ten thresholds off an off-arrow entry, or off a tail diagonal of an
+        # arrow-head, fall back to Jacobi. Seed 7 draws a boundary vector, so
+        # both theta-blocks are rank one, and a bump on one tail diagonal
+        # makes them rank-k theta-blocks, which are closed form.
         a = closed_form_block(kind, 6, 7, 0).a.copy()
         i, j = entry
         a[i, j] += 10.0 * 1e-8 * (1.0 + float(np.abs(a).max()))
         a[j, i] = a[i, j]
-        assert_bit_identical(SymMatrix(a))
+        a = SymMatrix(a)
+        if kind != "arrow" and entry == (2, 2):
+            assert spans_of(a)[1] == [(0, 6)]
+            assert_close_to_dense(a)
+        else:
+            assert_bit_identical(a)
 
     def test_mixed_blocks(self):
         # a certified block does not sweep, so the Jacobi blocks beside it
@@ -433,7 +476,7 @@ class TestClosedForm:
                   map_block(interior_vector(rng, 6), RankK(3, (2, 4)))]
         a = block_diag([b.a for b in blocks])
         spans, closed = spans_of(a)
-        assert closed == [spans[0], spans[2]]
+        assert closed == [spans[0], spans[2], spans[3]]
         assert_close_to_dense(a)
 
 

@@ -170,8 +170,8 @@ def reference_map_partition(problem, sol, labels, side):
         d = v[1:] / float(np.linalg.norm(v[1:]))
         vp = np.concatenate(([inv_sqrt2], d * inv_sqrt2)).reshape(n, 1)
         vm = np.concatenate(([inv_sqrt2], -d * inv_sqrt2)).reshape(n, 1)
-        mid = np.vstack([np.zeros((1, n - 2)), linalg._tail_complement(d)]) if n > 2 \
-            else np.zeros((n, 0))
+        complement = linalg._reflectors(d - np.eye(n - 1)[0])[:, 1:]
+        mid = np.vstack([np.zeros((1, n - 2)), complement]) if n > 2 else np.zeros((n, 0))
         dual = side is Side.DUAL
         if label is ConeLabel.R:
             put("B", vp if dual else np.hstack([vp, mid]), i)

@@ -26,7 +26,7 @@ from conic_embed import (
     primal_residual,
     psd_status,
 )
-from conic_embed.soco import BlockLayout, arrow_head_triplets
+from conic_embed.soco import BlockLayout, _arrow_head_vector, arrow_head_triplets
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -114,6 +114,73 @@ class TestArrowHead:
             assert np.array_equal(m.a, want)
         with pytest.raises(DimensionMismatch):
             block_arrow_head([np.ones(2), np.zeros((2, 2))])
+
+
+def triplets_per_cone(blocks, layout, head_div, tail_div):
+    """Reference: arrow_head_triplets built one cone at a time."""
+    heads = np.broadcast_to(np.asarray(head_div, dtype=float), (len(layout.dims),))
+    ii, jj, vals = [], [], []
+    for blk, off, n, div in zip(blocks, layout.offsets, layout.dims, heads):
+        head = blk[:, :1] / div
+        ii += [np.full(n, off), np.arange(off + 1, off + n)]
+        jj += [np.arange(off, off + n), np.arange(off + 1, off + n)]
+        vals += [head, blk[:, 1:] / tail_div, np.repeat(head, n - 1, axis=1)]
+    v = np.concatenate(vals, axis=1)
+    m, width = v.shape
+    return (np.repeat(np.arange(m), width), np.tile(np.concatenate(ii), m),
+            np.tile(np.concatenate(jj), m), v.ravel())
+
+
+def inverse_per_block(m, layout, tol):
+    """Reference: block_arrow_head_inv checked one block at a time."""
+    stray = layout.max_off_block(m)
+    if stray > tol:
+        raise NotArrowHead(stray, "off-block entry")
+    slices = map(layout.block_slice, range(len(layout.dims)))
+    return tuple(_arrow_head_vector(m.a[sl, sl], tol) for sl in slices)
+
+
+class TestAllConesAtOnce:
+    """arrow_head_triplets and block_arrow_head_inv work on all cones at once
+    and give the bytes, and raise the errors, of the per-cone references."""
+
+    def test_triplets_match_the_per_cone_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            dims = tuple(int(d) for d in rng.choice([1, 2, 3, 5, 8], int(rng.integers(1, 7))))
+            layout = BlockLayout.from_dims(dims)
+            m = int(rng.integers(1, 4))
+            blocks = [rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-5, 5) for n in dims]
+            for div in ((1.0, 1.0), (dims, 2.0), (np.array(dims) * 1.7, 3.0)):
+                got = arrow_head_triplets(blocks, layout, *div)
+                for g, w in zip(got, triplets_per_cone(blocks, layout, *div)):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_inverse_matches_the_per_block_check(self):
+        rng = np.random.default_rng(22)
+        raised = 0
+        for _ in range(300):
+            dims = tuple(int(d) for d in rng.choice([1, 2, 3, 5, 8], int(rng.integers(1, 7))))
+            layout = BlockLayout.from_dims(dims)
+            a = block_arrow_head([rng.standard_normal(n) for n in dims]).a.copy()
+            for _ in range(int(rng.integers(0, 3))):  # violations, some tied
+                b = int(rng.integers(0, len(dims)))
+                off, n = layout.offsets[b], dims[b]
+                i, j = (off + int(x) for x in rng.integers(0, n, 2))
+                a[i, j] += rng.choice([1e-9, 3e-8, 1e-7])
+                a[j, i] = a[i, j]
+            m = SymMatrix(a)
+            try:
+                want = inverse_per_block(m, layout, 1e-8)
+            except NotArrowHead as exc:
+                raised += 1
+                with pytest.raises(NotArrowHead) as got:
+                    block_arrow_head_inv(m, layout, 1e-8)
+                assert (str(got.value), got.value.violation) == (str(exc), exc.violation)
+                continue
+            for g, w in zip(block_arrow_head_inv(m, layout, 1e-8), want):
+                assert g.tobytes() == w.tobytes()
+        assert raised > 50
 
 
 class TestConeGeometry:

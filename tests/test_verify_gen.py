@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_embed import (
     DimensionMismatch,
@@ -23,6 +25,7 @@ from conic_embed import (
     example1_counterexample,
     generate_instance,
     jordan_product,
+    map_partition,
     map_solution_dual,
     map_solution_primal,
     primal_residual,
@@ -30,6 +33,9 @@ from conic_embed import (
     with_duality_gap,
 )
 from conic_embed.sdo import GENERIC_META, SdoProblem, Side
+from conic_embed.soco import SocoProblem
+
+from helpers import LABELS_1D, LABELS_ANY
 
 
 class TestExample1:
@@ -211,3 +217,43 @@ class TestCheckAdmissibility:
             for x, s in zip(inst.solution.x_blocks, inst.solution.s_blocks)
         )
         assert report.soco_complementarity == want
+
+
+@st.composite
+def instance_and_permutation(draw):
+    dims = draw(st.lists(st.sampled_from((1, 2, 3, 5)), min_size=1, max_size=4))
+    labels = [draw(st.sampled_from(LABELS_1D if n == 1 else LABELS_ANY)) for n in dims]
+    inst = generate_instance(dims, labels, m=draw(st.integers(1, 4)),
+                             seed=draw(st.integers(0, 10_000)))
+    return inst, draw(st.permutations(range(len(dims))))
+
+
+class TestConePermutation:
+    """Reordering the cones, together with their A and c blocks, solution
+    blocks and labels, changes no label, verdict or partition dimension.
+    Rescaling by 10**+-8 is left out: checks such as the admissibility
+    residuals are absolute, so such an instance fails them without any error
+    in its data until one scale-aware tolerance rule covers every check."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(instance_and_permutation())
+    def test_labels_verdicts_and_partition_dims(self, drawn):
+        inst, perm = drawn
+        p, sol = inst.problem, inst.solution
+        pick = lambda blocks: tuple(blocks[i] for i in perm)
+        problem = SocoProblem(pick(p.cone_dims), pick(p.A_blocks), pick(p.c_blocks), p.b)
+        permuted = SocoSolution(pick(sol.x_blocks), sol.y, pick(sol.s_blocks))
+        labels = classify_cones(p, sol)
+        assert classify_cones(problem, permuted) == list(pick(labels))
+        for side, build, transport in (
+            (Side.DUAL, build_dual_embedding, map_solution_dual),
+            (Side.PRIMAL, build_primal_embedding, map_solution_primal),
+        ):
+            for spec in (RankOne(), SimZhao()):
+                verdicts = [
+                    check_admissibility(q, s, build(q), transport(q, s, spec)).passed
+                    for q, s in ((p, sol), (problem, permuted))
+                ]
+                assert verdicts[0] == verdicts[1]
+            assert (map_partition(problem, permuted, pick(labels), side).dims
+                    == map_partition(p, sol, labels, side).dims)

@@ -312,11 +312,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a ConicEmbedError, or a file that cannot be read or
+    written, ends it with an "error:" line on stderr and status 1."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConicEmbedError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        where = f"{e.filename}: " if e.filename is not None else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 1
 
 

@@ -3,9 +3,9 @@ solution transport of selectable rank.
 
 A cone vector x with x1 >= ||x[1:]|| lifts to a PSD block M constrained by
 sum(diag(M)) = x1 and M[0, j] = x_j / 2. Those two conditions leave rank
-freedom on cone-interior vectors. map_block is the one transport: each choice
-is one theta-block (_theta_block) and picks only theta and the diagonal subset
-that receives the trace the leading factor leaves over:
+freedom on cone-interior vectors. Every choice is one theta-block and picks
+only theta and the diagonal subset that receives the trace the leading factor
+leaves over:
 - RankOne: theta = 2 (x1 + delta), no subset; rank one;
 - SimZhao: the Sim-Zhao theta, subset 2..n; the rank that tracks the cone
   position (n inside, one on the boundary);
@@ -13,6 +13,13 @@ that receives the trace the leading factor leaves over:
 - FullRank: SimZhao behind an interior gate; rank n.
 A one-dimensional cone has no rank freedom and maps to [[x1]] under every
 choice (FullRank only on interior x1); the origin maps to the zero block.
+
+One kernel makes every transported block, map_block's and both sides' map
+alike (_transport): it checks each cone's choice against its position in a
+plain loop, in cone order, so that the first failing cone raises, and then
+builds the theta-blocks of all cones of one size as one (k, n, n) stack,
+scattered into the assembled matrix at once. The inverse reads the traces
+and first rows of all blocks of one size the same way.
 """
 
 from __future__ import annotations
@@ -31,22 +38,21 @@ from .errors import (
     OutsideCone,
     ProvenanceMismatch,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    PsdStatus,
-    SparseRows,
-    SymMatrix,
-    block_diag,
-    psd_status,
-)
+from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, _require_finite, psd_status
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import (
+    INTERIOR,
+    OUTSIDE,
+    ZERO,
     BlockLayout,
     ConePosition,
     SocoProblem,
     SocoSolution,
+    _arrow_head_matrix,
+    _cone_positions,
+    _position_codes,
+    _row_dots,
     arrow_head_triplets,
-    block_arrow_head,
     block_arrow_head_inv,
     cone_position,
 )
@@ -90,11 +96,12 @@ class FullRank:
 
 ConeRankChoice = Union[RankOne, SimZhao, RankK, FullRank]
 RankSpecLike = Union[ConeRankChoice, Sequence[ConeRankChoice]]
+_CHOICES = (RankOne, SimZhao, RankK, FullRank)
 
 
 def per_cone_choices(spec: RankSpecLike, r: int) -> tuple[ConeRankChoice, ...]:
     """Broadcast a single choice over r cones, or validate a per-cone list."""
-    if isinstance(spec, (RankOne, SimZhao, RankK, FullRank)):
+    if isinstance(spec, _CHOICES):
         return (spec,) * r
     choices = tuple(spec)
     if len(choices) != r:
@@ -105,62 +112,32 @@ def per_cone_choices(spec: RankSpecLike, r: int) -> tuple[ConeRankChoice, ...]:
 def build_dual_embedding(problem: SocoProblem) -> SdoProblem:
     """Arrow-head image of the data: C and each constraint row become
     block-diagonal arrow-head matrices; b is unchanged."""
-    C = block_arrow_head(problem.c_blocks)
-    n = problem.total_dim
+    layout = problem.layout
+    C = _arrow_head_matrix(layout, problem.c_blocks)
     rows = SparseRows(
-        n, problem.m, *arrow_head_triplets(problem.A_blocks, problem.layout, 1.0, 1.0)
+        layout.total, problem.m, *arrow_head_triplets(problem.A_blocks, layout, 1.0, 1.0)
     )
     meta = EmbeddingMeta(Side.DUAL, problem.cone_dims, m_original=problem.m)
-    return SdoProblem(n, C, rows, problem.b, meta)
+    return SdoProblem(layout.total, C, rows, problem.b, meta)
 
 
-def _require_in_cone(x: np.ndarray, tol: float, interior: bool = False) -> ConePosition:
-    """x's cone position; OutsideCone outside the cone, and NotInterior off
-    the interior when interior is set."""
-    pos = cone_position(x, tol)
-    if interior and pos is not ConePosition.INTERIOR:
-        raise NotInterior("full-rank transport needs a cone-interior vector")
-    if pos is ConePosition.OUTSIDE:
-        raise OutsideCone(f"vector {x} lies outside its cone")
-    return pos
-
-
-def _theta_block(theta: float, tail: np.ndarray, bump: float = 0.0, subset=()) -> np.ndarray:
-    """[[theta/4, t^T/2], [t/2, t t^T/theta]] plus bump on the 1-based diagonal
-    entries in subset, as a plain array that is symmetric bit for bit.
-
-    This is nu nu^T for the leading factor nu = (theta/2, t) / sqrt(theta),
-    written so that the first row t/2 is exact. Every closed-form transport is
-    one of these blocks and differs only in theta and the bump.
-    """
-    n = tail.shape[0] + 1
-    m = np.empty((n, n))
-    m[0, 0] = theta / 4.0
-    m[0, 1:] = m[1:, 0] = tail / 2.0
-    m[1:, 1:] = np.outer(tail, tail) / theta
-    # added over the whole tail, as bump * I was, so signed zeros keep their bits
-    on = np.zeros(n - 1)
-    on[np.asarray(subset, dtype=int) - 2] = 1.0
-    m[1:, 1:] += bump * np.diag(on)
-    return m
-
-
-def _theta_one(head: float, tail: np.ndarray) -> float:
-    """theta = 2 (x1 + delta) with delta = sqrt(x1^2 - ||x[1:]||^2): the rank-one
-    member of the family. When the squared margin is below the floating-point
-    noise floor, delta is snapped to zero: on the boundary its computed value
-    is pure cancellation noise, and the snap keeps the rank-one block equal to
-    the closed-form one there."""
-    margin2 = head * head - float(tail @ tail)
+def _theta_one(head: float, tt: float) -> float:
+    """theta = 2 (x1 + delta) with delta = sqrt(x1^2 - ||x[1:]||^2), from the
+    head x1 and the tail's dot product tt: the rank-one member of the family.
+    When the squared margin is below the floating-point noise floor, delta is
+    snapped to zero: on the boundary its computed value is pure cancellation
+    noise, and the snap keeps the rank-one block equal to the closed-form one
+    there."""
+    margin2 = head * head - tt
     delta = 0.0 if margin2 <= 4.0 * _EPS * head * head else math.sqrt(margin2)
     return 2.0 * (head + delta)
 
 
-def _sim_zhao_theta(x: np.ndarray) -> tuple[float, float]:
+def _sim_zhao_theta(head: float, tt: float) -> tuple[float, float]:
     """theta = x1 + rho + sqrt((x1 + rho)^2 - 4 rho^2), rho = ||x[1:]||, and the
-    trace x1 - rho that the leading factor leaves to the diagonal."""
-    head = float(x[0])
-    rho = float(np.linalg.norm(x[1:]))
+    trace x1 - rho that the leading factor leaves to the diagonal, from the
+    head x1 and the tail's dot product tt."""
+    rho = math.sqrt(tt)
     return head + rho + math.sqrt(max((head + rho) ** 2 - 4.0 * (rho * rho), 0.0)), head - rho
 
 
@@ -178,45 +155,114 @@ def _rank_k_subset(choice: RankK, n: int) -> tuple[int, ...]:
     return subset
 
 
-def _cone_block(x: np.ndarray, choice: ConeRankChoice, tol: float) -> np.ndarray:
-    """map_block's block as a plain array, symmetric bit for bit, so that the
-    matrix it is assembled into is checked once. A one-dimensional cone gives
-    [[x1]] without squaring x1, which could overflow."""
+def _gate(x: np.ndarray, choice: ConeRankChoice, pos: int) -> Optional[tuple[int, ...]]:
+    """Check one cone's choice against its position code, in this order: the
+    choice's type (TypeError), a RankK subset (BadSubset), FullRank's interior
+    gate (NotInterior), the cone (OutsideCone), then RankK's rank against the
+    position. Returns the bump subset of the cone's theta-block: () for the
+    rank-one block, None for the whole tail."""
     n = x.shape[0]
-    if not isinstance(choice, (RankOne, SimZhao, RankK, FullRank)):
+    if not isinstance(choice, _CHOICES):
         raise TypeError(f"unknown rank choice {choice!r}")
-    subset = tuple(range(2, n + 1))
-    if isinstance(choice, RankK) and n > 1:
-        subset = _rank_k_subset(choice, n)
-    pos = _require_in_cone(x, tol, interior=isinstance(choice, FullRank))
-    if pos is ConePosition.ZERO:
-        return np.zeros((n, n))
-    if n == 1:
-        return np.array([[float(x[0])]])
-    if isinstance(choice, RankK):
-        interior = pos is ConePosition.INTERIOR
+    rank_k = isinstance(choice, RankK)
+    subset = _rank_k_subset(choice, n) if rank_k and n > 1 else None
+    if isinstance(choice, FullRank) and pos != INTERIOR:
+        raise NotInterior("full-rank transport needs a cone-interior vector")
+    if pos == OUTSIDE:
+        raise OutsideCone(f"vector {x} lies outside its cone")
+    if rank_k and pos != ZERO and n > 1:
+        interior = pos == INTERIOR
         if subset and not interior:
             raise NotInterior("prescribed rank above one needs a cone-interior vector")
         if interior and not subset:
             raise BadSubset("empty subset needs a boundary vector; rank one cannot "
                             "carry an interior trace")
-    if isinstance(choice, RankOne) or not subset:
-        return _theta_block(_theta_one(float(x[0]), x[1:]), x[1:])
-    theta, rest = _sim_zhao_theta(x)
-    return _theta_block(theta, x[1:], rest / (2.0 * len(subset)), subset)
+    return () if isinstance(choice, RankOne) else subset
 
 
-def _each_cone(fn, *columns) -> list:
-    """fn applied to each cone's entries of the columns, with "cone i: "
-    (0-based) prefixed to the NotInterior, BadSubset and OutsideCone errors
-    fn raises, so that the user can tell which cone to change."""
-    out = []
-    for i, args in enumerate(zip(*columns)):
-        try:
-            out.append(fn(*args))
-        except (NotInterior, BadSubset, OutsideCone) as exc:
-            raise type(exc)(f"cone {i}: {exc}") from None
+def _theta_blocks(v: np.ndarray, tt: np.ndarray, codes: list, subsets: list) -> np.ndarray:
+    """The (k, n, n) stack of transported blocks of the rows of v, all of one
+    size n, from the rows' tail dot products tt, their position codes and the
+    subsets _gate returned.
+
+    A zero row gives the zero block and a one-dimensional row [[x1]], without
+    squaring x1, which could overflow. Every other row gives the theta-block
+    [[theta/4, t^T/2], [t/2, t t^T/theta]] plus bump on its subset's diagonal
+    entries: nu nu^T for nu = (theta/2, t) / sqrt(theta), written so that the
+    first row t/2 is exact. The rank-one block takes _theta_one and no bump,
+    every other block the Sim-Zhao theta and bump (x1 - ||t||) / (2 |subset|).
+    theta and the bump are one number per row, taken on Python floats; the
+    blocks are built for the whole stack. Each block is symmetric bit for bit,
+    so that the matrix it is assembled into is checked once.
+    """
+    k, n = v.shape
+    zero = [c == ZERO for c in codes]
+    if n == 1:
+        return np.where(np.array(zero)[:, None], 0.0, v)[:, :, None]
+    theta, bump = np.ones(k), np.zeros(k)  # a zero row keeps these; its block is cleared below
+    for row, (head, dot, is_zero, s) in enumerate(zip(v[:, 0].tolist(), tt.tolist(), zero, subsets)):
+        if is_zero:
+            continue
+        if s == ():
+            theta[row] = _theta_one(head, dot)
+        else:
+            theta[row], rest = _sim_zhao_theta(head, dot)
+            bump[row] = rest / (2.0 * (n - 1 if s is None else len(s)))
+    on = np.eye(n - 1)
+    if any(subsets):  # a RankK subset: its row's diagonal is masked
+        mask = np.ones((k, n - 1))
+        for row, s in enumerate(subsets):
+            if s:
+                mask[row] = 0.0
+                mask[row, np.asarray(s) - 2] = 1.0
+        on = mask[:, :, None] * on
+    theta, tail = theta[:, None, None], v[:, 1:]
+    out = np.empty((k, n, n))
+    out[:, :1, :1] = theta / 4.0
+    out[:, 0, 1:] = out[:, 1:, 0] = tail / 2.0
+    # the bump is added over the whole tail, zeros included (a rank-one block
+    # adds +0.0), so that signed zeros of t t^T / theta come out as they did
+    # per block
+    out[:, 1:, 1:] = tail[:, :, None] * tail[:, None, :] / theta + bump[:, None, None] * on
+    if any(zero):
+        out[zero] = 0.0
     return out
+
+
+def _transport(
+    layout: BlockLayout, flat: np.ndarray, choices, tol: float, name_cones: bool = True
+) -> SymMatrix:
+    """The block-diagonal matrix of the transported blocks of the concatenated
+    finite cone vector flat, one choice per cone. Each cone passes _gate in
+    cone order, so the first failing cone raises; with name_cones, its
+    NotInterior, BadSubset and OutsideCone carry "cone i: " (0-based), so that
+    the user can tell which cone to change."""
+    stacks = [flat[g.at] for g in layout.groups]
+    tts = [_row_dots(v[:, 1:], v[:, 1:]) for v in stacks]  # shared by positions and theta
+    per_group = [_position_codes(v, tol, tt) for v, tt in zip(stacks, tts)]
+    codes = layout.in_cone_order(per_group)
+    subsets = []
+    for i, (x, choice, pos) in enumerate(zip(layout.split(flat), choices, codes)):
+        try:
+            subsets.append(_gate(x, choice, pos))
+        except (NotInterior, BadSubset, OutsideCone) as exc:
+            if not name_cones:
+                raise
+            raise type(exc)(f"cone {i}: {exc}") from None
+    return SymMatrix(layout.assemble([
+        _theta_blocks(v, tt, group_codes, [subsets[i] for i in g.ids.tolist()])
+        for g, v, tt, group_codes in zip(layout.groups, stacks, tts, per_group)
+    ]))
+
+
+def _arrow_head_side(layout: BlockLayout, blocks, tol: float) -> SymMatrix:
+    """block_arrow_head of cone vectors that must lie in their cones; the
+    first cone outside raises OutsideCone, named as _transport names it."""
+    codes = _cone_positions(layout, np.concatenate(blocks), tol)
+    if OUTSIDE in codes:
+        i = codes.index(OUTSIDE)
+        raise OutsideCone(f"cone {i}: vector {blocks[i]} lies outside its cone")
+    return _arrow_head_matrix(layout, blocks)
 
 
 def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -225,11 +271,12 @@ def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1)).
     [sqrt(x1)] in one dimension."""
     x = np.asarray(x, dtype=float)
-    _require_in_cone(x, tol, interior=True)
+    if cone_position(x, tol) is not ConePosition.INTERIOR:
+        raise NotInterior("full-rank transport needs a cone-interior vector")
     n = x.shape[0]
     if n == 1:
         return [np.array([math.sqrt(float(x[0]))])]
-    theta, rest = _sim_zhao_theta(x)
+    theta, rest = _sim_zhao_theta(float(x[0]), float(x[1:] @ x[1:]))
     nu = np.concatenate(([theta / 2.0], x[1:])) / math.sqrt(theta)
     return [nu, *(math.sqrt(rest / (2.0 * (n - 1))) * np.eye(n)[1:])]
 
@@ -249,9 +296,13 @@ def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
 
     The origin maps to the zero block. A one-dimensional cone has no rank
     freedom: every choice gives [[x1]], and FullRank still refuses a
-    non-interior x1.
+    non-interior x1. NotFinite on a NaN or an infinite entry.
     """
-    return SymMatrix(_cone_block(np.asarray(x, dtype=float), choice, tol))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise DimensionMismatch(f"map_block needs a nonempty vector, got shape {x.shape}")
+    _require_finite(x, "cone vector")
+    return _transport(BlockLayout.from_dims(x.shape), x, (choice,), tol, name_cones=False)
 
 
 def map_solution_dual(
@@ -267,13 +318,13 @@ def map_solution_dual(
     """
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
+    layout = problem.layout
     X = None
     if sol.x_blocks is not None:
-        X = block_diag(_each_cone(lambda x, ch: _cone_block(x, ch, tol), sol.x_blocks, choices))
+        X = _transport(layout, np.concatenate(sol.x_blocks), choices, tol)
     S = None
     if sol.s_blocks is not None:
-        _each_cone(lambda s: _require_in_cone(s, tol), sol.s_blocks)
-        S = block_arrow_head(sol.s_blocks)
+        S = _arrow_head_side(layout, sol.s_blocks, tol)
     y = sol.y.copy() if sol.y is not None else None
     return SdoSolution(X=X, y=y, S=S)
 
@@ -292,14 +343,14 @@ def inverse_map_dual(
         raise ProvenanceMismatch(f"expected a dual-side embedding, got {meta.side.value}")
     if meta.cone_dims is None:
         raise ProvenanceMismatch("embedding meta lacks cone dimensions")
-    layout = BlockLayout.from_dims(meta.cone_dims)
+    layout = meta._layout
     x_blocks = None
     if sol.X is not None:
         if sol.X.dim != layout.total:
             raise DimensionMismatch(f"X has dim {sol.X.dim}, expected {layout.total}")
         if psd_status(sol.X, tol) is PsdStatus.INDEFINITE:
             raise NotPSD("X is indefinite beyond tolerance")
-        x_blocks = tuple(extract_block_vector(sol.X, layout, i) for i in range(len(layout.dims)))
+        x_blocks = layout.split(_block_vectors(sol.X.a, layout))
     s_blocks = None
     if sol.S is not None:
         if sol.S.dim != layout.total:
@@ -309,8 +360,15 @@ def inverse_map_dual(
     return SocoSolution(x_blocks=x_blocks, y=y, s_blocks=s_blocks)
 
 
+def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """(block trace; 2 * first block row) of every diagonal block of the
+    square array m, concatenated in cone order."""
+    traces, rows = layout.lead_rows(m)
+    out = 2.0 * rows
+    out[list(layout.offsets)] = traces
+    return out
+
+
 def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarray:
     """Read (block trace; 2 * first block row) out of one diagonal block of X."""
-    sl = layout.block_slice(i)
-    block = X.a[sl, sl]
-    return np.concatenate(([float(np.trace(block))], 2.0 * block[0, 1:]))
+    return _block_vectors(X.a, layout)[layout.block_slice(i)]

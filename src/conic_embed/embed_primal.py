@@ -17,23 +17,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDual, NotPSD, TemplateViolation
-from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, block_diag, psd_status
+from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, psd_status
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .embed_dual import (
     RankOne,
     RankSpecLike,
-    _cone_block,
-    _each_cone,
-    _require_in_cone,
-    extract_block_vector,
+    _arrow_head_side,
+    _block_vectors,
+    _transport,
     per_cone_choices,
 )
 from .soco import (
     BlockLayout,
     SocoProblem,
     SocoSolution,
+    _arrow_head_matrix,
     arrow_head_triplets,
-    block_arrow_head,
     block_arrow_head_inv,
 )
 
@@ -48,7 +47,7 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     m = problem.m
     pairs, tied = layout.pins()
     scale = (layout.dims, 2.0)  # divisors of each block's head and tail
-    C = block_arrow_head(problem.c_blocks, *scale)
+    C = _arrow_head_matrix(layout, problem.c_blocks, *scale)
     row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, *scale)
     # a tied row holds +1 at its block's leading diagonal and -1 at its own
     lead_tied = np.stack((np.asarray(layout.offsets)[layout.cone_ids[tied]], tied), axis=1).ravel()
@@ -84,24 +83,33 @@ def recover_uw(
     layout = BlockLayout.from_dims(cone_dims)
     if S.dim != layout.total:
         raise DimensionMismatch(f"S has dim {S.dim}, expected {layout.total}")
-    for i, s in enumerate(s_blocks):
-        s = np.asarray(s, dtype=float)
-        sl = layout.block_slice(i)
-        block = S.a[sl, sl]
-        scale = 1.0 + float(np.abs(s).max())
-        dev = abs(float(np.trace(block)) - float(s[0]))
-        if dev > tol * scale:
-            raise TemplateViolation(
-                f"block {i} trace deviates from s1 by {dev:.3e}"
-            )
-        if s.shape[0] > 1:
-            dev = float(np.abs(block[0, 1:] - s[1:] / 2.0).max())
-            if dev > tol * scale:
-                raise TemplateViolation(
-                    f"block {i} first row deviates from s/2 by {dev:.3e}"
-                )
+    s = [np.asarray(v, dtype=float) for v in s_blocks]
+    if tuple(v.shape for v in s) != tuple((n,) for n in layout.dims):
+        raise DimensionMismatch(f"slack blocks do not match the cone dimensions {layout.dims}")
+    return _recover_uw(S, np.concatenate(s), layout, tol)
+
+
+def _recover_uw(
+    S: SymMatrix, s: np.ndarray, layout: BlockLayout, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """recover_uw on the concatenated slack vector s, for an S of the
+    layout's size. The template of every block is checked, the blocks of one
+    size at once; the first block that fails, in cone order, raises, its trace
+    before its first row."""
+    traces, rows = layout.lead_rows(S.a)
+    heads = s[list(layout.offsets)]
+    band = tol * (1.0 + layout.cone_max(np.abs(s)))
+    dev = np.abs(rows - s / 2.0)
+    dev[list(layout.offsets)] = 0.0  # the first row's lead entry is checked in the trace
+    row_dev = layout.cone_max(dev)
+    trace_dev = np.abs(traces - heads)
+    bad = np.flatnonzero((trace_dev > band) | (row_dev > band))
+    if bad.size:
+        i = int(bad[0])
+        if trace_dev[i] > band[i]:
+            raise TemplateViolation(f"block {i} trace deviates from s1 by {trace_dev[i]:.3e}")
+        raise TemplateViolation(f"block {i} first row deviates from s/2 by {row_dev[i]:.3e}")
     pairs, tied = layout.pins()
-    heads = np.array([float(np.asarray(s)[0]) for s in s_blocks])
     tied_cone = layout.cone_ids[tied]
     u = S.a[tied, tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
     w = -S.a[pairs[:, 0], pairs[:, 1]]
@@ -123,16 +131,17 @@ def map_solution_primal(
     """
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
+    layout = problem.layout
     X = None
     if sol.x_blocks is not None:
-        _each_cone(lambda x: _require_in_cone(x, tol), sol.x_blocks)
-        X = block_arrow_head(sol.x_blocks)
+        X = _arrow_head_side(layout, sol.x_blocks, tol)
     S = None
     y_full = None
     if sol.s_blocks is not None:
-        S = block_diag(_each_cone(lambda s, ch: _cone_block(s, ch, tol), sol.s_blocks, choices))
+        s = np.concatenate(sol.s_blocks)
+        S = _transport(layout, s, choices, tol)
         if sol.y is not None:
-            u, w = recover_uw(S, sol.s_blocks, problem.cone_dims, tol)
+            u, w = _recover_uw(S, s, layout, tol)
             y_full = np.concatenate((sol.y, w, u))
     return SdoSolution(X=X, y=y_full, S=S)
 
@@ -167,22 +176,33 @@ def inverse_map_primal(
     if sol.S is not None:
         if sol.S.dim != layout.total:
             raise DimensionMismatch(f"S has dim {sol.S.dim}, expected {layout.total}")
-        s_blocks = []
-        for i in range(problem.r):
-            s = extract_block_vector(sol.S, layout, i)
-            if v is not None:
-                alt = problem.c_blocks[i] - problem.A_blocks[i].T @ v
-                dev = float(np.abs(s - alt).max())
-                if dev > tol * (1.0 + float(np.abs(alt).max())):
-                    raise InconsistentDual(
-                        f"slack block {i} read from S deviates from c - A^T v by {dev:.3e}"
-                    )
-            s_blocks.append(s)
+        s = _block_vectors(sol.S.a, layout)
+        if v is not None:
+            alt = _slack(problem, v)
+            dev = layout.cone_max(np.abs(s - alt))
+            bad = np.flatnonzero(dev > tol * (1.0 + layout.cone_max(np.abs(alt))))
+            if bad.size:
+                i = int(bad[0])
+                raise InconsistentDual(
+                    f"slack block {i} read from S deviates from c - A^T v by {dev[i]:.3e}"
+                )
         if psd_status(sol.S, tol) is PsdStatus.INDEFINITE:
             raise NotPSD("S is indefinite beyond tolerance")
-        s_blocks = tuple(s_blocks)
+        s_blocks = layout.split(s)
     elif v is not None:
-        s_blocks = tuple(
-            problem.c_blocks[i] - problem.A_blocks[i].T @ v for i in range(problem.r)
-        )
+        s_blocks = layout.split(_slack(problem, v))
     return SocoSolution(x_blocks=x_blocks, y=v, s_blocks=s_blocks)
+
+
+def _slack(problem: SocoProblem, v: np.ndarray) -> np.ndarray:
+    """c - A^T v, concatenated in cone order. The A blocks of one size are
+    stacked, and each block's product is the same matrix-vector product, with
+    the same bits, as A_i^T v alone; a product with the concatenated A rounds
+    differently."""
+    layout = problem.layout
+    out = np.empty(layout.total)
+    for g in layout.groups:
+        A = np.stack([problem.A_blocks[i] for i in g.ids.tolist()])
+        out[g.at] = np.stack([problem.c_blocks[i] for i in g.ids.tolist()]) \
+            - A.transpose(0, 2, 1) @ v
+    return out

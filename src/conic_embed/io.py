@@ -83,6 +83,8 @@ def _read_json(path: PathLike) -> dict:
         )
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return obj
@@ -410,7 +412,7 @@ def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False)
                 "multi-cone primal embeddings are not block-diagonal "
                 "(pinned pairs straddle blocks); export without splitting"
             )
-        layout = BlockLayout.from_dims(meta.cone_dims)
+        layout = meta._layout
     else:
         layout = BlockLayout.from_dims((problem.dim,))
     offsets = np.asarray(layout.offsets)

@@ -30,6 +30,7 @@ from .linalg import (
     EigenDecomposition,
     PsdStatus,
     SymMatrix,
+    _require_finite,
     _two_level_eigensystem,
     eigh,
     orthonormal_complement,
@@ -37,11 +38,16 @@ from .linalg import (
 )
 from .sdo import SdoSolution, Side
 from .soco import (
+    INTERIOR,
+    OUTSIDE,
+    POSITIONS,
+    BlockLayout,
     ConePosition,
     SocoProblem,
     SocoSolution,
-    cone_position,
-    jordan_product,
+    _cone_positions,
+    _jordan_rows,
+    _row_dots,
 )
 from .embed_dual import FullRank, RankOne, SimZhao, map_solution_dual
 from .embed_primal import map_solution_primal
@@ -74,30 +80,47 @@ def classify_cones(
     Position pairs outside the six complementary combinations, or pairs whose
     Jordan product is not zero within tolerance (e.g. two boundary vectors
     that are not opposite), raise InconsistentPair. Vectors outside the cone
-    raise OutsideCone.
+    raise OutsideCone. Positions and Jordan products are computed for the
+    cones of one size at once; the first failing cone, in cone order, raises.
     """
     if sol.x_blocks is None or sol.s_blocks is None:
         raise MissingSolutionPart("classification needs x and s blocks")
     sol.validate_against(problem)
+    layout = problem.layout
+    x, s = np.concatenate(sol.x_blocks), np.concatenate(sol.s_blocks)
+    px = _cone_positions(layout, x, tol)
+    ps = _cone_positions(layout, s, tol)
+    comp, band = _complementarity(layout, x, s, tol)
     labels = []
-    for i, (x, s) in enumerate(zip(sol.x_blocks, sol.s_blocks)):
-        px = cone_position(x, tol)
-        ps = cone_position(s, tol)
-        if ConePosition.OUTSIDE in (px, ps):
+    for i, codes in enumerate(zip(px, ps)):
+        if OUTSIDE in codes:
             raise OutsideCone(f"cone {i}: vector outside the cone")
-        label = _POSITION_LABEL.get((px, ps))
+        pos_x, pos_s = (POSITIONS[c] for c in codes)
+        label = _POSITION_LABEL.get((pos_x, pos_s))
         if label is None:
             raise InconsistentPair(
-                f"cone {i}: positions ({px.value}, {ps.value}) cannot be complementary"
+                f"cone {i}: positions ({pos_x.value}, {pos_s.value}) cannot be complementary"
             )
-        comp = float(np.abs(jordan_product(x, s)).max())
-        band = tol * (1.0 + float(np.abs(x).max())) * (1.0 + float(np.abs(s).max()))
-        if comp > band:
+        if comp[i] > band[i]:
             raise InconsistentPair(
-                f"cone {i}: jordan product magnitude {comp:.3e} breaks complementarity"
+                f"cone {i}: jordan product magnitude {comp[i]:.3e} breaks complementarity"
             )
         labels.append(label)
     return labels
+
+
+def _complementarity(
+    layout: BlockLayout, x: np.ndarray, s: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per cone of the concatenated x and s, in cone order: max |x_i o s_i|
+    and the band tol (1 + ||x_i||_inf) (1 + ||s_i||_inf) it must stay within."""
+    r = len(layout.dims)
+    comp, band = np.empty(r), np.empty(r)
+    for g in layout.groups:
+        xg, sg = x[g.at], s[g.at]
+        comp[g.ids] = np.abs(_jordan_rows(xg, sg)).max(axis=1)
+        band[g.ids] = tol * (1.0 + np.abs(xg).max(axis=1)) * (1.0 + np.abs(sg).max(axis=1))
+    return comp, band
 
 
 def arrowhead_eigensystem(v) -> EigenDecomposition:
@@ -107,18 +130,16 @@ def arrowhead_eigensystem(v) -> EigenDecomposition:
     v1 + ||t|| (t = v[1:]); extreme eigenvectors are (1, -d)/sqrt(2) and
     (1, d)/sqrt(2) for the unit tail direction d, middle ones are (0, z) with
     z spanning the tail complement. Degenerates to the standard basis when the
-    tail vanishes.
+    tail vanishes. NotFinite on a NaN or an infinite entry.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionMismatch(f"need a nonempty vector, got shape {v.shape}")
-    n = v.shape[0]
-    head = float(v[0])
-    rho = float(np.linalg.norm(v[1:]))
-    if rho == 0.0:
-        vals, vecs = np.full(n, head), np.eye(n)
+    _require_finite(v, "arrow-head vector")
+    if float(v[1:] @ v[1:]) == 0.0:
+        vals, vecs = np.full(v.shape[0], v[0]), np.eye(v.shape[0])
     else:
-        vals, vecs = _two_level_eigensystem(head, rho, v[1:] / rho, head, head)
+        vals, vecs = (a[0] for a in _arrow_head_eigensystems(v[None]))
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomposition(vals, vecs)
@@ -163,7 +184,7 @@ def _boundary_block(blocks, i: int, what: str) -> np.ndarray:
     v = np.asarray(blocks[i], dtype=float)
     if v.shape[0] < 2:
         raise LabelMismatch(f"cone {i} is one-dimensional; no boundary direction exists")
-    if float(np.linalg.norm(v[1:])) <= 0.0:
+    if float(v[1:] @ v[1:]) <= 0.0:  # ||v[1:]|| <= 0, without the square root
         raise LabelMismatch(f"cone {i}: {what} block has a zero tail, no direction")
     return v
 
@@ -203,33 +224,61 @@ def map_partition(
     if len(labels) != problem.r:
         raise DimensionMismatch(f"{len(labels)} labels for {problem.r} cones")
     layout = problem.layout
-    total = layout.total
-    cols = {cls: [np.zeros((total, 0))] for cls in "BNT"}
-
-    def _add(cls: str, local: np.ndarray, i: int) -> None:
-        out = np.zeros((total, local.shape[1]))
-        out[layout.block_slice(i), :] = local
-        cols[cls].append(out)
-
+    # per class, the (cone, columns) pieces in order: columns None for the
+    # whole block, else columns of the cone's arrow-head frame
+    pieces = {cls: [] for cls in "BNT"}
+    boundary = {}  # cone -> the vector giving its direction
     for i, label in enumerate(labels):
-        n = problem.cone_dims[i]
+        n = layout.dims[i]
         if label in _WHOLE_ROUTE:
-            _add(_WHOLE_ROUTE[label], np.eye(n), i)
+            pieces[_WHOLE_ROUTE[label]].append((i, None))
             continue
         if label not in _BOUNDARY_ROUTE:
             raise LabelMismatch(f"unknown label {label!r}")
         source, x_cls, s_cls = _BOUNDARY_ROUTE[label]
         blocks = sol.x_blocks if source == "x" else sol.s_blocks
-        frame = arrowhead_eigensystem(_boundary_block(blocks, i, source)).eigenvectors
+        boundary[i] = _boundary_block(blocks, i, source)
         aligned, opposed = (x_cls, s_cls) if source == "x" else (s_cls, x_cls)
         arrow = s_cls if side is Side.DUAL else x_cls
         middle = list(range(1, n - 1))
         for cls, col in ((aligned, n - 1), (opposed, 0)):
-            _add(cls, frame[:, [col] + (middle if cls == arrow else [])], i)
-
-    part = SdoPartition(*(np.hstack(cols[cls]) for cls in "BNT"))
+            pieces[cls].append((i, [col] + (middle if cls == arrow else [])))
+    frames = _boundary_frames(boundary)
+    bases = []
+    for cls in "BNT":
+        widths = [layout.dims[i] if cols is None else len(cols) for i, cols in pieces[cls]]
+        basis = np.zeros((layout.total, sum(widths)))
+        at = 0
+        for (i, cols), width in zip(pieces[cls], widths):
+            sl = layout.block_slice(i)
+            basis[sl, at:at + width] = np.eye(width) if cols is None else frames[i][:, cols]
+            at += width
+        bases.append(basis)
+    part = SdoPartition(*bases)
     part.validate()
     return part
+
+
+def _boundary_frames(vectors: dict) -> dict:
+    """The arrow-head eigenvectors (arrowhead_eigensystem's, in its order) of
+    each vector, all of one size in one call. Every vector has a nonzero
+    tail."""
+    frames = {}
+    by_size = {}
+    for i, v in vectors.items():
+        by_size.setdefault(v.shape[0], []).append(i)
+    for ids in by_size.values():
+        frames.update(zip(ids, _arrow_head_eigensystems(np.stack([vectors[i] for i in ids]))[1]))
+    return frames
+
+
+def _arrow_head_eigensystems(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and column eigenvectors of the arrow-head of each row of
+    the (k, n) stack v, whose tails are nonzero, in the order of
+    arrowhead_eigensystem: _two_level_eigensystem with along = rest = v1."""
+    head = v[:, :1]
+    rho = np.sqrt(_row_dots(v[:, 1:], v[:, 1:]))[:, None]
+    return _two_level_eigensystem(head, rho, v[:, 1:] / rho, head, head)
 
 
 def sdo_partition_from_solution(
@@ -288,12 +337,10 @@ def proper_map_solution(
         raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
     if blocks is None:
         raise MissingSolutionPart("proper transport needs the mapped-side blocks")
-    choices = []
-    for v in blocks:
-        if cone_position(v, tol) is ConePosition.INTERIOR:
-            choices.append(SimZhao() if interior == "simzhao" else FullRank())
-        else:
-            choices.append(RankOne())
+    sol.validate_against(problem)
+    inside = SimZhao() if interior == "simzhao" else FullRank()
+    codes = _cone_positions(problem.layout, np.concatenate(blocks), tol)
+    choices = [inside if pos == INTERIOR else RankOne() for pos in codes]
     if side is Side.DUAL:
         return map_solution_dual(problem, sol, choices, tol)
     return map_solution_primal(problem, sol, choices, tol)

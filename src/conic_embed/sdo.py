@@ -48,10 +48,14 @@ class EmbeddingMeta:
             object.__setattr__(self, "cone_dims", tuple(int(d) for d in self.cone_dims))
 
     @cached_property
+    def _layout(self) -> BlockLayout:
+        return BlockLayout.from_dims(self.cone_dims)
+
+    @cached_property
     def _pins(self) -> tuple[np.ndarray, np.ndarray]:
-        primal = self.side is Side.PRIMAL and self.cone_dims is not None
-        # a single one-dimensional cone pins nothing
-        return BlockLayout.from_dims(self.cone_dims if primal else (1,)).pins()
+        if self.side is Side.PRIMAL and self.cone_dims is not None:
+            return self._layout.pins()
+        return BlockLayout.from_dims((1,)).pins()  # a single one-dimensional cone pins nothing
 
     @property
     def zero_pairs(self) -> np.ndarray:

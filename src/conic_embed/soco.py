@@ -1,19 +1,25 @@
 """Second-order cone problem data, Lorentz-cone geometry, and arrow-head operators.
 
-Vectors attached to a product of Lorentz cones are always carried as explicit
-per-block lists; flattening into one long vector is an explicit serialization
-concern, never implicit.
+Vectors attached to a product of Lorentz cones are carried as explicit
+per-block lists at the API. The per-cone numeric work (cone positions, Jordan
+products, arrow-head images, block reads) runs on (k, n) stacks instead, one
+per distinct cone size: BlockLayout.groups holds each size's cone ids and coordinates, and a
+kernel gathers the stack of a group from the concatenated vector, works on
+all k rows at once and scatters its results back in cone order. Errors are
+still reported for the first failing cone in cone order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead
+from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead, NotFinite
 from .linalg import DEFAULT_TOL, SymMatrix, _require_finite
 
 
@@ -22,6 +28,25 @@ class ConePosition(Enum):
     BOUNDARY_NONZERO = "boundary_nonzero"
     INTERIOR = "interior"
     OUTSIDE = "outside"
+
+
+# Position codes of the stacked kernels, indices into POSITIONS.
+POSITIONS = tuple(ConePosition)
+ZERO, BOUNDARY, INTERIOR, OUTSIDE = range(4)
+
+
+class SizeGroup(NamedTuple):
+    """The cones of one size n: their ids, ascending, and the (k, n) array of
+    their coordinates in the concatenated vector."""
+
+    n: int
+    ids: np.ndarray
+    at: np.ndarray
+
+    def flat(self, total: int) -> np.ndarray:
+        """(k, n, n) positions of the group's diagonal blocks in a flattened
+        total x total array."""
+        return (self.at * total)[:, :, None] + self.at[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -42,6 +67,57 @@ class BlockLayout:
 
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.dims[i])
+
+    @cached_property
+    def groups(self) -> tuple[SizeGroup, ...]:
+        """One SizeGroup per distinct cone size, ascending by size."""
+        dims, offs = np.asarray(self.dims), np.asarray(self.offsets)
+        out = []
+        for n in sorted(set(self.dims)):
+            ids = np.flatnonzero(dims == n)
+            at = offs[ids, None] + np.arange(n)
+            ids.setflags(write=False)
+            at.setflags(write=False)
+            out.append(SizeGroup(n, ids, at))
+        return tuple(out)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-cone pieces of a concatenated vector, as views."""
+        return tuple(flat[o:o + n] for o, n in zip(self.offsets, self.dims))
+
+    def in_cone_order(self, per_group: Sequence[list]) -> list:
+        """One list per group, in the group's cone order, merged into one
+        list in cone order."""
+        if len(per_group) == 1:
+            return list(per_group[0])
+        out = [None] * len(self.dims)
+        for g, values in zip(self.groups, per_group):
+            for i, value in zip(g.ids.tolist(), values):
+                out[i] = value
+        return out
+
+    def assemble(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """The block-diagonal total x total array holding the (k, n, n) stack
+        of each group, one flat scatter per group."""
+        out = np.zeros((self.total, self.total))
+        for g, stack in zip(self.groups, stacks):
+            out.reshape(-1)[g.flat(self.total)] = stack
+        return out
+
+    def lead_rows(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each diagonal block's trace, in cone order, and first row, at the
+        block's coordinates of a concatenated vector, read out of the square
+        total x total array m. A trace is summed per row of the stack of its
+        size group, which adds in the order np.trace of the block does."""
+        diag = m.diagonal()
+        traces = np.empty(len(self.dims))
+        for g in self.groups:
+            traces[g.ids] = diag[g.at].sum(axis=1)
+        return traces, m[np.repeat(self.offsets, self.dims), np.arange(self.total)]
+
+    def cone_max(self, values: np.ndarray) -> np.ndarray:
+        """The largest entry of each cone's piece of a concatenated vector."""
+        return np.maximum.reduceat(values, self.offsets)
 
     @property
     def cone_ids(self) -> np.ndarray:
@@ -68,15 +144,14 @@ class BlockLayout:
     def max_off_block(self, m: SymMatrix) -> float:
         """Largest magnitude of m outside the diagonal blocks; 0.0 for one block.
 
-        Reads the rows of each block to the right of it, which holds every
-        off-block value because m is symmetric.
+        Clears the diagonal blocks of |m|, one flat scatter per size group.
         """
-        worst = 0.0
-        for off, dim in zip(self.offsets, self.dims):
-            end = off + dim
-            if end < self.total:
-                worst = max(worst, float(np.abs(m.a[off:end, end:]).max()))
-        return worst
+        if len(self.dims) == 1:
+            return 0.0
+        off = np.abs(m.a)
+        for g in self.groups:
+            off.reshape(-1)[g.flat(self.total)] = 0.0
+        return float(off.max())
 
 
 def _frozen_vector(v, length: int | None = None, what: str = "vector") -> np.ndarray:
@@ -88,6 +163,26 @@ def _frozen_vector(v, length: int | None = None, what: str = "vector") -> np.nda
     _require_finite(a, what)
     a.setflags(write=False)
     return a
+
+
+def _frozen_blocks(blocks, name: str) -> tuple[np.ndarray, ...]:
+    """_frozen_vector on each block, with the finiteness of all blocks checked
+    at once: the first block that is not a vector, or not finite, is named."""
+    out = []
+    for i, v in enumerate(blocks):
+        a = np.array(v, dtype=float)
+        if a.ndim != 1:
+            for j, earlier in enumerate(out):  # a non-finite earlier block comes first
+                _require_finite(earlier, f"{name}[{j}]")
+            raise DimensionMismatch(
+                f"{name}[{i}] must be one-dimensional, got shape {a.shape}"
+            )
+        a.setflags(write=False)
+        out.append(a)
+    if out and not np.isfinite(np.concatenate(out)).all():
+        i = next(i for i, a in enumerate(out) if not np.isfinite(a).all())
+        _require_finite(out[i], f"{name}[{i}]")
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +197,7 @@ class SocoProblem:
     def __post_init__(self):
         layout = BlockLayout.from_dims(self.cone_dims)
         object.__setattr__(self, "cone_dims", layout.dims)
+        object.__setattr__(self, "_layout", layout)
         b = _frozen_vector(self.b, what="b")
         m = b.shape[0]
         if len(self.A_blocks) != len(layout.dims) or len(self.c_blocks) != len(layout.dims):
@@ -135,7 +231,8 @@ class SocoProblem:
 
     @property
     def layout(self) -> BlockLayout:
-        return BlockLayout.from_dims(self.cone_dims)
+        """The layout of cone_dims, built once with the problem."""
+        return self._layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +247,7 @@ class SocoSolution:
         for name in ("x_blocks", "s_blocks"):
             blocks = getattr(self, name)
             if blocks is not None:
-                object.__setattr__(
-                    self, name,
-                    tuple(_frozen_vector(v, what=f"{name}[{i}]") for i, v in enumerate(blocks)),
-                )
+                object.__setattr__(self, name, _frozen_blocks(blocks, name))
         if self.y is not None:
             object.__setattr__(self, "y", _frozen_vector(self.y, what="y"))
 
@@ -163,11 +257,12 @@ class SocoSolution:
                 continue
             if len(blocks) != problem.r:
                 raise DimensionMismatch(f"{name} has {len(blocks)} blocks, expected {problem.r}")
-            for i, v in enumerate(blocks):
-                if v.shape[0] != problem.cone_dims[i]:
-                    raise DimensionMismatch(
-                        f"{name} block {i} has length {v.shape[0]}, expected {problem.cone_dims[i]}"
-                    )
+            sizes = tuple(v.shape[0] for v in blocks)
+            if sizes != problem.cone_dims:
+                i = next(k for k, (a, b) in enumerate(zip(sizes, problem.cone_dims)) if a != b)
+                raise DimensionMismatch(
+                    f"{name} block {i} has length {sizes[i]}, expected {problem.cone_dims[i]}"
+                )
         if self.y is not None and self.y.shape[0] != problem.m:
             raise DimensionMismatch(f"y has length {self.y.shape[0]}, expected {problem.m}")
 
@@ -218,19 +313,33 @@ def block_arrow_head(
 ) -> SymMatrix:
     """Block-diagonal arrow-head matrix of the per-cone vectors
     (v1 / head_div[i], v[1:] / tail_div), with head_div and tail_div as in
-    arrow_head_triplets, whose entries it scatters into one dense array.
-    Finiteness and symmetry are checked once, on the whole matrix."""
+    arrow_head_triplets: the dense matrix of its entries. Finiteness and
+    symmetry are checked once, on the whole matrix."""
     vectors = [np.asarray(v, dtype=float) for v in blocks]
     for v in vectors:
         if v.ndim != 1 or v.shape[0] < 1:
             raise DimensionMismatch(f"arrow_head needs a nonempty vector, got shape {v.shape}")
     layout = BlockLayout.from_dims([v.shape[0] for v in vectors])
-    rows = [v[None, :] for v in vectors]
-    _, i, j, vals = arrow_head_triplets(rows, layout, head_div, tail_div)
-    m = np.zeros((layout.total, layout.total))
-    m[i, j] = vals
-    m[j, i] = vals
-    return SymMatrix(m)
+    return _arrow_head_matrix(layout, vectors, head_div, tail_div)
+
+
+def _arrow_head_matrix(
+    layout: BlockLayout, vectors: Sequence[np.ndarray], head_div=1.0, tail_div: float = 1.0
+) -> SymMatrix:
+    """block_arrow_head of vectors already known to match layout, the blocks
+    of one size built as one (k, n, n) stack."""
+    flat = np.concatenate(vectors)
+    heads = np.broadcast_to(np.asarray(head_div, dtype=float), (len(layout.dims),))
+    stacks = []
+    for g in layout.groups:
+        v = flat[g.at]
+        head = v[:, 0] / heads[g.ids]
+        stack = np.zeros((len(g.ids), g.n, g.n))
+        stack[:, 0, 1:] = stack[:, 1:, 0] = v[:, 1:] / tail_div
+        diag = np.arange(g.n)
+        stack[:, diag, diag] = head[:, None]
+        stacks.append(stack)
+    return SymMatrix(layout.assemble(stacks))
 
 
 def block_arrow_head_inv(
@@ -243,21 +352,21 @@ def block_arrow_head_inv(
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
     a = m.a
-    dims, offs = np.asarray(layout.dims), np.asarray(layout.offsets)
     # the worst deviation of every block, the blocks of one size at once
-    worst = np.zeros(dims.shape[0])
-    for n in set(layout.dims) - {1}:
-        ids = np.flatnonzero(dims == n)
-        at = offs[ids, None] + np.arange(n)
-        stack = a[at[:, :, None], at[:, None, :]]
+    worst = np.zeros(len(layout.dims))
+    for g in layout.groups:
+        if g.n == 1:
+            continue
+        stack = a.take(g.flat(layout.total))
         diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)[:, 1:] - stack[:, :1, 0])
-        off_arrow = np.abs(stack[:, 1:, 1:]) * np.triu(np.ones((n - 1, n - 1)), 1)
-        worst[ids] = np.maximum(diag.max(axis=1), off_arrow.max(axis=(1, 2)))
+        off_arrow = np.abs(stack[:, 1:, 1:]) * np.triu(np.ones((g.n - 1, g.n - 1)), 1)
+        worst[g.ids] = np.maximum(diag.max(axis=1), off_arrow.max(axis=(1, 2)))
     bad = np.flatnonzero(worst > tol)
     if bad.size:
         sl = layout.block_slice(int(bad[0]))
         _arrow_head_vector(a[sl, sl], tol)  # raises with that block's worst violation
-    return tuple(a[o, o:o + n].copy() for o, n in zip(layout.offsets, layout.dims))
+    _, rows = layout.lead_rows(a)
+    return layout.split(rows)
 
 
 def arrow_head_triplets(
@@ -299,34 +408,77 @@ def arrow_head_triplets(
     )
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row pair of two (k, n) stacks. Each row is one
+    1 x n by n x 1 product, which gives the bits of the vector dot a[i] @ b[i]
+    and so of np.linalg.norm(a[i]) under a square root; a sum over the axis
+    rounds differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _jordan_rows(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """jordan_product of each row pair of two (k, n) stacks."""
+    out = np.empty(x.shape)
+    out[:, 0] = _row_dots(x, s)
+    out[:, 1:] = x[:, :1] * s[:, 1:] + s[:, :1] * x[:, 1:]
+    return out
+
+
 def jordan_product(x, s) -> np.ndarray:
     """Jordan product (x^T s; x1*s[1:] + s1*x[1:]) on one cone block."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
-    if x.shape != s.shape or x.ndim != 1:
+    if x.shape != s.shape or x.ndim != 1 or x.shape[0] < 1:
         raise DimensionMismatch(f"operands differ in shape: {x.shape} vs {s.shape}")
-    return np.concatenate(([float(x @ s)], x[0] * s[1:] + s[0] * x[1:]))
+    _require_finite(x, "jordan_product operand")
+    _require_finite(s, "jordan_product operand")
+    return _jordan_rows(x[None], s[None])[0]
+
+
+def _position_codes(v: np.ndarray, tol: float, tt: Optional[np.ndarray] = None) -> list[int]:
+    """cone_position of each row of a (k, n) stack, as codes into POSITIONS;
+    tt holds the rows' tail dot products when the caller has them. The norms
+    and magnitudes are taken for the whole stack; the square roots and the
+    comparisons that pick each code are made on Python floats, which costs
+    less than the array operations they would take, up to a few dozen rows.
+    NotFinite on a NaN or an infinite entry."""
+    peaks = np.abs(v).max(axis=1).tolist()
+    if not all(peak < math.inf for peak in peaks):
+        raise NotFinite("cone vector holds a NaN or an infinite entry")
+    if tt is None:
+        tail = v[:, 1:]
+        tt = _row_dots(tail, tail)
+    codes = []
+    for peak, head, dot in zip(peaks, v[:, 0].tolist(), tt.tolist()):
+        margin = head - math.sqrt(dot)
+        band = tol * (1.0 + peak)
+        if peak <= tol:
+            codes.append(ZERO)
+        elif margin > band:
+            codes.append(INTERIOR)
+        elif abs(margin) <= band and head > tol:
+            codes.append(BOUNDARY)
+        else:
+            codes.append(OUTSIDE)
+    return codes
+
+
+def _cone_positions(layout: BlockLayout, flat: np.ndarray, tol: float) -> list[int]:
+    """_position_codes of every cone of a concatenated vector, in cone order."""
+    return layout.in_cone_order([_position_codes(flat[g.at], tol) for g in layout.groups])
 
 
 def cone_position(v, tol: float = DEFAULT_TOL) -> ConePosition:
     """Locate v relative to its Lorentz cone.
 
     Zero when ||v||_inf <= tol; otherwise the margin v1 - ||v[1:]|| is compared
-    against tol scaled by (1 + ||v||_inf).
+    against tol scaled by (1 + ||v||_inf). NotFinite on a NaN or an infinite
+    entry.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionMismatch(f"cone_position needs a nonempty vector, got shape {v.shape}")
-    peak = float(np.abs(v).max())
-    if peak <= tol:
-        return ConePosition.ZERO
-    margin = float(v[0]) - float(np.linalg.norm(v[1:]))
-    band = tol * (1.0 + peak)
-    if margin > band:
-        return ConePosition.INTERIOR
-    if abs(margin) <= band and v[0] > tol:
-        return ConePosition.BOUNDARY_NONZERO
-    return ConePosition.OUTSIDE
+    return POSITIONS[_position_codes(v[None], tol)[0]]
 
 
 def primal_residual(problem: SocoProblem, sol: SocoSolution) -> float:

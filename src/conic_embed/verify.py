@@ -19,6 +19,8 @@ from .sdo import SdoProblem, SdoSolution, Side, sdo_dual_residual, sdo_primal_re
 from .soco import (
     SocoProblem,
     SocoSolution,
+    _jordan_rows,
+    _row_dots,
     arrow_head,
     jordan_product,
 )
@@ -99,13 +101,20 @@ def check_admissibility(
     sol.validate_against(problem)
     sdo_sol.validate_against(sdo_problem)
 
-    cx = sum(float(c @ x) for c, x in zip(problem.c_blocks, sol.x_blocks))
+    # per-cone terms, the cones of one size at once; c^T x is summed in cone
+    # order, as a sum of per-cone dot products
+    layout = problem.layout
+    x, s = np.concatenate(sol.x_blocks), np.concatenate(sol.s_blocks)
+    c = np.concatenate(problem.c_blocks)
+    dots = np.empty(problem.r)
+    comp = 0.0
+    for g in layout.groups:
+        xg = x[g.at]
+        dots[g.ids] = _row_dots(c[g.at], xg)
+        comp = max(comp, float(np.abs(_jordan_rows(xg, s[g.at])).max()))
+    cx = sum(dots.tolist())
     by_soco = float(problem.b @ sol.y)
     by_sdo = float(sdo_problem.b @ sdo_sol.y)
-    comp = max(
-        float(np.abs(jordan_product(x, s)).max())
-        for x, s in zip(sol.x_blocks, sol.s_blocks)
-    )
     xs = sdo_sol.X.a @ sdo_sol.S.a
     return AdmissibilityReport(
         primal_residual=sdo_primal_residual(sdo_problem, sdo_sol),

@@ -251,6 +251,38 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error:") and "--direction" in err
 
+    def test_missing_mapped_file(self, tmp_path, capsys):
+        prob, sol = gen(capsys, tmp_path)
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "verify", "--side", "dual", "--problem", prob,
+                             "--solution", sol, "--mapped", missing)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_missing_problem_file(self, tmp_path, capsys):
+        _, sol = gen(capsys, tmp_path)
+        missing = tmp_path / "missing.json"
+        code, _, err = run(capsys, "classify", "--problem", missing, "--solution", sol)
+        assert code == 1
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        prob, _ = gen(capsys, tmp_path)
+        code, out, err = run(capsys, "embed", "--side", "dual", "--in", prob,
+                             "--out", tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_input_not_text(self, tmp_path, capsys):
+        prob = tmp_path / "prob.json"
+        prob.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "embed", "--side", "dual", "--in", prob,
+                           "--out", tmp_path / "sdo.json")
+        assert code == 1
+        assert err == f"error: {prob}: not UTF-8 text\n"
+
     def test_gap_instance_fails_classification(self, tmp_path, capsys):
         prob, sol = gen(capsys, tmp_path, cones="3", labels="B", m=2, seed=1, gap=0.25)
         code, _, err = run(capsys, "classify", "--problem", prob, "--solution", sol)

@@ -8,6 +8,7 @@ from conic_embed import (
     DimensionMismatch,
     FullRank,
     NotArrowHead,
+    NotFinite,
     NotInterior,
     NotPSD,
     OutsideCone,
@@ -323,6 +324,12 @@ class TestFullRankMap:
 
 
 class TestMapBlock:
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 1.0], [2.0, 1.0, -np.inf]])
+    def test_rejects_non_finite(self, x):
+        for choice in (RankOne(), SimZhao(), FullRank()):
+            with pytest.raises(NotFinite):
+                map_block(x, choice)
+
     def test_one_dimensional_collapse(self):
         x = np.array([2.0])
         for choice in (RankOne(), SimZhao(), RankK(1), FullRank()):

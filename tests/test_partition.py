@@ -10,6 +10,7 @@ from conic_embed import (
     LabelMismatch,
     MissingSolutionPart,
     NotComplementary,
+    NotFinite,
     NotPSD,
     OutsideCone,
     SdoPartition,
@@ -101,6 +102,11 @@ class TestArrowheadEigensystem:
         assert np.allclose(dec.eigenvectors[:, 0], [inv, -inv, 0.0], atol=1e-15)
         assert np.allclose(dec.eigenvectors[:, 2], [inv, inv, 0.0], atol=1e-15)
         assert abs(dec.eigenvectors[0, 1]) < 1e-15
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, np.nan, 0.0], [np.nan]])
+    def test_rejects_non_finite(self, v):
+        with pytest.raises(NotFinite):
+            arrowhead_eigensystem(v)
 
     def test_zero_tail_degenerates_to_standard_basis(self):
         dec = arrowhead_eigensystem(np.array([3.0, 0.0, 0.0]))

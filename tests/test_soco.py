@@ -346,6 +346,25 @@ class TestNonFiniteRejected:
         with pytest.raises(NotFinite, match="^" + re.escape(field) + " holds"):
             SocoSolution(**parts)
 
+    def test_solution_names_the_first_bad_block(self):
+        # a non-finite block before a block that is not a vector is named first
+        with pytest.raises(NotFinite, match=re.escape("x_blocks[0]")):
+            SocoSolution(x_blocks=[np.array([np.nan, 0.0]), np.ones((2, 2))])
+        with pytest.raises(DimensionMismatch, match=re.escape("x_blocks[1]")):
+            SocoSolution(x_blocks=[np.array([1.0, 0.0]), np.ones((2, 2)), np.array([np.inf])])
+
+    @pytest.mark.parametrize("v", [[np.inf, 0.0], [np.nan, 0.0], [1.0, -np.inf], [np.inf, np.inf]])
+    def test_cone_position(self, v):
+        with pytest.raises(NotFinite):
+            cone_position(v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_jordan_product(self, bad):
+        with pytest.raises(NotFinite):
+            jordan_product([1.0, bad], [1.0, 0.0])
+        with pytest.raises(NotFinite):
+            jordan_product([1.0, 0.0], [bad, 0.0])
+
 
 class TestResiduals:
     def test_primal_residual_oracle(self):

@@ -17,6 +17,7 @@ from conic_embed import (
     FullRank,
     InconsistentDual,
     InconsistentPair,
+    NotArrowHead,
     NotInterior,
     NotPSD,
     OutsideCone,
@@ -27,9 +28,8 @@ from conic_embed import (
     Side,
     SimZhao,
     SocoSolution,
+    SymMatrix,
     TemplateViolation,
-    block_arrow_head,
-    block_arrow_head_inv,
     block_diag,
     cone_position,
     generate_instance,
@@ -40,6 +40,7 @@ from conic_embed import (
 )
 from conic_embed.embed_dual import per_cone_choices
 from conic_embed.linalg import _two_level_eigensystem
+from conic_embed.soco import _arrow_head_vector
 
 LABELS_1D = ("B", "N", "T1")
 LABELS_ANY = ("B", "N", "R", "T1", "T2", "T3")
@@ -214,6 +215,33 @@ def _ref_each_cone(fn, *columns):
     return out
 
 
+def ref_block_arrow_head(blocks) -> SymMatrix:
+    """block_arrow_head written one block at a time."""
+    layout = BlockLayout.from_dims([len(v) for v in blocks])
+    m = np.zeros((layout.total, layout.total))
+    for i, v in enumerate(blocks):
+        sl = layout.block_slice(i)
+        block = np.zeros((len(v), len(v)))
+        block[0, :] = block[:, 0] = v
+        block[np.arange(1, len(v)), np.arange(1, len(v))] = v[0]
+        m[sl, sl] = block
+    return SymMatrix(m)
+
+
+def ref_block_arrow_head_inv(m, layout, tol=1e-8):
+    """block_arrow_head_inv checked one block at a time: the worst off-block
+    entry first, then the first block off the arrow-head form."""
+    stray = 0.0
+    for i in range(len(layout.dims)):
+        end = layout.block_slice(i).stop
+        if end < layout.total:
+            stray = max(stray, float(np.abs(m.a[layout.block_slice(i), end:]).max()))
+    if stray > tol:
+        raise NotArrowHead(stray, "off-block entry")
+    return tuple(_arrow_head_vector(m.a[sl, sl], tol)
+                 for sl in map(layout.block_slice, range(len(layout.dims))))
+
+
 def ref_map_solution_dual(problem, sol, spec, tol=1e-8):
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
@@ -223,7 +251,7 @@ def ref_map_solution_dual(problem, sol, spec, tol=1e-8):
     S = None
     if sol.s_blocks is not None:
         _ref_each_cone(lambda s: _ref_require_in_cone(s, tol), sol.s_blocks)
-        S = block_arrow_head(sol.s_blocks)
+        S = ref_block_arrow_head(sol.s_blocks)
     y = sol.y.copy() if sol.y is not None else None
     return SdoSolution(X=X, y=y, S=S)
 
@@ -243,7 +271,7 @@ def ref_inverse_map_dual(meta, sol, tol=1e-8):
         x_blocks = tuple(ref_extract_block_vector(sol.X, layout, i) for i in range(len(layout.dims)))
     s_blocks = None
     if sol.S is not None:
-        s_blocks = block_arrow_head_inv(sol.S, layout, tol)
+        s_blocks = ref_block_arrow_head_inv(sol.S, layout, tol)
     y = sol.y.copy() if sol.y is not None else None
     return SocoSolution(x_blocks=x_blocks, y=y, s_blocks=s_blocks)
 
@@ -276,7 +304,7 @@ def ref_map_solution_primal(problem, sol, spec, tol=1e-8):
     X = None
     if sol.x_blocks is not None:
         _ref_each_cone(lambda x: _ref_require_in_cone(x, tol), sol.x_blocks)
-        X = block_arrow_head(sol.x_blocks)
+        X = ref_block_arrow_head(sol.x_blocks)
     S = None
     y_full = None
     if sol.s_blocks is not None:
@@ -291,7 +319,7 @@ def ref_inverse_map_primal(problem, sol, tol=1e-8):
     layout = BlockLayout.from_dims(problem.cone_dims)
     x_blocks = None
     if sol.X is not None:
-        x_blocks = block_arrow_head_inv(sol.X, layout, tol)
+        x_blocks = ref_block_arrow_head_inv(sol.X, layout, tol)
     v = None
     if sol.y is not None:
         v = sol.y[: problem.m].copy()

@@ -207,6 +207,19 @@ def proper_choices(problem, sol, side):
     return choices
 
 
+def check_optimal_pair(inst, rng):
+    """Labels, both sides' partition bases, and the one, simzhao and proper
+    transports of a generated optimal pair."""
+    problem, sol = inst.problem, inst.solution
+    assert classify_cones(problem, sol) == ref_classify_cones(problem, sol)
+    for side in (Side.DUAL, Side.PRIMAL):
+        got = map_partition(problem, sol, inst.labels, side)
+        want = ref_map_partition(problem, sol, inst.labels, side)
+        assert [bits(b) for b in (got.basis_b, got.basis_n, got.basis_t)] == list(map(bits, want))
+        for spec in (RankOne(), SimZhao(), proper_choices(problem, sol, side)):
+            check_side(problem, sol, spec, side, rng)
+
+
 class TestMatchesPerConeReference:
     @settings(deadline=None, max_examples=150)
     @given(cone_case())
@@ -236,16 +249,7 @@ class TestMatchesPerConeReference:
         # complementary pairs: every label, boundary vectors exactly placed
         rng = np.random.default_rng(seed)
         labels = [str(rng.choice(LABELS_1D if n == 1 else LABELS_ANY)) for n in dims]
-        inst = generate_instance(dims, labels, m=int(rng.integers(1, 5)), seed=seed)
-        problem, sol = inst.problem, inst.solution
-        assert classify_cones(problem, sol) == ref_classify_cones(problem, sol)
-        for side in (Side.DUAL, Side.PRIMAL):
-            got = map_partition(problem, sol, inst.labels, side)
-            want = ref_map_partition(problem, sol, inst.labels, side)
-            assert [bits(b) for b in (got.basis_b, got.basis_n, got.basis_t)] == list(map(bits, want))
-            for spec in (RankOne(), SimZhao(), proper_choices(problem, sol, side)):
-                check_side(problem, sol, spec, side, rng)
-
+        check_optimal_pair(generate_instance(dims, labels, m=int(rng.integers(1, 5)), seed=seed), rng)
 
     @pytest.mark.parametrize("dims", [(16, 9, 48, 16), (4,) * 24, (48, 48), (16, 1, 16, 12)])
     def test_large_cones(self, dims):
@@ -254,21 +258,14 @@ class TestMatchesPerConeReference:
         rng = np.random.default_rng(sum(dims))
         labels = [LABELS_ANY[i % 6] if n > 1 else "B" for i, n in enumerate(dims)]
         inst = generate_instance(dims, labels, m=6, seed=len(dims))
+        check_optimal_pair(inst, rng)
         problem, sol = inst.problem, inst.solution
-        assert classify_cones(problem, sol) == ref_classify_cones(problem, sol)
-        for side in (Side.DUAL, Side.PRIMAL):
-            got = map_partition(problem, sol, inst.labels, side)
-            want = ref_map_partition(problem, sol, inst.labels, side)
-            assert [bits(b) for b in (got.basis_b, got.basis_n, got.basis_t)] == list(map(bits, want))
-            for spec in (RankOne(), SimZhao(), proper_choices(problem, sol, side)):
-                check_side(problem, sol, spec, side, rng)
         interior = SocoSolution(
             tuple(cone_vector(rng, n, "interior") for n in dims), sol.y,
             tuple(cone_vector(rng, n, "interior") for n in dims),
         )
         check_case(problem, interior, tuple(RankK(max(2, n // 2)) if n > 1 else RankOne()
                                             for n in dims), rng)
-
 
     def test_many_cones_every_theta(self):
         # theta and the bump round differently from the per-cone path on
@@ -286,7 +283,6 @@ class TestMatchesPerConeReference:
             for fn, ref in ((map_solution_dual, ref_map_solution_dual),
                             (map_solution_primal, ref_map_solution_primal)):
                 assert sdo_bits(fn(problem, sol, spec)) == sdo_bits(ref(problem, sol, spec))
-
 
     def test_theta_rounds_as_per_cone(self):
         # (x1 + rho)^2 is Python's float power, which rounds differently from

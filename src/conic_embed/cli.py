@@ -16,16 +16,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import io
-from .embed_dual import (
+from .embed import (
     FullRank,
     RankK,
     RankOne,
     SimZhao,
     build_dual_embedding,
-    inverse_map_dual,
-    map_solution_dual,
+    build_primal_embedding,
+    inverse_map,
+    map_solution,
 )
-from .embed_primal import build_primal_embedding, inverse_map_primal, map_solution_primal
 from .errors import ConicEmbedError
 from .linalg import DEFAULT_TOL
 from .partition import (
@@ -93,12 +93,14 @@ def _side(args) -> Side:
 
 def cmd_embed(args) -> int:
     problem = io.load_problem(getattr(args, "in"))
+    if args.split_blocks and not args.sdpa:
+        raise ConicEmbedError("--split-blocks only affects --sdpa output")
     sdo = _build(problem, _side(args))
-    io.save_sdo_problem(sdo, args.out)
+    # export_sdpa refuses a split it cannot make before it writes, so a
+    # refused command leaves no --out file behind
     if args.sdpa:
         io.export_sdpa(sdo, args.sdpa, split_blocks=args.split_blocks)
-    elif args.split_blocks:
-        raise ConicEmbedError("--split-blocks only affects --sdpa output")
+    io.save_sdo_problem(sdo, args.out)
     print(f"embedded {len(problem.cone_dims)} cone(s), dim {problem.total_dim} "
           f"-> {sdo.dim}x{sdo.dim} with {sdo.num_constraints} constraints")
     return 0
@@ -110,8 +112,7 @@ def cmd_map(args) -> int:
     sol = io.load_solution(args.solution, problem)
     spec = _parse_rank(args.rank, problem.r)
     side = _side(args)
-    transport = map_solution_dual if side is Side.DUAL else map_solution_primal
-    mapped = transport(problem, sol, spec, tol=tol)
+    mapped = map_solution(problem, sol, side, spec, tol=tol)
     io.save_sdo_solution(mapped, args.out, meta=EmbeddingMeta(side, problem.cone_dims, problem.m))
     parts = [p for p, v in (("X", mapped.X), ("y", mapped.y), ("S", mapped.S)) if v is not None]
     print(f"mapped {'/'.join(parts)} to {args.out}")
@@ -123,10 +124,7 @@ def cmd_inverse(args) -> int:
     problem = io.load_problem(args.problem)
     sdo = _build(problem, _side(args))
     mapped = io.load_sdo_solution(args.sdo_solution, sdo)
-    if _side(args) is Side.DUAL:
-        sol = inverse_map_dual(sdo.meta, mapped, tol=tol)
-    else:
-        sol = inverse_map_primal(problem, mapped, tol=tol)
+    sol = inverse_map(sdo.meta, mapped, tol=tol, problem=problem)
     io.save_solution(sol, args.out)
     parts = [p for p, v in (("x", sol.x_blocks), ("y", sol.y), ("s", sol.s_blocks)) if v is not None]
     print(f"recovered {'/'.join(parts)} to {args.out}")

@@ -1,5 +1,18 @@
-"""Dual-side embedding: arrow-head images of the problem data plus one per-cone
-solution transport of selectable rank.
+"""Both embeddings of a SOCO problem into an SDO problem, and the solution
+transport between them in both directions.
+
+Each side's embedding lifts one of (x, s) by a theta-block and carries the
+other as its block arrow-head:
+- dual side: the data become arrow-head matrices, b is unchanged; x is lifted
+  and s is carried; the embedded dual vector is y;
+- primal side: the data rows spread each leading coefficient over the block
+  diagonal (scale 1/n_i) and halve the off-leading coefficients, so Tr of a
+  row against an arrow-head X reproduces the original inner product.
+  Structural rows then force X's off-arrow entries to zero and tie every
+  non-leading diagonal entry to its block's leading one; which entries they
+  pin follows from the cone dimensions alone (BlockLayout.pins). s is lifted
+  and x is carried; the embedded dual vector is (y | w | u): the original
+  multipliers, one w per pinned pair, one u per tied diagonal, in that order.
 
 A cone vector x with x1 >= ||x[1:]|| lifts to a PSD block M constrained by
 sum(diag(M)) = x1 and M[0, j] = x_j / 2. Those two conditions leave rank
@@ -14,12 +27,12 @@ leaves over:
 A one-dimensional cone has no rank freedom and maps to [[x1]] under every
 choice (FullRank only on interior x1); the origin maps to the zero block.
 
-One kernel makes every transported block, map_block's and both sides' map
-alike (_transport): it checks each cone's choice against its position in a
-plain loop, in cone order, so that the first failing cone raises, and then
-builds the theta-blocks of all cones of one size as one (k, n, n) stack,
-scattered into the assembled matrix at once. The inverse reads the traces
-and first rows of all blocks of one size the same way.
+One kernel makes every lifted block, map_block's and map_solution's on both
+sides alike (_transport): it checks each cone's choice against its position
+in a plain loop, in cone order, so that the first failing cone raises, and
+then builds the theta-blocks of all cones of one size as one (k, n, n) stack,
+scattered into the assembled matrix at once. inverse_map reads the traces and
+first rows of all lifted blocks of one size the same way.
 """
 
 from __future__ import annotations
@@ -33,10 +46,12 @@ import numpy as np
 from .errors import (
     BadSubset,
     DimensionMismatch,
+    InconsistentDual,
     NotInterior,
     NotPSD,
     OutsideCone,
     ProvenanceMismatch,
+    TemplateViolation,
 )
 from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, _require_finite, psd_status
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
@@ -119,6 +134,35 @@ def build_dual_embedding(problem: SocoProblem) -> SdoProblem:
     )
     meta = EmbeddingMeta(Side.DUAL, problem.cone_dims, m_original=problem.m)
     return SdoProblem(layout.total, C, rows, problem.b, meta)
+
+
+def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
+    """Scaled data rows, then pinned-pair rows, then tied-diagonal rows.
+
+    Row order: the m data rows; one row per zero pair, lexicographic; one row
+    per tied diagonal, ascending. b is zero-padded to match.
+    """
+    layout = problem.layout
+    m = problem.m
+    pairs, tied = layout.pins()
+    scale = (layout.dims, 2.0)  # divisors of each block's head and tail
+    C = _arrow_head_matrix(layout, problem.c_blocks, *scale)
+    row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, *scale)
+    # a tied row holds +1 at its block's leading diagonal and -1 at its own
+    lead_tied = np.stack((np.asarray(layout.offsets)[layout.cone_ids[tied]], tied), axis=1).ravel()
+    n_pairs, n_tied = len(pairs), len(tied)
+    rows = SparseRows(
+        layout.total,
+        m + n_pairs + n_tied,
+        np.concatenate(
+            (row, m + np.arange(n_pairs), m + n_pairs + np.repeat(np.arange(n_tied), 2))
+        ),
+        np.concatenate((i, pairs[:, 0], lead_tied)),
+        np.concatenate((j, pairs[:, 1], lead_tied)),
+        np.concatenate((v, np.ones(n_pairs), np.tile([1.0, -1.0], n_tied))),
+    )
+    b = np.concatenate([problem.b, np.zeros(n_pairs + n_tied)])
+    return SdoProblem(layout.total, C, rows, b, EmbeddingMeta(Side.PRIMAL, problem.cone_dims, m))
 
 
 def _theta_one(head: float, tt: float) -> float:
@@ -305,59 +349,126 @@ def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
     return _transport(BlockLayout.from_dims(x.shape), x, (choice,), tol, name_cones=False)
 
 
-def map_solution_dual(
+def map_solution(
     problem: SocoProblem,
     sol: SocoSolution,
+    side: Side,
     spec: RankSpecLike = RankOne(),
     tol: float = DEFAULT_TOL,
 ) -> SdoSolution:
-    """Transport a cone solution into the dual-side embedded problem.
+    """Transport a cone solution into the side's embedded problem.
 
-    x blocks go through the chosen per-cone transports, y is carried verbatim,
-    s blocks become their block-diagonal arrow-head. Absent parts stay absent.
+    The lifted blocks (x on the dual side, s on the primal side) go through
+    the chosen per-cone transports, the other blocks become their block
+    arrow-head; x's image is made first, so that its error wins. The dual
+    vector is y on the dual side and (y | w | u) on the primal side, with
+    (u, w) read out of the lifted slack matrix; there it needs both y and s.
+    Absent parts stay absent.
     """
+    if side not in (Side.DUAL, Side.PRIMAL):
+        raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
     layout = problem.layout
-    X = None
-    if sol.x_blocks is not None:
-        X = _transport(layout, np.concatenate(sol.x_blocks), choices, tol)
-    S = None
-    if sol.s_blocks is not None:
-        S = _arrow_head_side(layout, sol.s_blocks, tol)
-    y = sol.y.copy() if sol.y is not None else None
+
+    def lift(blocks):
+        return _transport(layout, np.concatenate(blocks), choices, tol)
+
+    def carry(blocks):
+        return _arrow_head_side(layout, blocks, tol)
+
+    x_image, s_image = (lift, carry) if side is Side.DUAL else (carry, lift)
+    X = None if sol.x_blocks is None else x_image(sol.x_blocks)
+    S = None if sol.s_blocks is None else s_image(sol.s_blocks)
+    y = None
+    if side is Side.DUAL:
+        y = None if sol.y is None else sol.y.copy()
+    elif sol.y is not None and S is not None:
+        u, w = _recover_uw(S, np.concatenate(sol.s_blocks), layout, tol)
+        y = np.concatenate((sol.y, w, u))
     return SdoSolution(X=X, y=y, S=S)
 
 
-def inverse_map_dual(
+def inverse_map(
     meta: EmbeddingMeta,
     sol: SdoSolution,
     tol: float = DEFAULT_TOL,
+    problem: Optional[SocoProblem] = None,
 ) -> SocoSolution:
-    """Pull an SDO solution for a dual-side embedding back to cone vectors.
+    """Pull an SDO solution of the embedding that meta describes back to cone
+    vectors.
 
-    Per block: x1 = block trace, x_j = 2 X[lead, lead + j - 1]; S must be
-    block-diagonal arrow-head; y passes through. X must be PSD within tol.
+    The lifted matrix (X on the dual side, S on the primal side) must be PSD
+    within tol and gives per block x1 = block trace, x_j = 2 M[lead, lead + j - 1];
+    the other must be block arrow-head within tol and inverts blockwise. y must
+    have the embedding's row count: m on the dual side, m + N(N-1)/2 on the
+    primal side for total cone dimension N; its first m entries are the
+    original multipliers. Given the problem, s read from S is cross-checked
+    against c - A^T y (InconsistentDual on disagreement), and s is derived
+    from y when S is absent. Checks run on X, then y, then S.
     """
-    if meta.side is not Side.DUAL:
-        raise ProvenanceMismatch(f"expected a dual-side embedding, got {meta.side.value}")
+    if meta.side not in (Side.DUAL, Side.PRIMAL):
+        raise ProvenanceMismatch(f"expected a dual- or primal-side embedding, got {meta.side.value}")
     if meta.cone_dims is None:
         raise ProvenanceMismatch("embedding meta lacks cone dimensions")
-    layout = meta._layout
-    x_blocks = None
+    if problem is None:
+        layout = meta._layout
+    elif (problem.cone_dims, problem.m) != (meta.cone_dims, meta.m_original):
+        raise ProvenanceMismatch(
+            f"problem with cones {problem.cone_dims} and {problem.m} rows does not match "
+            f"the embedding of cones {meta.cone_dims} and {meta.m_original} rows"
+        )
+    else:
+        layout = problem.layout
+    dual = meta.side is Side.DUAL
+    x = None
     if sol.X is not None:
-        if sol.X.dim != layout.total:
-            raise DimensionMismatch(f"X has dim {sol.X.dim}, expected {layout.total}")
-        if psd_status(sol.X, tol) is PsdStatus.INDEFINITE:
-            raise NotPSD("X is indefinite beyond tolerance")
-        x_blocks = layout.split(_block_vectors(sol.X.a, layout))
-    s_blocks = None
+        x = _read_cone_vector(sol.X, "X", layout, dual, tol)
+    v = None
+    if sol.y is not None:
+        rows = meta.m_original + (0 if dual else layout.total * (layout.total - 1) // 2)
+        if sol.y.shape[0] != rows:
+            raise DimensionMismatch(f"y has length {sol.y.shape[0]}, expected {rows}")
+        v = sol.y[: meta.m_original].copy()
+    s = None
     if sol.S is not None:
-        if sol.S.dim != layout.total:
-            raise DimensionMismatch(f"S has dim {sol.S.dim}, expected {layout.total}")
-        s_blocks = block_arrow_head_inv(sol.S, layout, tol)
-    y = sol.y.copy() if sol.y is not None else None
-    return SocoSolution(x_blocks=x_blocks, y=y, s_blocks=s_blocks)
+        alt = None if v is None or problem is None else _slack(problem, v)
+        s = _read_cone_vector(sol.S, "S", layout, not dual, tol, alt)
+    elif v is not None and problem is not None:
+        s = _slack(problem, v)
+    return SocoSolution(
+        x_blocks=None if x is None else layout.split(x),
+        y=v,
+        s_blocks=None if s is None else layout.split(s),
+    )
+
+
+def _read_cone_vector(
+    M: SymMatrix, name: str, layout: BlockLayout, lifted: bool, tol: float,
+    alt: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The concatenated cone vector behind one side of an embedded solution:
+    (block trace; 2 * first block row) of a lifted matrix, the block
+    arrow-head inverse of the other. When alt is given, the vector must match
+    it within tol, scaled by alt's magnitude per cone, else InconsistentDual
+    names the first cone off. Then a lifted matrix must be PSD within tol."""
+    if M.dim != layout.total:
+        raise DimensionMismatch(f"{name} has dim {M.dim}, expected {layout.total}")
+    if lifted:
+        out = _block_vectors(M.a, layout)
+    else:
+        out = np.concatenate(block_arrow_head_inv(M, layout, tol))
+    if alt is not None:
+        dev = layout.cone_max(np.abs(out - alt))
+        bad = np.flatnonzero(dev > tol * (1.0 + layout.cone_max(np.abs(alt))))
+        if bad.size:
+            i = int(bad[0])
+            raise InconsistentDual(
+                f"slack block {i} read from S deviates from c - A^T v by {dev[i]:.3e}"
+            )
+    if lifted and psd_status(M, tol) is PsdStatus.INDEFINITE:
+        raise NotPSD(f"{name} is indefinite beyond tolerance")
+    return out
 
 
 def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
@@ -372,3 +483,67 @@ def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
 def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarray:
     """Read (block trace; 2 * first block row) out of one diagonal block of X."""
     return _block_vectors(X.a, layout)[layout.block_slice(i)]
+
+
+def recover_uw(
+    S: SymMatrix,
+    s_blocks: Sequence[np.ndarray],
+    cone_dims: Sequence[int],
+    tol: float = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read the structural multipliers (u, w) out of a slack matrix, aligned
+    with the tied diagonals and pinned pairs of BlockLayout.pins.
+
+    u_k = S[k, k] - s1_i / n_i for each tied diagonal k of block i;
+    w_hl = -S[h, l] for each pinned pair. The block template (block trace
+    equals s1, first block row equals s[1:] / 2) is verified within tol scaled
+    by the block magnitude; violations raise TemplateViolation.
+    """
+    layout = BlockLayout.from_dims(cone_dims)
+    if S.dim != layout.total:
+        raise DimensionMismatch(f"S has dim {S.dim}, expected {layout.total}")
+    s = [np.asarray(v, dtype=float) for v in s_blocks]
+    if tuple(v.shape for v in s) != tuple((n,) for n in layout.dims):
+        raise DimensionMismatch(f"slack blocks do not match the cone dimensions {layout.dims}")
+    return _recover_uw(S, np.concatenate(s), layout, tol)
+
+
+def _recover_uw(
+    S: SymMatrix, s: np.ndarray, layout: BlockLayout, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """recover_uw on the concatenated slack vector s, for an S of the
+    layout's size. The template of every block is checked, the blocks of one
+    size at once; the first block that fails, in cone order, raises, its trace
+    before its first row."""
+    traces, rows = layout.lead_rows(S.a)
+    heads = s[list(layout.offsets)]
+    band = tol * (1.0 + layout.cone_max(np.abs(s)))
+    dev = np.abs(rows - s / 2.0)
+    dev[list(layout.offsets)] = 0.0  # the first row's lead entry is checked in the trace
+    row_dev = layout.cone_max(dev)
+    trace_dev = np.abs(traces - heads)
+    bad = np.flatnonzero((trace_dev > band) | (row_dev > band))
+    if bad.size:
+        i = int(bad[0])
+        if trace_dev[i] > band[i]:
+            raise TemplateViolation(f"block {i} trace deviates from s1 by {trace_dev[i]:.3e}")
+        raise TemplateViolation(f"block {i} first row deviates from s/2 by {row_dev[i]:.3e}")
+    pairs, tied = layout.pins()
+    tied_cone = layout.cone_ids[tied]
+    u = S.a[tied, tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
+    w = -S.a[pairs[:, 0], pairs[:, 1]]
+    return u, w
+
+
+def _slack(problem: SocoProblem, v: np.ndarray) -> np.ndarray:
+    """c - A^T v, concatenated in cone order. The A blocks of one size are
+    stacked, and each block's product is the same matrix-vector product, with
+    the same bits, as A_i^T v alone; a product with the concatenated A rounds
+    differently."""
+    layout = problem.layout
+    out = np.empty(layout.total)
+    for g in layout.groups:
+        A = np.stack([problem.A_blocks[i] for i in g.ids.tolist()])
+        out[g.at] = np.stack([problem.c_blocks[i] for i in g.ids.tolist()]) \
+            - A.transpose(0, 2, 1) @ v
+    return out

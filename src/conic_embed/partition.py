@@ -49,8 +49,7 @@ from .soco import (
     _jordan_rows,
     _row_dots,
 )
-from .embed_dual import FullRank, RankOne, SimZhao, map_solution_dual
-from .embed_primal import map_solution_primal
+from .embed import FullRank, RankOne, SimZhao, map_solution
 
 
 class ConeLabel(Enum):
@@ -341,9 +340,7 @@ def proper_map_solution(
     inside = SimZhao() if interior == "simzhao" else FullRank()
     codes = _cone_positions(problem.layout, np.concatenate(blocks), tol)
     choices = [inside if pos == INTERIOR else RankOne() for pos in codes]
-    if side is Side.DUAL:
-        return map_solution_dual(problem, sol, choices, tol)
-    return map_solution_primal(problem, sol, choices, tol)
+    return map_solution(problem, sol, side, choices, tol)
 
 
 def max_principal_angle(u: np.ndarray, v: np.ndarray) -> float:

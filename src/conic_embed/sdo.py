@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart
-from .linalg import SparseRows, SymMatrix, trace_inner
+from .linalg import SparseRows, SymMatrix, _require_finite, trace_inner
 from .soco import BlockLayout
 
 
@@ -99,6 +99,7 @@ class SdoProblem:
             raise DimensionMismatch(
                 f"b has shape {b.shape}, expected ({len(self.constraints)},)"
             )
+        _require_finite(b, "b")
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
@@ -118,6 +119,7 @@ class SdoSolution:
             y = np.array(self.y, dtype=float)
             if y.ndim != 1:
                 raise DimensionMismatch(f"y must be a vector, got shape {y.shape}")
+            _require_finite(y, "y")
             y.setflags(write=False)
             object.__setattr__(self, "y", y)
 

@@ -38,7 +38,7 @@ from conic_embed import (
     sdo_primal_residual,
     trace_inner,
 )
-from conic_embed.embed_dual import per_cone_choices
+from conic_embed.embed import per_cone_choices
 from conic_embed.linalg import _two_level_eigensystem
 from conic_embed.soco import _arrow_head_vector
 

@@ -30,13 +30,11 @@ from conic_embed import (
     eigh,
     example1_counterexample,
     generate_instance,
-    inverse_map_dual,
-    inverse_map_primal,
+    inverse_map,
     jordan_product,
     map_block,
     map_partition,
-    map_solution_dual,
-    map_solution_primal,
+    map_solution,
     max_principal_angle,
     numeric_rank,
     proper_map_solution,
@@ -68,9 +66,7 @@ def _build(problem, side):
 
 
 def _map(problem, sol, spec, side, tol=1e-8):
-    if side is Side.DUAL:
-        return map_solution_dual(problem, sol, spec, tol=tol)
-    return map_solution_primal(problem, sol, spec, tol=tol)
+    return map_solution(problem, sol, side, spec, tol=tol)
 
 
 def test_admissibility_suite_within_tolerance_and_budget():
@@ -201,10 +197,7 @@ def test_inverse_map_recovers_every_corpus_solution():
             sdo = _build(inst.problem, side)
             for _, spec in legal_rank_specs(inst, side):
                 mapped = _map(inst.problem, inst.solution, spec, side)
-                if side is Side.DUAL:
-                    back = inverse_map_dual(sdo.meta, mapped)
-                else:
-                    back = inverse_map_primal(inst.problem, mapped)
+                back = inverse_map(sdo.meta, mapped, problem=inst.problem)
                 worst = max(
                     worst,
                     max_block_diff(back.x_blocks, inst.solution.x_blocks),

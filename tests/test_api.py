@@ -1,6 +1,10 @@
-"""The public surface: conic_embed.__all__ is sorted, unique and bound, and
-the names removed in favour of map_block, block_arrow_head and the io readers
-stay removed."""
+"""The public surface: conic_embed.__all__ is sorted, unique and bound, the
+names removed in favour of map_block, block_arrow_head and the io readers
+stay removed, and the side-specific transport names live only as package
+aliases outside __all__."""
+
+import importlib
+import pkgutil
 
 import conic_embed
 
@@ -13,6 +17,19 @@ REMOVED = (
     "flatten_blocks",
     "split_vector",
 )
+
+SIDE_ALIASES = (
+    "map_solution_dual",
+    "map_solution_primal",
+    "inverse_map_dual",
+    "inverse_map_primal",
+)
+
+
+def submodules():
+    # __main__ runs the command line when imported
+    return [importlib.import_module(f"conic_embed.{info.name}")
+            for info in pkgutil.iter_modules(conic_embed.__path__) if info.name != "__main__"]
 
 
 def test_all_is_sorted_and_unique():
@@ -27,9 +44,19 @@ def test_every_exported_name_is_bound():
 
 
 def test_removed_names_stay_removed():
-    from conic_embed import embed_dual, embed_primal, io
+    from conic_embed import embed, io
 
-    for module in (conic_embed, embed_dual, embed_primal, io):
+    for module in (conic_embed, embed, io):
         bound = [name for name in REMOVED if hasattr(module, name)]
         assert bound == [], module.__name__
     assert not set(REMOVED) & set(conic_embed.__all__)
+
+
+def test_side_aliases_only_in_the_package():
+    for name in SIDE_ALIASES:
+        assert getattr(conic_embed, name).__module__ == "conic_embed", name
+    assert not set(SIDE_ALIASES) & set(conic_embed.__all__)
+    for module in submodules():
+        bound = [name for name in SIDE_ALIASES if hasattr(module, name)]
+        assert bound == [], module.__name__
+    assert {"map_solution", "inverse_map"} <= set(conic_embed.__all__)

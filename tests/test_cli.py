@@ -215,6 +215,16 @@ class TestBadInput:
                            "--out", tmp_path / "sdo.json", "--split-blocks")
         assert code == 1
         assert "--sdpa" in err
+        assert not (tmp_path / "sdo.json").exists()
+
+    def test_split_refused_on_multi_cone_primal(self, tmp_path, capsys):
+        prob, _ = gen(capsys, tmp_path)
+        out, sdpa = tmp_path / "sdo.json", tmp_path / "sdo.dat-s"
+        code, _, err = run(capsys, "embed", "--side", "primal", "--in", prob,
+                           "--out", out, "--sdpa", sdpa, "--split-blocks")
+        assert code == 1
+        assert "not block-diagonal" in err
+        assert not out.exists() and not sdpa.exists()
 
     def test_malformed_sdo_solution(self, tmp_path, capsys):
         prob, sol = gen(capsys, tmp_path)

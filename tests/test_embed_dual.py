@@ -28,14 +28,13 @@ from conic_embed import (
     extract_block_vector,
     full_rank_factors,
     generate_instance,
-    inverse_map_dual,
+    inverse_map,
     map_block,
-    map_solution_dual,
-    map_solution_primal,
+    map_solution,
     numeric_rank,
     with_duality_gap,
 )
-from conic_embed.embed_dual import per_cone_choices
+from conic_embed.embed import per_cone_choices
 from conic_embed.soco import BlockLayout
 from conic_embed.sdo import Side
 
@@ -304,12 +303,12 @@ class TestFullRankMap:
     def test_dim_16_instance_admissible_on_both_sides(self):
         # x is interior (label B) and the gap shift makes s interior as well
         inst = with_duality_gap(generate_instance((16,), ("B",), m=3, seed=16), 0.5)
-        for side, build, transport, block in (
-            (Side.DUAL, build_dual_embedding, map_solution_dual, lambda sol: sol.X),
-            (Side.PRIMAL, build_primal_embedding, map_solution_primal, lambda sol: sol.S),
+        for side, build, block in (
+            (Side.DUAL, build_dual_embedding, lambda sol: sol.X),
+            (Side.PRIMAL, build_primal_embedding, lambda sol: sol.S),
         ):
             sdo = build(inst.problem)
-            mapped = transport(inst.problem, inst.solution, FullRank(), tol=1e-8)
+            mapped = map_solution(inst.problem, inst.solution, side, FullRank(), tol=1e-8)
             report = check_admissibility(inst.problem, inst.solution, sdo, mapped, tol=1e-8)
             assert report.passed, side
             assert numeric_rank(block(mapped)) == 16, side
@@ -344,7 +343,7 @@ class TestMapBlock:
             assert np.array_equal(map_block(np.array([0.0]), choice).a, [[0.0]])
         inst = generate_instance((1, 3), ("N", "B"), m=2, seed=9)
         with pytest.raises(NotInterior):
-            map_solution_dual(inst.problem, inst.solution, FullRank())
+            map_solution(inst.problem, inst.solution, Side.DUAL, FullRank())
 
     def test_rank_k_validation(self):
         x = np.array([2.0, 1.0, 0.0])
@@ -383,8 +382,8 @@ class TestOneMatrixCheckEach:
 
         monkeypatch.setattr(SymMatrix, "__init__", counting)
         for call, want in (
-            (lambda: map_solution_dual(inst.problem, inst.solution, SimZhao()), 2),
-            (lambda: map_solution_primal(inst.problem, inst.solution, SimZhao()), 2),
+            (lambda: map_solution(inst.problem, inst.solution, Side.DUAL, SimZhao()), 2),
+            (lambda: map_solution(inst.problem, inst.solution, Side.PRIMAL, SimZhao()), 2),
             (lambda: build_dual_embedding(inst.problem), 1),
             (lambda: build_primal_embedding(inst.problem), 1),
         ):
@@ -397,7 +396,7 @@ class TestMapSolutionDual:
     def test_block_structure(self):
         inst = generate_instance((3, 2), ("B", "R"), m=3, seed=30)
         sol = inst.solution
-        mapped = map_solution_dual(inst.problem, sol, [SimZhao(), RankOne()])
+        mapped = map_solution(inst.problem, sol, Side.DUAL, [SimZhao(), RankOne()])
         assert np.array_equal(mapped.y, sol.y)
         x0, x1 = sol.x_blocks
         assert np.array_equal(mapped.X.a[:3, :3], map_block(x0, SimZhao()).a)
@@ -408,10 +407,10 @@ class TestMapSolutionDual:
     def test_partial_solutions_stay_partial(self):
         inst = generate_instance((3,), ("B",), m=2, seed=31)
         only_x = SocoSolution(x_blocks=inst.solution.x_blocks)
-        mapped = map_solution_dual(inst.problem, only_x)
+        mapped = map_solution(inst.problem, only_x, Side.DUAL)
         assert mapped.X is not None and mapped.y is None and mapped.S is None
         only_y = SocoSolution(y=inst.solution.y)
-        mapped = map_solution_dual(inst.problem, only_y)
+        mapped = map_solution(inst.problem, only_y, Side.DUAL)
         assert mapped.X is None and mapped.S is None
         assert np.array_equal(mapped.y, inst.solution.y)
 
@@ -419,7 +418,7 @@ class TestMapSolutionDual:
         inst = generate_instance((3,), ("B",), m=2, seed=32)
         bad = SocoSolution(s_blocks=(np.array([-1.0, 0.0, 0.0]),))
         with pytest.raises(OutsideCone):
-            map_solution_dual(inst.problem, bad)
+            map_solution(inst.problem, bad, Side.DUAL)
 
 
 class TestTransportErrorsNameTheCone:
@@ -431,19 +430,19 @@ class TestTransportErrorsNameTheCone:
 
         inst = generate_instance((3, 1, 3), ("B", "N", "B"), m=2, seed=9)
         with pytest.raises(NotInterior, match=r"^cone 1: full-rank transport"):
-            map_solution_dual(inst.problem, inst.solution, FullRank())
+            map_solution(inst.problem, inst.solution, Side.DUAL, FullRank())
         # on the primal side the slacks are mapped: cone 0's is the origin
         with pytest.raises(NotInterior, match=r"^cone 0: "):
-            map_solution_primal(inst.problem, inst.solution, FullRank())
+            map_solution(inst.problem, inst.solution, Side.PRIMAL, FullRank())
         with pytest.raises(BadSubset, match=r"^cone 2: subset"):
-            map_solution_dual(inst.problem, inst.solution,
-                              (RankOne(), RankOne(), RankK(2, (5,))))
+            map_solution(inst.problem, inst.solution, Side.DUAL,
+                         (RankOne(), RankOne(), RankK(2, (5,))))
         outside = SocoSolution(x_blocks=inst.solution.x_blocks,
                                s_blocks=(np.zeros(3), np.ones(1), np.array([-1.0, 0.0, 0.0])))
         with pytest.raises(OutsideCone, match=r"^cone 2: vector"):
-            map_solution_dual(inst.problem, outside)
+            map_solution(inst.problem, outside, Side.DUAL)
         with pytest.raises(OutsideCone, match=r"^cone 2: vector"):
-            map_solution_primal(inst.problem, outside)
+            map_solution(inst.problem, outside, Side.PRIMAL)
         with pytest.raises(OutsideCone, match=r"^cone 2: vector"):
             proper_map_solution(inst.problem, outside, Side.PRIMAL)
 
@@ -453,8 +452,8 @@ class TestInverseMapDual:
         for inst in corpus(12, master_seed=77):
             sdo = build_dual_embedding(inst.problem)
             for name, spec in legal_rank_specs(inst, Side.DUAL):
-                mapped = map_solution_dual(inst.problem, inst.solution, spec)
-                back = inverse_map_dual(sdo.meta, mapped)
+                mapped = map_solution(inst.problem, inst.solution, Side.DUAL, spec)
+                back = inverse_map(sdo.meta, mapped)
                 assert max_block_diff(back.x_blocks, inst.solution.x_blocks) < 1e-12, name
                 assert max_block_diff(back.s_blocks, inst.solution.s_blocks) < 1e-12, name
                 assert np.array_equal(back.y, inst.solution.y)
@@ -481,7 +480,7 @@ class TestInverseMapDual:
         from conic_embed.sdo import GENERIC_META
 
         with pytest.raises(ProvenanceMismatch):
-            inverse_map_dual(GENERIC_META, make_sdo_solution())
+            inverse_map(GENERIC_META, make_sdo_solution())
 
     def test_rejects_indefinite_X(self):
         inst = generate_instance((3,), ("B",), m=2, seed=35)
@@ -490,18 +489,18 @@ class TestInverseMapDual:
         from conic_embed import SdoSolution
 
         with pytest.raises(NotPSD):
-            inverse_map_dual(sdo.meta, SdoSolution(X=bad))
+            inverse_map(sdo.meta, SdoSolution(X=bad))
 
     def test_rejects_off_block_slack(self):
         inst = generate_instance((2, 2), ("B", "N"), m=2, seed=36)
         sdo = build_dual_embedding(inst.problem)
-        mapped = map_solution_dual(inst.problem, inst.solution, SimZhao())
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, SimZhao())
         s = mapped.S.a.copy()
         s[0, 3] = s[3, 0] = 0.5
         from conic_embed import SdoSolution
 
         with pytest.raises(NotArrowHead) as exc:
-            inverse_map_dual(sdo.meta, SdoSolution(S=SymMatrix(s)))
+            inverse_map(sdo.meta, SdoSolution(S=SymMatrix(s)))
         assert exc.value.violation == 0.5
         assert str(exc.value).endswith("by 5.000e-01 at off-block entry")
 
@@ -511,7 +510,41 @@ class TestInverseMapDual:
         from conic_embed import SdoSolution
 
         with pytest.raises(DimensionMismatch):
-            inverse_map_dual(sdo.meta, SdoSolution(X=SymMatrix.identity(4)))
+            inverse_map(sdo.meta, SdoSolution(X=SymMatrix.identity(4)))
+
+    def test_y_must_have_m_entries(self):
+        inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
+        sdo = build_dual_embedding(inst.problem)
+        from conic_embed import SdoSolution
+
+        for length in (1, 4):
+            with pytest.raises(DimensionMismatch, match=f"y has length {length}, expected 2"):
+                inverse_map(sdo.meta, SdoSolution(y=np.zeros(length)))
+
+    def test_tampered_slack_is_inconsistent_given_the_problem(self):
+        inst = generate_instance((3,), ("N",), m=2, seed=55)
+        sdo = build_dual_embedding(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, SimZhao())
+        s = mapped.S.a.copy()
+        s[0, 1] += 0.2
+        s[1, 0] += 0.2
+        from conic_embed import InconsistentDual, SdoSolution
+
+        tampered = SdoSolution(X=mapped.X, y=mapped.y, S=SymMatrix(s))
+        with pytest.raises(InconsistentDual, match="^slack block 0 "):
+            inverse_map(sdo.meta, tampered, problem=inst.problem)
+        back = inverse_map(sdo.meta, tampered)  # nothing to check s against
+        assert back.s_blocks[0][1] == pytest.approx(inst.solution.s_blocks[0][1] + 0.2)
+
+    def test_slack_from_y_alone_given_the_problem(self):
+        inst = generate_instance((3, 2), ("B", "R"), m=3, seed=53)
+        sdo = build_dual_embedding(inst.problem)
+        from conic_embed import SdoSolution
+
+        only_y = SdoSolution(y=inst.solution.y)
+        assert inverse_map(sdo.meta, only_y).s_blocks is None
+        back = inverse_map(sdo.meta, only_y, problem=inst.problem)
+        assert max_block_diff(back.s_blocks, inst.solution.s_blocks) < 1e-12
 
 
 def make_sdo_solution():

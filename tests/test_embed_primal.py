@@ -19,17 +19,22 @@ from conic_embed import (
     block_arrow_head,
     build_primal_embedding,
     generate_instance,
-    inverse_map_primal,
+    inverse_map,
     map_block,
-    map_solution_primal,
+    map_solution,
     recover_uw,
     sdo_dual_residual,
     sdo_primal_residual,
 )
-from conic_embed.sdo import Side
+from conic_embed.sdo import EmbeddingMeta, Side
 from conic_embed.soco import BlockLayout
 
 from helpers import corpus, legal_rank_specs, max_block_diff
+
+
+def primal_inverse(problem, sol):
+    return inverse_map(EmbeddingMeta(Side.PRIMAL, problem.cone_dims, problem.m), sol,
+                       problem=problem)
 
 
 class TestStructuralIndex:
@@ -141,7 +146,7 @@ class TestBuildPrimalEmbedding:
         # Arw(x) of a feasible x satisfies every embedded row at zero residual
         for inst in corpus(8, master_seed=88):
             sdo = build_primal_embedding(inst.problem)
-            mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+            mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
             assert sdo_primal_residual(sdo, mapped) < 1e-12
 
 
@@ -184,14 +189,14 @@ class TestMapSolutionPrimal:
         for inst in corpus(8, master_seed=99):
             sdo = build_primal_embedding(inst.problem)
             for name, spec in legal_rank_specs(inst, Side.PRIMAL):
-                mapped = map_solution_primal(inst.problem, inst.solution, spec)
+                mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, spec)
                 assert mapped.y is not None
                 assert sdo_dual_residual(sdo, mapped) < 1e-11, name
 
     def test_split_alignment(self):
         inst = generate_instance((3, 2), ("R", "N"), m=2, seed=50)
         sdo = build_primal_embedding(inst.problem)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         u, w = recover_uw(mapped.S, inst.solution.s_blocks, inst.problem.cone_dims)
         assert len(w) == len(sdo.meta.zero_pairs)
         assert len(u) == len(sdo.meta.tied_diagonals)
@@ -200,7 +205,7 @@ class TestMapSolutionPrimal:
     def test_no_dual_without_y(self):
         inst = generate_instance((3,), ("N",), m=2, seed=51)
         sol = SocoSolution(s_blocks=inst.solution.s_blocks)
-        mapped = map_solution_primal(inst.problem, sol, SimZhao())
+        mapped = map_solution(inst.problem, sol, Side.PRIMAL, SimZhao())
         assert mapped.S is not None
         assert mapped.y is None
 
@@ -208,60 +213,74 @@ class TestMapSolutionPrimal:
         inst = generate_instance((3,), ("B",), m=2, seed=52)
         bad = SocoSolution(x_blocks=(np.array([0.0, 1.0, 0.0]),))
         with pytest.raises(OutsideCone):
-            map_solution_primal(inst.problem, bad)
+            map_solution(inst.problem, bad, Side.PRIMAL)
 
 
 class TestInverseMapPrimal:
     def test_round_trip_all_legal_specs(self):
         for inst in corpus(12, master_seed=111):
             for name, spec in legal_rank_specs(inst, Side.PRIMAL):
-                mapped = map_solution_primal(inst.problem, inst.solution, spec)
-                back = inverse_map_primal(inst.problem, mapped)
+                mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, spec)
+                back = primal_inverse(inst.problem, mapped)
                 assert max_block_diff(back.x_blocks, inst.solution.x_blocks) < 1e-12, name
                 assert max_block_diff(back.s_blocks, inst.solution.s_blocks) < 1e-12, name
                 assert np.abs(back.y - inst.solution.y).max() < 1e-15
 
     def test_slack_from_y_alone(self):
         inst = generate_instance((3, 2), ("B", "R"), m=3, seed=53)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         only_y = SdoSolution(y=mapped.y)
-        back = inverse_map_primal(inst.problem, only_y)
+        back = primal_inverse(inst.problem, only_y)
         assert back.s_blocks is not None
         assert max_block_diff(back.s_blocks, inst.solution.s_blocks) < 1e-12
 
     def test_rejects_off_block_x(self):
         inst = generate_instance((2, 2), ("B", "N"), m=2, seed=54)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         x = mapped.X.a.copy()
         x[0, 2] = x[2, 0] = 0.3
         from conic_embed import NotArrowHead
 
         with pytest.raises(NotArrowHead) as exc:
-            inverse_map_primal(inst.problem, SdoSolution(X=SymMatrix(x)))
+            primal_inverse(inst.problem, SdoSolution(X=SymMatrix(x)))
         assert exc.value.violation == 0.3
         assert str(exc.value).endswith("by 3.000e-01 at off-block entry")
 
     def test_rejects_tampered_slack(self):
         inst = generate_instance((3,), ("N",), m=2, seed=55)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         s = mapped.S.a.copy()
         s[0, 1] += 0.2
         s[1, 0] += 0.2
         with pytest.raises(InconsistentDual):
-            inverse_map_primal(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
+            primal_inverse(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
 
     def test_rejects_indefinite_S(self):
         # a trace-preserving change inside one slack block passes the c - A^T v
         # cross-check, so only the PSD check can refuse it
         inst = generate_instance((3, 3), ("B", "N"), m=3, seed=5)
-        mapped = map_solution_primal(inst.problem, inst.solution, SimZhao())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, SimZhao())
         s = mapped.S.a.copy()
         s[4, 4] += 50.0
         s[5, 5] -= 50.0
         with pytest.raises(NotPSD):
-            inverse_map_primal(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
+            primal_inverse(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
 
     def test_rejects_short_y(self):
         inst = generate_instance((3,), ("B",), m=2, seed=56)
         with pytest.raises(DimensionMismatch):
-            inverse_map_primal(inst.problem, SdoSolution(y=np.zeros(1)))
+            primal_inverse(inst.problem, SdoSolution(y=np.zeros(1)))
+
+    @pytest.mark.parametrize("dims", [(3, 2), (4, 1, 3), (2, 2, 2, 2), (5,)])
+    def test_y_must_have_the_row_count(self, dims):
+        # m + N(N-1)/2 rows for total cone dimension N, without the pins
+        inst = generate_instance(dims, ("B",) * len(dims), m=2, seed=57)
+        n = sum(dims)
+        rows = 2 + n * (n - 1) // 2
+        sdo = build_primal_embedding(inst.problem)
+        assert sdo.num_constraints == rows
+        y = np.zeros(rows)
+        assert np.array_equal(inverse_map(sdo.meta, SdoSolution(y=y)).y, [0.0, 0.0])
+        for length in (rows - 1, rows + 3):
+            with pytest.raises(DimensionMismatch, match=f"y has length {length}, expected {rows}"):
+                primal_inverse(inst.problem, SdoSolution(y=np.zeros(length)))

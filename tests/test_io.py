@@ -11,8 +11,7 @@ from conic_embed import (
     build_dual_embedding,
     build_primal_embedding,
     generate_instance,
-    map_solution_dual,
-    map_solution_primal,
+    map_solution,
 )
 from conic_embed.io import (
     export_sdpa,
@@ -255,7 +254,7 @@ class TestSdoRoundTrip:
 
     def test_solution_with_split(self, inst, tmp_path):
         sdo = build_primal_embedding(inst.problem)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         path = tmp_path / "m.json"
         save_sdo_solution(mapped, path, meta=sdo.meta)
         loaded = load_sdo_solution(path, sdo)
@@ -272,7 +271,7 @@ class TestSdoRoundTrip:
 
     def test_split_pairs_must_match(self, inst, tmp_path):
         sdo = build_primal_embedding(inst.problem)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         path = tmp_path / "m.json"
         save_sdo_solution(mapped, path, meta=sdo.meta)
         text = path.read_text().replace("[0, 3,", "[0, 4,", 1)
@@ -324,7 +323,7 @@ class TestSdoRoundTrip:
     @pytest.mark.parametrize("at,value", [(0, "a"), (2, "z"), (2, True), (2, "1.5")])
     def test_malformed_split_entry_rejected(self, inst, tmp_path, with_problem, at, value):
         sdo = build_primal_embedding(inst.problem)
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         path = tmp_path / "m.json"
         save_sdo_solution(mapped, path, meta=sdo.meta)
         obj = json.loads(path.read_text())

@@ -11,13 +11,13 @@ from conic_embed import (
     PsdStatus,
     RankK,
     RankOne,
+    Side,
     SimZhao,
     SymMatrix,
     block_diag,
     eigh,
     map_block,
-    map_solution_dual,
-    map_solution_primal,
+    map_solution,
     numeric_rank,
     orthonormal_complement,
     psd_status,
@@ -319,11 +319,10 @@ class TestBlockJacobiMatchesDense:
     @pytest.mark.parametrize("side", ["dual", "primal"])
     def test_embedded_solutions(self, side):
         # arrow-heads and rank-one / Sim-Zhao theta-blocks: all closed form
-        transport = map_solution_dual if side == "dual" else map_solution_primal
         checked = 0
         for inst in corpus(20):
             for spec in (RankOne(), SimZhao()):
-                mapped = transport(inst.problem, inst.solution, spec)
+                mapped = map_solution(inst.problem, inst.solution, Side(side), spec)
                 for mat in (mapped.X, mapped.S):
                     spans, closed = spans_of(mat)
                     assert closed == spans

@@ -327,9 +327,9 @@ class TestRouteAgreement:
         inst = generate_instance((3,), ("B",), m=2, seed=62)
         labels = classify_cones(inst.problem, inst.solution)
         table = map_partition(inst.problem, inst.solution, labels, Side.DUAL)
-        from conic_embed import RankOne, map_solution_dual
+        from conic_embed import RankOne, map_solution
 
-        mapped = map_solution_dual(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, RankOne())
         eigen = sdo_partition_from_solution(mapped.X, mapped.S)
         assert table.dims != eigen.dims
 

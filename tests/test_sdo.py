@@ -7,6 +7,7 @@ from conic_embed import (
     DimensionMismatch,
     EmbeddingMeta,
     MissingSolutionPart,
+    NotFinite,
     ParseError,
     SdoProblem,
     SdoSolution,
@@ -52,6 +53,15 @@ class TestProblemData:
             with pytest.raises(DimensionMismatch):
                 SdoProblem(5, C, (), np.zeros(0), meta)
         SdoProblem(5, C, (), np.zeros(0), EmbeddingMeta(Side.DUAL, (3, 2), 0))
+
+    def test_rejects_non_finite_b(self):
+        C = SymMatrix.identity(2)
+        with pytest.raises(NotFinite, match="^b holds"):
+            SdoProblem(2, C, (C, C), [np.inf, 0.0])
+
+    def test_solution_rejects_non_finite_y(self):
+        with pytest.raises(NotFinite, match="^y holds"):
+            SdoSolution(y=[np.nan, 1.0])
 
     def test_meta_coercion(self):
         # the pins follow from side and cone_dims, and exist on the primal side only

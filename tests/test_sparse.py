@@ -11,6 +11,7 @@ from conic_embed import (
     NotFinite,
     RankOne,
     SdoProblem,
+    Side,
     SparseRows,
     SparseSym,
     SymMatrix,
@@ -18,7 +19,7 @@ from conic_embed import (
     build_primal_embedding,
     check_admissibility,
     generate_instance,
-    map_solution_primal,
+    map_solution,
 )
 
 from helpers import corpus
@@ -202,5 +203,5 @@ class TestEquivalence:
             tracemalloc.stop()
         assert peak < 50e6
         assert sdo.dim == 160 and len(sdo.constraints) == 6 + 160 * 159 // 2
-        mapped = map_solution_primal(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         assert check_admissibility(inst.problem, inst.solution, sdo, mapped).passed

@@ -12,6 +12,7 @@ from conic_embed import (
     BadSubset,
     ConePosition,
     ConicEmbedError,
+    DEFAULT_TOL,
     EmbeddingMeta,
     FullRank,
     InconsistentDual,
@@ -31,16 +32,14 @@ from conic_embed import (
     check_admissibility,
     classify_cones,
     generate_instance,
-    inverse_map_dual,
-    inverse_map_primal,
+    inverse_map,
     map_partition,
-    map_solution_dual,
-    map_solution_primal,
+    map_solution,
     proper_map_solution,
     recover_uw,
 )
 
-from conic_embed import embed_dual
+from conic_embed import embed
 from helpers import (
     LABELS_1D,
     LABELS_ANY,
@@ -153,28 +152,27 @@ def cone_case(draw):
     return problem, sol, spec, rng
 
 
+REF_MAP = {Side.DUAL: ref_map_solution_dual, Side.PRIMAL: ref_map_solution_primal}
+
+
 def check_side(problem, sol, spec, side, rng):
-    transport, ref_transport = {
-        Side.DUAL: (map_solution_dual, ref_map_solution_dual),
-        Side.PRIMAL: (map_solution_primal, ref_map_solution_primal),
-    }[side]
-    got = outcome(transport, problem, sol, spec)
-    assert_same(got, outcome(ref_transport, problem, sol, spec), sdo_bits)
+    got = outcome(map_solution, problem, sol, side, spec)
+    assert_same(got, outcome(REF_MAP[side], problem, sol, spec), sdo_bits)
     if got[0] == "error":
         return
     mapped = got[1]
+    meta = EmbeddingMeta(side, problem.cone_dims, problem.m)
     if side is Side.DUAL:
-        meta = EmbeddingMeta(Side.DUAL, problem.cone_dims, problem.m)
-        assert_same(outcome(inverse_map_dual, meta, mapped),
+        assert_same(outcome(inverse_map, meta, mapped),
                     outcome(ref_inverse_map_dual, meta, mapped), soco_bits)
         sdo = build_dual_embedding(problem)
     else:
-        assert_same(outcome(inverse_map_primal, problem, mapped),
+        assert_same(outcome(inverse_map, meta, mapped, DEFAULT_TOL, problem),
                     outcome(ref_inverse_map_primal, problem, mapped), soco_bits)
         # a shifted v breaks the c - A^T v cross-check on some cones
         shifted = SdoSolution(mapped.X, mapped.y + rng.uniform(-1e-3, 1e-3, mapped.y.shape),
                               mapped.S)
-        assert_same(outcome(inverse_map_primal, problem, shifted),
+        assert_same(outcome(inverse_map, meta, shifted, DEFAULT_TOL, problem),
                     outcome(ref_inverse_map_primal, problem, shifted), soco_bits)
         s_blocks = sol.s_blocks
         assert_same(outcome(recover_uw, mapped.S, s_blocks, problem.cone_dims),
@@ -201,9 +199,8 @@ def proper_choices(problem, sol, side):
     blocks = sol.x_blocks if side is Side.DUAL else sol.s_blocks
     choices = tuple(SimZhao() if ref_cone_position(v) is ConePosition.INTERIOR else RankOne()
                     for v in blocks)
-    want = ref_map_solution_dual if side is Side.DUAL else ref_map_solution_primal
     assert sdo_bits(proper_map_solution(problem, sol, side)) == \
-        sdo_bits(want(problem, sol, choices))
+        sdo_bits(REF_MAP[side](problem, sol, choices))
     return choices
 
 
@@ -280,9 +277,8 @@ class TestMatchesPerConeReference:
         for spec in (SimZhao(), RankOne(),
                      tuple(RankK(max(2, n // 2)) if w == "interior" and n > 1 else RankOne()
                            for n, w in zip(dims, at))):
-            for fn, ref in ((map_solution_dual, ref_map_solution_dual),
-                            (map_solution_primal, ref_map_solution_primal)):
-                assert sdo_bits(fn(problem, sol, spec)) == sdo_bits(ref(problem, sol, spec))
+            for side, ref in REF_MAP.items():
+                assert sdo_bits(map_solution(problem, sol, side, spec)) == sdo_bits(ref(problem, sol, spec))
 
     def test_theta_rounds_as_per_cone(self):
         # (x1 + rho)^2 is Python's float power, which rounds differently from
@@ -291,8 +287,8 @@ class TestMatchesPerConeReference:
         for _ in range(20_000):
             x = cone_vector(rng, int(rng.integers(2, 9)), "interior")
             head, tt = float(x[0]), float(x[1:] @ x[1:])
-            assert embed_dual._sim_zhao_theta(head, tt) == ref_sim_zhao_theta(x)
-            assert embed_dual._theta_one(head, tt) == ref_theta_one(float(x[0]), x[1:])
+            assert embed._sim_zhao_theta(head, tt) == ref_sim_zhao_theta(x)
+            assert embed._theta_one(head, tt) == ref_theta_one(float(x[0]), x[1:])
 
 
 class TestFirstFailingConeInConeOrder:
@@ -312,17 +308,15 @@ class TestFirstFailingConeInConeOrder:
         x = (outside[dims[0]],) + tuple(boundary[n] for n in dims[1:])
         sol = SocoSolution(x, np.zeros(1), x)
         spec = (SimZhao(),) + (FullRank(),) * (len(dims) - 1)  # every cone fails
-        for fn, ref in ((map_solution_dual, ref_map_solution_dual),
-                        (map_solution_primal, ref_map_solution_primal)):
-            got = outcome(fn, problem, sol, spec)
+        for side, ref in REF_MAP.items():
+            got = outcome(map_solution, problem, sol, side, spec)
             assert got == outcome(ref, problem, sol, spec)
             assert got[1] is OutsideCone and got[2].startswith("cone 0: ")
         # the later cone's error when the first passes
         x = (boundary[dims[0]],) + x[1:]
         sol = SocoSolution(x, np.zeros(1), x)
-        for fn, ref in ((map_solution_dual, ref_map_solution_dual),
-                        (map_solution_primal, ref_map_solution_primal)):
-            got = outcome(fn, problem, sol, spec)
+        for side, ref in REF_MAP.items():
+            got = outcome(map_solution, problem, sol, side, spec)
             assert got == outcome(ref, problem, sol, spec)
             assert got[1] is NotInterior and got[2].startswith("cone 1: ")
 
@@ -331,13 +325,13 @@ class TestFirstFailingConeInConeOrder:
         x = (np.array([0.5, 1.0]), np.array([2.0, 1.0, 0.0, 0.0]))
         sol = SocoSolution(x, np.zeros(1), x)
         spec = (RankOne(), RankK(5))
-        got = outcome(map_solution_dual, problem, sol, spec)
+        got = outcome(map_solution, problem, sol, Side.DUAL, spec)
         assert got == outcome(ref_map_solution_dual, problem, sol, spec)
         assert got[1] is OutsideCone
         spec = (RankOne(), RankK(2, (3, 4)))
         x = (np.array([1.0, 1.0]), x[1])
         sol = SocoSolution(x, np.zeros(1), x)
-        got = outcome(map_solution_primal, problem, sol, spec)
+        got = outcome(map_solution, problem, sol, Side.PRIMAL, spec)
         assert got == outcome(ref_map_solution_primal, problem, sol, spec)
         assert got[1] is BadSubset and got[2].startswith("cone 1: ")
 
@@ -346,14 +340,15 @@ class TestFirstFailingConeInConeOrder:
         problem = self.problem(dims)
         x = tuple(np.concatenate(([2.0], np.eye(n - 1)[0])) for n in dims)
         sol = SocoSolution(x, np.zeros(1), x)
-        mapped = map_solution_primal(problem, sol, SimZhao())
+        mapped = map_solution(problem, sol, Side.PRIMAL, SimZhao())
         a = mapped.S.a.copy()
         a[0, 0] += 1e-3  # cone 0, size 4
         a[4, 4] += 1e-2  # cone 1, size 2: larger, but later
         S = SymMatrix(a)
         for got, want in (
             (outcome(recover_uw, S, x, dims), outcome(ref_recover_uw, S, x, dims)),
-            (outcome(inverse_map_primal, problem, SdoSolution(mapped.X, mapped.y, S)),
+            (outcome(inverse_map, build_primal_embedding(problem).meta,
+                     SdoSolution(mapped.X, mapped.y, S), DEFAULT_TOL, problem),
              outcome(ref_inverse_map_primal, problem, SdoSolution(mapped.X, mapped.y, S))),
         ):
             assert got == want

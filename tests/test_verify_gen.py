@@ -26,8 +26,7 @@ from conic_embed import (
     generate_instance,
     jordan_product,
     map_partition,
-    map_solution_dual,
-    map_solution_primal,
+    map_solution,
     primal_residual,
     trace_inner,
     with_duality_gap,
@@ -156,12 +155,10 @@ class TestDualityGapFamily:
 class TestCheckAdmissibility:
     def test_transported_pair_passes_both_sides(self):
         inst = generate_instance((3, 2), ("R", "B"), m=3, seed=52)
-        for side, build, mapper in (
-            (Side.DUAL, build_dual_embedding, map_solution_dual),
-            (Side.PRIMAL, build_primal_embedding, map_solution_primal),
-        ):
+        for side, build in ((Side.DUAL, build_dual_embedding),
+                            (Side.PRIMAL, build_primal_embedding)):
             sdo = build(inst.problem)
-            mapped = mapper(inst.problem, inst.solution, SimZhao())
+            mapped = map_solution(inst.problem, inst.solution, side, SimZhao())
             report = check_admissibility(inst.problem, inst.solution, sdo, mapped)
             assert report.passed
             assert report.sdo_complementarity_trace < 1e-10
@@ -172,7 +169,7 @@ class TestCheckAdmissibility:
     def test_perturbed_X_fails_with_known_residual(self):
         inst = generate_instance((3,), ("B",), m=2, seed=53)
         sdo = build_dual_embedding(inst.problem)
-        mapped = map_solution_dual(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, RankOne())
         x = mapped.X.a.copy()
         x[0, 1] += 0.1
         x[1, 0] += 0.1
@@ -186,7 +183,7 @@ class TestCheckAdmissibility:
     def test_provenance_checks(self):
         inst = generate_instance((3,), ("B",), m=2, seed=54)
         sdo = build_dual_embedding(inst.problem)
-        mapped = map_solution_dual(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, RankOne())
         generic = SdoProblem(sdo.dim, sdo.C, sdo.constraints, sdo.b, GENERIC_META)
         with pytest.raises(ProvenanceMismatch):
             check_admissibility(inst.problem, inst.solution, generic, mapped)
@@ -198,7 +195,7 @@ class TestCheckAdmissibility:
     def test_missing_parts(self):
         inst = generate_instance((3,), ("B",), m=2, seed=56)
         sdo = build_dual_embedding(inst.problem)
-        mapped = map_solution_dual(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, RankOne())
         partial = SocoSolution(x_blocks=inst.solution.x_blocks)
         with pytest.raises(MissingSolutionPart):
             check_admissibility(inst.problem, partial, sdo, mapped)
@@ -210,7 +207,7 @@ class TestCheckAdmissibility:
     def test_jordan_complementarity_reported(self):
         inst = generate_instance((3, 2), ("B", "N"), m=2, seed=57)
         sdo = build_dual_embedding(inst.problem)
-        mapped = map_solution_dual(inst.problem, inst.solution, RankOne())
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, RankOne())
         report = check_admissibility(inst.problem, inst.solution, sdo, mapped)
         want = max(
             np.abs(jordan_product(x, s)).max()
@@ -245,13 +242,11 @@ class TestConePermutation:
         permuted = SocoSolution(pick(sol.x_blocks), sol.y, pick(sol.s_blocks))
         labels = classify_cones(p, sol)
         assert classify_cones(problem, permuted) == list(pick(labels))
-        for side, build, transport in (
-            (Side.DUAL, build_dual_embedding, map_solution_dual),
-            (Side.PRIMAL, build_primal_embedding, map_solution_primal),
-        ):
+        for side, build in ((Side.DUAL, build_dual_embedding),
+                            (Side.PRIMAL, build_primal_embedding)):
             for spec in (RankOne(), SimZhao()):
                 verdicts = [
-                    check_admissibility(q, s, build(q), transport(q, s, spec)).passed
+                    check_admissibility(q, s, build(q), map_solution(q, s, side, spec)).passed
                     for q, s in ((p, sol), (problem, permuted))
                 ]
                 assert verdicts[0] == verdicts[1]

@@ -7,10 +7,12 @@ tools compose through files: gen | embed | map | verify | inverse | partition.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,16 +93,33 @@ def _side(args) -> Side:
     return Side(args.side)
 
 
+def _write_all(texts: list[tuple[str, str]]) -> None:
+    """Write each (path, text) in turn; when a write fails, remove the files
+    written before it."""
+    written = []
+    try:
+        for path, text in texts:
+            Path(path).write_text(text)
+            written.append(path)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_embed(args) -> int:
     problem = io.load_problem(getattr(args, "in"))
     if args.split_blocks and not args.sdpa:
         raise ConicEmbedError("--split-blocks only affects --sdpa output")
     sdo = _build(problem, _side(args))
-    # export_sdpa refuses a split it cannot make before it writes, so a
-    # refused command leaves no --out file behind
+    # both texts are rendered before either file is written, so a refused
+    # split leaves no file behind, and a failed write removes the other file
+    texts = []
     if args.sdpa:
-        io.export_sdpa(sdo, args.sdpa, split_blocks=args.split_blocks)
-    io.save_sdo_problem(sdo, args.out)
+        texts.append((args.sdpa, io.render_sdpa(sdo, split_blocks=args.split_blocks)))
+    texts.append((args.out, io.render_sdo_problem(sdo)))
+    _write_all(texts)
     print(f"embedded {len(problem.cone_dims)} cone(s), dim {problem.total_dim} "
           f"-> {sdo.dim}x{sdo.dim} with {sdo.num_constraints} constraints")
     return 0
@@ -177,9 +196,9 @@ def cmd_partition(args) -> int:
     if args.out:
         io.write_json(
             {
-                "B": part.basis_b.T.tolist(),
-                "N": part.basis_n.T.tolist(),
-                "T": part.basis_t.T.tolist(),
+                "B": part.basis_b.T,
+                "N": part.basis_n.T,
+                "T": part.basis_t.T,
             },
             args.out,
         )

@@ -144,7 +144,7 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     """
     layout = problem.layout
     m = problem.m
-    pairs, tied = layout.pins()
+    pairs, tied = layout.pins
     scale = (layout.dims, 2.0)  # divisors of each block's head and tail
     C = _arrow_head_matrix(layout, problem.c_blocks, *scale)
     row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, *scale)
@@ -528,7 +528,7 @@ def _recover_uw(
         if trace_dev[i] > band[i]:
             raise TemplateViolation(f"block {i} trace deviates from s1 by {trace_dev[i]:.3e}")
         raise TemplateViolation(f"block {i} first row deviates from s/2 by {row_dev[i]:.3e}")
-    pairs, tied = layout.pins()
+    pairs, tied = layout.pins
     tied_cone = layout.cone_ids[tied]
     u = S.a[tied, tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
     w = -S.a[pairs[:, 0], pairs[:, 1]]

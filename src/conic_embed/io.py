@@ -1,9 +1,25 @@
 """File formats: JSON problem/solution schemas and SDPA sparse export.
 
-JSON is emitted through a small canonical serializer (fixed key order, floats
-at 17 significant digits) so that saving what was loaded reproduces the file
-byte for byte. Parsing is stdlib json, with NaN, Infinity and numbers that
-overflow to infinity rejected as ParseError.
+Every file is written in one canonical form, so that saving what was loaded
+reproduces it byte for byte:
+
+- object keys in the order the writer lists them, two-space indentation;
+- a list that holds lists, arrays or objects puts each entry on its own line,
+  and a list of numbers stays on one line as "[a, b, c]", so a sparse row's
+  [i, j, value] triples come one per line;
+- floats as "%.17g" (17 significant digits, enough to read back the same
+  double), with -0.0 written as 0; integers without a decimal point;
+- a NaN or an infinite value raises ConicEmbedError before any file is opened.
+
+write_json takes dicts, lists, tuples, scalars and numpy arrays of floats or
+integers. An array is written as its nested .tolist() would be, and a
+structured array as a list of its records. Each array is checked finite once,
+and each of its innermost rows (the last axis, or one record) is formatted by
+one %-template call; the SDPA export formats its b line and its entry lines
+with the same row formatter and the same float rule.
+
+Parsing is stdlib json, with NaN, Infinity and numbers that overflow to
+infinity rejected as ParseError.
 """
 
 from __future__ import annotations
@@ -11,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -24,38 +41,87 @@ from .soco import BlockLayout, SocoProblem, SocoSolution
 PathLike = Union[str, Path]
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ConicEmbedError(f"cannot serialize non-finite value {x!r}")
-    if x == 0.0:
-        return "0"  # "-0" would come back from json as the integer 0
-    return format(x, ".17g")
+# The one float rule, for JSON and SDPA alike: 17 significant digits, after
+# "+ 0.0" has turned -0.0 into 0.0 ("-0" would come back from json as the
+# integer 0). Integers are written without a decimal point.
+_CODES = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
-def _emit(value, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 2)}' for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if any(isinstance(x, (dict, list, tuple)) for x in items):
-            inner = ",\n".join(f"{pad}  {_emit(x, indent + 2)}" for x in items)
-            return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(_emit(x, indent) for x in items) + "]"
+def _code(dtype: np.dtype) -> str:
+    code = _CODES.get(dtype.kind)
+    if code is None:
+        raise ConicEmbedError(f"cannot serialize an array of {dtype}")
+    return code
+
+
+def _values(a: np.ndarray) -> np.ndarray:
+    """a as written: a float array plus 0.0, once every entry is checked
+    finite."""
+    if a.dtype.kind != "f":
+        return a
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ConicEmbedError(f"cannot serialize non-finite value {float(a[~finite][0])!r}")
+    return a + 0.0
+
+
+def _rows(a: np.ndarray, sep: str = ", ", wrap: str = "[%s]") -> list[str]:
+    """The text of each innermost row of a, in order: of its last axis, or of
+    each record when a is a structured array. One %-template call formats a
+    row, its entries joined by sep inside wrap."""
+    names = a.dtype.names
+    if names is None:
+        width = a.shape[-1]
+        template = wrap % sep.join([_code(a.dtype)] * width)
+        flat = _values(a).reshape(math.prod(a.shape[:-1]), width)
+        values = map(tuple, flat.tolist())
+    else:
+        template = wrap % sep.join(_code(a.dtype[name]) for name in names)
+        values = zip(*(_values(a[name]).reshape(-1).tolist() for name in names))
+    return [template % row for row in values]
+
+
+def _records(*columns) -> np.ndarray:
+    """The columns side by side as a structured array, one record per row,
+    which is written as a list of [column 0, column 1, ...] entries."""
+    out = np.empty(len(columns[0]), [(f"f{k}", c.dtype) for k, c in enumerate(columns)])
+    for k, c in enumerate(columns):
+        out[f"f{k}"] = c
+    return out
+
+
+@dataclass(frozen=True)
+class _Split:
+    """The list of arrays rows[bounds[k]:bounds[k + 1]], k = 0, 1, ..., written
+    with the rows of all of them formatted in one pass."""
+
+    rows: np.ndarray
+    bounds: list[int]
+
+
+def _nest(rows: list[str], lead: tuple[int, ...], indent: int) -> str:
+    """The row texts laid out as nested lists of shape lead, one entry per
+    line."""
+    if not lead:
+        return rows[0]
+    if not lead[0]:
+        return "[]"
+    if len(lead) > 1:
+        step = len(rows) // lead[0]
+        rows = [_nest(rows[k * step:(k + 1) * step], lead[1:], indent + 2) for k in range(lead[0])]
+    inner = " " * (indent + 2)
+    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + " " * indent + "]"
+
+
+def _scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return "%d" % value
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        if not math.isfinite(value):
+            raise ConicEmbedError(f"cannot serialize non-finite value {float(value)!r}")
+        return _CODES["f"] % (float(value) + 0.0)
     if value is None:
         return "null"
     if isinstance(value, str):
@@ -63,8 +129,44 @@ def _emit(value, indent: int) -> str:
     raise ConicEmbedError(f"cannot serialize {type(value).__name__}")
 
 
+_CONTAINERS = (dict, list, tuple, np.ndarray, _Split)
+
+
+def _emit(value, indent: int) -> str:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = " " * indent
+        inner = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 2)}' for k, v in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, np.ndarray):
+        if value.dtype.names is not None:
+            return _nest(_rows(value), value.shape, indent)
+        if value.ndim == 0:
+            raise ConicEmbedError("cannot serialize a 0-d array")
+        return _nest(_rows(value), value.shape[:-1], indent)
+    if isinstance(value, _Split):
+        rows, b = _rows(value.rows), value.bounds
+        items = [_nest(rows[lo:hi], (hi - lo,), indent + 2) for lo, hi in zip(b, b[1:])]
+        return _nest(items, (len(items),), indent)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if any(isinstance(x, _CONTAINERS) for x in value):
+            return _nest([_emit(x, indent + 2) for x in value], (len(value),), indent)
+        return "[" + ", ".join(map(_scalar, value)) + "]"
+    return _scalar(value)
+
+
+def render_json(obj: dict) -> str:
+    """The canonical JSON text of obj, newline-terminated."""
+    return _emit(obj, 0) + "\n"
+
+
 def write_json(obj: dict, path: PathLike) -> None:
-    Path(path).write_text(_emit(obj, 0) + "\n")
+    Path(path).write_text(render_json(obj))
 
 
 def _read_json(path: PathLike) -> dict:
@@ -181,9 +283,9 @@ def save_problem(problem: SocoProblem, path: PathLike) -> None:
         {
             "cones": list(problem.cone_dims),
             "m": problem.m,
-            "A": [a.tolist() for a in problem.A_blocks],
-            "b": problem.b.tolist(),
-            "c": [c.tolist() for c in problem.c_blocks],
+            "A": problem.A_blocks,
+            "b": problem.b,
+            "c": problem.c_blocks,
         },
         path,
     )
@@ -211,11 +313,11 @@ def load_solution(path: PathLike, problem: SocoProblem) -> SocoSolution:
 def save_solution(sol: SocoSolution, path: PathLike) -> None:
     obj: dict = {}
     if sol.x_blocks is not None:
-        obj["x"] = [v.tolist() for v in sol.x_blocks]
+        obj["x"] = sol.x_blocks
     if sol.y is not None:
-        obj["y"] = sol.y.tolist()
+        obj["y"] = sol.y
     if sol.s_blocks is not None:
-        obj["s"] = [v.tolist() for v in sol.s_blocks]
+        obj["s"] = sol.s_blocks
     write_json(obj, path)
 
 
@@ -224,28 +326,30 @@ def save_solution(sol: SocoSolution, path: PathLike) -> None:
 SDO_FORMAT = 2
 
 
-def save_sdo_problem(problem: SdoProblem, path: PathLike) -> None:
+def render_sdo_problem(problem: SdoProblem) -> str:
+    """The text save_sdo_problem writes."""
     meta = problem.meta
     A = problem.constraints
-    triples = list(zip(A.i.tolist(), A.j.tolist(), A.v.tolist()))
-    bounds = A.indptr.tolist()
-    write_json(
+    return render_json(
         {
             "format": SDO_FORMAT,
             "dim": problem.dim,
-            "C": problem.C.a.tolist(),
-            "A": [triples[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-            "b": problem.b.tolist(),
+            "C": problem.C.a,
+            "A": _Split(_records(A.i, A.j, A.v), A.indptr.tolist()),
+            "b": problem.b,
             "meta": {
                 "side": meta.side.value,
                 "cone_dims": list(meta.cone_dims) if meta.cone_dims is not None else None,
                 "m_original": meta.m_original,
-                "zero_pairs": meta.zero_pairs.tolist(),
-                "tied_diagonals": meta.tied_diagonals.tolist(),
+                "zero_pairs": meta.zero_pairs,
+                "tied_diagonals": meta.tied_diagonals,
             },
-        },
-        path,
+        }
     )
+
+
+def save_sdo_problem(problem: SdoProblem, path: PathLike) -> None:
+    Path(path).write_text(render_sdo_problem(problem))
 
 
 def _sparse_rows(a_raw: list, dim: int, path: PathLike) -> SparseRows:
@@ -276,7 +380,8 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
 
     meta.cone_dims, when given, must be positive and sum to dim; stored
     meta.zero_pairs and meta.tied_diagonals must equal the pins that side and
-    cone_dims imply."""
+    cone_dims imply; meta.m_original must give the row count, as SdoProblem
+    requires."""
     obj = _read_json(path)
     fmt = obj.get("format")
     if fmt not in (None, SDO_FORMAT):
@@ -319,7 +424,10 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
             what = f"meta.{key}"
             if key in meta_raw and _int_rows(meta_raw[key], width, what, path) != pinned.tolist():
                 raise ParseError(f"{path}: field '{what}' does not follow from side and cone_dims")
-    return SdoProblem(dim, C, rows, b, meta)
+    try:
+        return SdoProblem(dim, C, rows, b, meta)
+    except DimensionMismatch as e:  # meta.m_original against the row count
+        raise ParseError(f"{path}: {e}") from None
 
 
 def save_sdo_solution(
@@ -330,21 +438,21 @@ def save_sdo_solution(
     pinned pairs and tied diagonals."""
     obj: dict = {}
     if sol.X is not None:
-        obj["X"] = sol.X.a.tolist()
+        obj["X"] = sol.X.a
     if sol.y is not None:
-        obj["y"] = sol.y.tolist()
+        obj["y"] = sol.y
     if sol.S is not None:
-        obj["S"] = sol.S.a.tolist()
+        obj["S"] = sol.S.a
     if sol.y is not None and meta is not None and meta.side is Side.PRIMAL:
-        pairs, tied = meta.zero_pairs.tolist(), meta.tied_diagonals.tolist()
-        m, y = meta.m_original, obj["y"]
-        if len(y) != m + len(pairs) + len(tied):
-            raise DimensionMismatch(f"y has length {len(y)}, not the {m}+{len(pairs)}+{len(tied)} "
+        pairs, tied = meta.zero_pairs, meta.tied_diagonals
+        m, y, p = meta.m_original, sol.y, len(pairs)
+        if len(y) != m + p + len(tied):
+            raise DimensionMismatch(f"y has length {len(y)}, not the {m}+{p}+{len(tied)} "
                                     "constraints of the primal embedding")
         obj["dual_split"] = {
             "v": y[:m],
-            "w": [[h, l, val] for (h, l), val in zip(pairs, y[m:])],
-            "u": [[k, val] for k, val in zip(tied, y[m + len(pairs):])],
+            "w": _records(pairs[:, 0], pairs[:, 1], y[m:m + p]),
+            "u": _records(tied, y[m + p:]),
         }
     write_json(obj, path)
 
@@ -393,8 +501,8 @@ def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> S
     return SdoSolution(X=X, y=y, S=S)
 
 
-def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False) -> None:
-    """Write the embedded problem in SDPA sparse format (.dat-s).
+def render_sdpa(problem: SdoProblem, split_blocks: bool = False) -> str:
+    """The embedded problem in SDPA sparse format (.dat-s).
 
     Header: constraint count, block count, block sizes, right-hand side. Then
     one line per upper-triangle nonzero, 'matno blkno i j value' with matrix 0
@@ -434,12 +542,17 @@ def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False)
     local_j = j - offsets[blk] + 1
     order = np.lexsort((local_j, local_i, blk, mat))
 
+    entries = _records(*(t[order] for t in (mat, blk + 1, local_i, local_j, val)))
     lines = [
         str(problem.num_constraints),
         str(len(layout.dims)),
         " ".join(str(n) for n in layout.dims),
-        " ".join(_fmt_float(v) for v in problem.b),
+        *_rows(problem.b, " ", "%s"),
+        *_rows(entries, " ", "%s"),
     ]
-    columns = (t[order].tolist() for t in (mat, blk + 1, local_i, local_j, val))
-    lines.extend(f"{m} {k} {a} {b} {_fmt_float(v)}" for m, k, a, b, v in zip(*columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def export_sdpa(problem: SdoProblem, path: PathLike, split_blocks: bool = False) -> None:
+    """Write render_sdpa(problem, split_blocks) to path."""
+    Path(path).write_text(render_sdpa(problem, split_blocks))

@@ -54,8 +54,8 @@ class EmbeddingMeta:
     @cached_property
     def _pins(self) -> tuple[np.ndarray, np.ndarray]:
         if self.side is Side.PRIMAL and self.cone_dims is not None:
-            return self._layout.pins()
-        return BlockLayout.from_dims((1,)).pins()  # a single one-dimensional cone pins nothing
+            return self._layout.pins
+        return BlockLayout.from_dims((1,)).pins  # a single one-dimensional cone pins nothing
 
     @property
     def zero_pairs(self) -> np.ndarray:
@@ -72,7 +72,10 @@ GENERIC_META = EmbeddingMeta(Side.GENERIC)
 class SdoProblem:
     """Standard-form SDO data. The constraints may be passed as a SparseRows
     stack or as a sequence of SparseSym or SymMatrix rows; they are stored as
-    SparseRows. meta.cone_dims, when given, must be positive and sum to dim."""
+    SparseRows. meta.cone_dims, when given, must be positive and sum to dim.
+    meta.m_original must be non-negative and, on the dual or primal side, give
+    the row count: m_original, or m_original + dim (dim - 1) / 2 with the
+    primal side's pins."""
 
     dim: int
     C: SymMatrix
@@ -102,6 +105,16 @@ class SdoProblem:
         _require_finite(b, "b")
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
+        m, side = self.meta.m_original, self.meta.side
+        if m < 0:
+            raise DimensionMismatch(f"meta.m_original must be non-negative, got {m}")
+        if side is not Side.GENERIC:
+            rows = m + (0 if side is Side.DUAL else self.dim * (self.dim - 1) // 2)
+            if rows != len(self.constraints):
+                raise DimensionMismatch(
+                    f"meta.m_original {m} gives {rows} rows on the {side.value} side, "
+                    f"but there are {len(self.constraints)}"
+                )
 
     @property
     def num_constraints(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -124,22 +124,16 @@ class BlockLayout:
         """The cone owning each coordinate."""
         return np.repeat(np.arange(len(self.dims)), self.dims)
 
+    @property
     def pins(self) -> tuple[np.ndarray, np.ndarray]:
         """Entries the primal embedding pins (0-based, global), as read-only
         int arrays: the (P, 2) upper pairs held at zero, every cross-block
         pair and every within-block off-arrow pair, lexicographic; and the
         non-leading diagonals tied to their block's leading one, ascending.
+        Computed once for equal layouts, while they are among the last
+        PINS_CACHED asked for.
         """
-        cone = self.cone_ids
-        is_lead = np.zeros(self.total, dtype=bool)
-        is_lead[list(self.offsets)] = True
-        h, l = np.triu_indices(self.total, 1)
-        pinned = (cone[h] != cone[l]) | ~is_lead[h]
-        pairs = np.stack((h[pinned], l[pinned]), axis=1)
-        tied = np.flatnonzero(~is_lead)
-        for a in (pairs, tied):
-            a.setflags(write=False)
-        return pairs, tied
+        return _pins(self)
 
     def max_off_block(self, m: SymMatrix) -> float:
         """Largest magnitude of m outside the diagonal blocks; 0.0 for one block.
@@ -152,6 +146,25 @@ class BlockLayout:
         for g in self.groups:
             off.reshape(-1)[g.flat(self.total)] = 0.0
         return float(off.max())
+
+
+# The pins are O(total^2) entries; a bounded cache shares them among the
+# layouts of one shape without holding every problem's pins alive.
+PINS_CACHED = 16
+
+
+@lru_cache(maxsize=PINS_CACHED)
+def _pins(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
+    cone = layout.cone_ids
+    is_lead = np.zeros(layout.total, dtype=bool)
+    is_lead[list(layout.offsets)] = True
+    h, l = np.triu_indices(layout.total, 1)
+    pinned = (cone[h] != cone[l]) | ~is_lead[h]
+    pairs = np.stack((h[pinned], l[pinned]), axis=1)
+    tied = np.flatnonzero(~is_lead)
+    for a in (pairs, tied):
+        a.setflags(write=False)
+    return pairs, tied
 
 
 def _frozen_vector(v, length: int | None = None, what: str = "vector") -> np.ndarray:

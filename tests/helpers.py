@@ -4,6 +4,7 @@ per-cone reference path that the stacked kernels are held to."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from conic_embed import (
     BadSubset,
     BlockLayout,
     ConeLabel,
+    ConicEmbedError,
     ConePosition,
     FullRank,
     InconsistentDual,
@@ -44,6 +46,23 @@ from conic_embed.soco import _arrow_head_vector
 
 LABELS_1D = ("B", "N", "T1")
 LABELS_ANY = ("B", "N", "R", "T1", "T2", "T3")
+# the large-ladder benchmark shapes: total dim 32/64/96 as two large or n/4
+# small cones, 64 also as 4x16
+LADDER_SHAPES = [
+    ((16, 16), ("B", "N")),
+    ((4,) * 8, tuple(LABELS_ANY[i % 6] for i in range(8))),
+    ((32, 32), ("B", "N")),
+    ((16,) * 4, LABELS_ANY[:4]),
+    ((4,) * 16, tuple(LABELS_ANY[i % 6] for i in range(16))),
+    ((48, 48), ("B", "N")),
+    ((4,) * 24, tuple(LABELS_ANY[i % 6] for i in range(24))),
+]
+
+
+def ladder(seed: int = 41):
+    """One instance per ladder shape, m = 6, seeds seed, seed + 1, ..."""
+    return [generate_instance(dims, labels, m=6, seed=seed + i)
+            for i, (dims, labels) in enumerate(LADDER_SHAPES)]
 
 
 def random_config(rng: np.random.Generator, max_dim_choices=(1, 2, 3, 5, 8)):
@@ -290,7 +309,7 @@ def ref_recover_uw(S, s_blocks, cone_dims, tol=1e-8):
             dev = float(np.abs(block[0, 1:] - s[1:] / 2.0).max())
             if dev > tol * scale:
                 raise TemplateViolation(f"block {i} first row deviates from s/2 by {dev:.3e}")
-    pairs, tied = layout.pins()
+    pairs, tied = layout.pins
     heads = np.array([float(np.asarray(s)[0]) for s in s_blocks])
     tied_cone = layout.cone_ids[tied]
     u = S.a[tied, tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
@@ -439,3 +458,137 @@ def ref_map_partition(problem, sol, labels, side):
         for cls, col in ((aligned, n - 1), (opposed, 0)):
             add(cls, frame[:, [col] + (middle if cls == arrow else [])], i)
     return [np.hstack(cols[cls]) for cls in "BNT"]
+
+
+# ------------------------------------------------------------ file writers
+# The per-number JSON emitter that the array-native writer replaced, and the
+# .tolist() objects each save_* function passed it: every file the writer
+# produces is held to this text byte for byte.
+
+
+def _ref_fmt_float(x) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ConicEmbedError(f"cannot serialize non-finite value {x!r}")
+    if x == 0.0:
+        return "0"  # "-0" would come back from json as the integer 0
+    return format(x, ".17g")
+
+
+def ref_emit(value, indent: int = 0) -> str:
+    pad = " " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {ref_emit(v, indent + 2)}' for k, v in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if any(isinstance(x, (dict, list, tuple)) for x in items):
+            inner = ",\n".join(f"{pad}  {ref_emit(x, indent + 2)}" for x in items)
+            return "[\n" + inner + "\n" + pad + "]"
+        return "[" + ", ".join(ref_emit(x, indent) for x in items) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _ref_fmt_float(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise ConicEmbedError(f"cannot serialize {type(value).__name__}")
+
+
+def ref_json_text(obj) -> str:
+    return ref_emit(obj) + "\n"
+
+
+def ref_problem_text(problem) -> str:
+    return ref_json_text({
+        "cones": list(problem.cone_dims),
+        "m": problem.m,
+        "A": [a.tolist() for a in problem.A_blocks],
+        "b": problem.b.tolist(),
+        "c": [c.tolist() for c in problem.c_blocks],
+    })
+
+
+def ref_solution_text(sol) -> str:
+    obj = {}
+    if sol.x_blocks is not None:
+        obj["x"] = [v.tolist() for v in sol.x_blocks]
+    if sol.y is not None:
+        obj["y"] = sol.y.tolist()
+    if sol.s_blocks is not None:
+        obj["s"] = [v.tolist() for v in sol.s_blocks]
+    return ref_json_text(obj)
+
+
+def ref_sdo_problem_text(problem) -> str:
+    meta, A = problem.meta, problem.constraints
+    triples = list(zip(A.i.tolist(), A.j.tolist(), A.v.tolist()))
+    bounds = A.indptr.tolist()
+    return ref_json_text({
+        "format": 2,
+        "dim": problem.dim,
+        "C": problem.C.a.tolist(),
+        "A": [triples[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        "b": problem.b.tolist(),
+        "meta": {
+            "side": meta.side.value,
+            "cone_dims": list(meta.cone_dims) if meta.cone_dims is not None else None,
+            "m_original": meta.m_original,
+            "zero_pairs": meta.zero_pairs.tolist(),
+            "tied_diagonals": meta.tied_diagonals.tolist(),
+        },
+    })
+
+
+def ref_sdo_solution_text(sol, meta=None) -> str:
+    obj = {}
+    if sol.X is not None:
+        obj["X"] = sol.X.a.tolist()
+    if sol.y is not None:
+        obj["y"] = sol.y.tolist()
+    if sol.S is not None:
+        obj["S"] = sol.S.a.tolist()
+    if sol.y is not None and meta is not None and meta.side is Side.PRIMAL:
+        pairs, tied = meta.zero_pairs.tolist(), meta.tied_diagonals.tolist()
+        m, y = meta.m_original, obj["y"]
+        obj["dual_split"] = {
+            "v": y[:m],
+            "w": [[h, l, val] for (h, l), val in zip(pairs, y[m:])],
+            "u": [[k, val] for k, val in zip(tied, y[m + len(pairs):])],
+        }
+    return ref_json_text(obj)
+
+
+def ref_sdpa_text(problem, split_blocks: bool = False) -> str:
+    """The SDPA entry order of export_sdpa, each number formatted on its own."""
+    if split_blocks:
+        layout = BlockLayout.from_dims(problem.meta.cone_dims)
+    else:
+        layout = BlockLayout.from_dims((problem.dim,))
+    offsets, cone, A = np.asarray(layout.offsets), layout.cone_ids, problem.constraints
+    ci, cj = np.nonzero(np.triu(problem.C.a))
+    mat = np.concatenate((np.zeros(len(ci), dtype=np.int64), A.row_ids() + 1))
+    i, j = np.concatenate((ci, A.i)), np.concatenate((cj, A.j))
+    val = np.concatenate((problem.C.a[ci, cj], A.v))
+    blk = cone[i]
+    local_i, local_j = i - offsets[blk] + 1, j - offsets[blk] + 1
+    order = np.lexsort((local_j, local_i, blk, mat))
+    lines = [
+        str(problem.num_constraints),
+        str(len(layout.dims)),
+        " ".join(str(n) for n in layout.dims),
+        " ".join(_ref_fmt_float(v) for v in problem.b),
+    ]
+    columns = (t[order].tolist() for t in (mat, blk + 1, local_i, local_j, val))
+    lines.extend(f"{m} {k} {a} {b} {_ref_fmt_float(v)}" for m, k, a, b, v in zip(*columns))
+    return "\n".join(lines) + "\n"

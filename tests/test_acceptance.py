@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import LABELS_ANY, corpus, legal_rank_specs, max_block_diff
+from helpers import LABELS_ANY, corpus, ladder, legal_rank_specs, max_block_diff
 
 from conic_embed import (
     ConePosition,
@@ -243,25 +243,11 @@ def test_closed_form_eigensystem_matches_jacobi():
     )
 
 
-# the large-ladder benchmark shapes: total dim 32/64/96 as two large or n/4
-# small cones, 64 also as 4x16
-_LADDER_SHAPES = [
-    ((16, 16), ("B", "N")),
-    ((4,) * 8, tuple(LABELS_ANY[i % 6] for i in range(8))),
-    ((32, 32), ("B", "N")),
-    ((16,) * 4, LABELS_ANY[:4]),
-    ((4,) * 16, tuple(LABELS_ANY[i % 6] for i in range(16))),
-    ((48, 48), ("B", "N")),
-    ((4,) * 24, tuple(LABELS_ANY[i % 6] for i in range(24))),
-]
-
-
 def test_transported_matrices_decompose_without_jacobi():
     insts, _ = corpus200()
-    ladder = [generate_instance(dims, labels, m=6, seed=41 + i)
-              for i, (dims, labels) in enumerate(_LADDER_SHAPES)]
+    shapes = ladder()
     decomposed = jacobi = 0
-    for inst in [*insts, *ladder]:
+    for inst in [*insts, *shapes]:
         for side in (Side.DUAL, Side.PRIMAL):
             for _, spec in legal_rank_specs(inst, side):
                 mapped = _map(inst.problem, inst.solution, spec, side)
@@ -271,7 +257,7 @@ def test_transported_matrices_decompose_without_jacobi():
     _report(
         "every X and S of every legal transport is decomposed in closed form",
         jacobi == 0,
-        f"{decomposed} matrices on 200 + {len(ladder)} instances, {jacobi} Jacobi blocks",
+        f"{decomposed} matrices on 200 + {len(shapes)} instances, {jacobi} Jacobi blocks",
     )
 
 

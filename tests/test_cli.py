@@ -285,6 +285,24 @@ class TestBadInput:
         assert out == ""
         assert err == f"error: {tmp_path}: Is a directory\n"
 
+    def test_unwritable_out_leaves_no_sdpa_file(self, tmp_path, capsys):
+        prob, _ = gen(capsys, tmp_path)
+        sdpa = tmp_path / "x.dat-s"
+        code, _, err = run(capsys, "embed", "--side", "dual", "--in", prob,
+                           "--out", tmp_path, "--sdpa", sdpa)
+        assert code == 1
+        assert err == f"error: {tmp_path}: Is a directory\n"
+        assert not sdpa.exists()
+
+    def test_sdpa_in_missing_directory_leaves_no_out_file(self, tmp_path, capsys):
+        prob, _ = gen(capsys, tmp_path)
+        out, sdpa = tmp_path / "sdo.json", tmp_path / "missing" / "x.dat-s"
+        code, _, err = run(capsys, "embed", "--side", "primal", "--in", prob,
+                           "--out", out, "--sdpa", sdpa)
+        assert code == 1
+        assert err == f"error: {sdpa}: No such file or directory\n"
+        assert not out.exists() and not sdpa.exists()
+
     def test_input_not_text(self, tmp_path, capsys):
         prob = tmp_path / "prob.json"
         prob.write_bytes(b"\xff\xfe{")
@@ -298,6 +316,31 @@ class TestBadInput:
         code, _, err = run(capsys, "classify", "--problem", prob, "--solution", sol)
         assert code == 1
         assert err.startswith("error:")
+
+
+# The golden files in tests/data, and the commands that write them; CI runs the
+# same commands through the installed conic-embed script and compares its files.
+GOLDEN = Path(__file__).resolve().parent / "data"
+GOLDEN_COMMANDS = (
+    "gen --cones 3,2 --labels B,R --m 2 --seed 5 --out prob.json --sol-out sol.json",
+    "embed --side dual --in prob.json --out dual.sdo.json --sdpa dual.dat-s --split-blocks",
+    "embed --side primal --in prob.json --out primal.sdo.json --sdpa primal.dat-s",
+    "map --side primal --rank one --problem prob.json --solution sol.json --out primal.map.json",
+    "inverse --side primal --problem prob.json --sdo-solution primal.map.json "
+    "--out primal.back.json",
+    "partition --side primal --problem prob.json --solution sol.json --out primal.part.json",
+)
+
+
+def test_golden_files(tmp_path, capsys):
+    for command in GOLDEN_COMMANDS:
+        argv = [str(tmp_path / a) if a.endswith((".json", ".dat-s")) else a for a in command.split()]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestReports:

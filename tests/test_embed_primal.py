@@ -27,6 +27,7 @@ from conic_embed import (
     sdo_primal_residual,
 )
 from conic_embed.sdo import EmbeddingMeta, Side
+from conic_embed import soco
 from conic_embed.soco import BlockLayout
 
 from helpers import corpus, legal_rank_specs, max_block_diff
@@ -41,23 +42,23 @@ class TestStructuralIndex:
     """BlockLayout.pins: the entries the primal embedding's structural rows pin."""
 
     def test_single_cone_dim2(self):
-        pairs, tied = BlockLayout.from_dims((2,)).pins()
+        pairs, tied = BlockLayout.from_dims((2,)).pins
         assert np.array_equal(pairs, np.empty((0, 2)))
         assert np.array_equal(tied, [1])
 
     def test_single_cone_dim3(self):
-        pairs, tied = BlockLayout.from_dims((3,)).pins()
+        pairs, tied = BlockLayout.from_dims((3,)).pins
         assert np.array_equal(pairs, [(1, 2)])
         assert np.array_equal(tied, [1, 2])
 
     def test_two_cones_dim2(self):
-        pairs, tied = BlockLayout.from_dims((2, 2)).pins()
+        pairs, tied = BlockLayout.from_dims((2, 2)).pins
         assert np.array_equal(pairs, [(0, 2), (0, 3), (1, 2), (1, 3)])
         assert np.array_equal(tied, [1, 3])
 
     def test_mixed_dims_order(self):
         layout = BlockLayout.from_dims((3, 2))
-        pairs, tied = layout.pins()
+        pairs, tied = layout.pins
         assert np.array_equal(
             pairs, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
         )
@@ -65,11 +66,26 @@ class TestStructuralIndex:
         assert layout.cone_ids.tolist() == [0, 0, 0, 1, 1]
         assert not pairs.flags.writeable and not tied.flags.writeable
 
+    def test_computed_once_per_shape(self, monkeypatch):
+        # equal layouts share one read-only pair of arrays; the build and the
+        # primal transport both read it without computing it again
+        soco._pins.cache_clear()
+        inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
+        calls = []
+        triu_indices = np.triu_indices
+        monkeypatch.setattr(np, "triu_indices", lambda *a: calls.append(a) or triu_indices(*a))
+        pins = inst.problem.layout.pins
+        assert BlockLayout.from_dims((3, 2)).pins is pins
+        build_primal_embedding(inst.problem)
+        map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
+        assert calls == [(5, 1)]
+        assert soco._pins.cache_info().maxsize == soco.PINS_CACHED
+
     def test_counts(self):
         # pinned pairs cover every strict-upper coordinate outside the arrow
         # patterns; tied diagonals cover every non-leading diagonal entry
         for dims in ((2,), (3,), (5, 2), (3, 3, 4)):
-            pairs, tied = BlockLayout.from_dims(dims).pins()
+            pairs, tied = BlockLayout.from_dims(dims).pins
             total = sum(dims)
             off_arrow_tail = sum(d - 1 for d in dims)
             assert len(tied) == off_arrow_tail

@@ -2,15 +2,29 @@ import json
 
 import numpy as np
 import pytest
+from helpers import (
+    corpus,
+    ladder,
+    ref_emit,
+    ref_json_text,
+    ref_problem_text,
+    ref_sdo_problem_text,
+    ref_sdo_solution_text,
+    ref_sdpa_text,
+    ref_solution_text,
+)
 
 from conic_embed import (
     ConicEmbedError,
+    DimensionMismatch,
     ParseError,
     RankOne,
     SimZhao,
+    SymMatrix,
     build_dual_embedding,
     build_primal_embedding,
     generate_instance,
+    inverse_map,
     map_solution,
 )
 from conic_embed.io import (
@@ -19,12 +33,14 @@ from conic_embed.io import (
     load_sdo_problem,
     load_sdo_solution,
     load_solution,
+    render_json,
     save_problem,
     save_sdo_problem,
     save_sdo_solution,
     save_solution,
+    write_json,
 )
-from conic_embed.sdo import Side
+from conic_embed.sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from conic_embed.soco import SocoProblem
 
 
@@ -503,3 +519,147 @@ class TestNonFiniteRejected:
         path.write_text('{"y": [1, NaN]}')
         with pytest.raises(ParseError):
             load_sdo_solution(path)
+
+
+class TestCanonicalWriter:
+    """Every file is held byte for byte to helpers.ref_emit, the per-number
+    emitter the array-native writer replaced, fed the .tolist() objects."""
+
+    def test_every_writer_matches_the_reference(self, tmp_path):
+        path = tmp_path / "f"
+        files = 0
+
+        def same(write, *args, want, **kwargs):
+            nonlocal files
+            write(*args, path, **kwargs)
+            assert path.read_text() == want
+            files += 1
+
+        for inst in corpus(200) + ladder():
+            p = inst.problem
+            same(save_problem, p, want=ref_problem_text(p))
+            same(save_solution, inst.solution, want=ref_solution_text(inst.solution))
+            for side, build in ((Side.DUAL, build_dual_embedding), (Side.PRIMAL, build_primal_embedding)):
+                sdo = build(p)
+                same(save_sdo_problem, sdo, want=ref_sdo_problem_text(sdo))
+                same(export_sdpa, sdo, want=ref_sdpa_text(sdo))
+                if side is Side.DUAL or len(p.cone_dims) == 1:
+                    same(export_sdpa, sdo, split_blocks=True, want=ref_sdpa_text(sdo, True))
+                for spec in (RankOne(), SimZhao()):
+                    mapped = map_solution(p, inst.solution, side, spec)
+                    same(save_sdo_solution, mapped, meta=sdo.meta,
+                         want=ref_sdo_solution_text(mapped, sdo.meta))
+                    back = inverse_map(sdo.meta, mapped, problem=p)
+                    same(save_solution, back, want=ref_solution_text(back))
+        assert files == 3166  # 207 instances; a split of a multi-cone primal is refused
+
+    EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             0.1, 1.0, -2.5, 1e17, 123456789.0)
+
+    def test_edge_values(self, tmp_path):
+        path = tmp_path / "f.json"
+        floats = np.array(self.EDGES)
+        obj = {
+            "floats": floats,
+            "matrix": floats[:10].reshape(2, 5),
+            "ints": np.array([0, -3, 2**62]),
+            "plain": [list(self.EDGES), [0, -7, 10**20], [True, False, None], "a\"b"],
+            "scalars": {"f": -0.0, "i": np.int64(4), "g": np.float64(5e-324), "n": None,
+                        "t": True},
+            "empty": [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 3)), [], {}],
+            "deep": np.arange(12.0).reshape(2, 3, 2) - 5.0,
+        }
+        write_json(obj, path)
+        want = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+        want["empty"] = [a.tolist() if isinstance(a, np.ndarray) else a for a in obj["empty"]]
+        assert path.read_text() == ref_json_text(want)
+        assert '"f": 0,' in path.read_text() and "-0" not in path.read_text()
+        assert json.loads(path.read_text())["floats"] == [0.0 if x == 0 else x for x in self.EDGES]
+
+    def test_structured_array_is_a_list_of_records(self, tmp_path):
+        rec = np.zeros(3, [("i", np.int64), ("j", np.int32), ("v", float)])
+        rec["i"], rec["j"], rec["v"] = [0, 1, 2], [4, 5, 6], [-0.0, 0.1, 5e-324]
+        path = tmp_path / "r.json"
+        write_json({"r": rec, "none": rec[:0]}, path)
+        assert path.read_text() == ref_json_text({"r": rec.tolist(), "none": []})
+
+    def test_empty_constraint_row_and_generic_meta(self, tmp_path):
+        # the middle row is all zeros: SparseRows drops it to no entries
+        rows = (SymMatrix(np.eye(2)), SymMatrix(np.zeros((2, 2))), SymMatrix(-np.eye(2)))
+        sdo = SdoProblem(2, SymMatrix(np.array([[1.0, -0.0], [-0.0, 2.0]])), rows, [1.0, 0.0, -0.0])
+        path = tmp_path / "g.json"
+        save_sdo_problem(sdo, path)
+        assert path.read_text() == ref_sdo_problem_text(sdo)
+        assert '    [],\n' in path.read_text()
+        export_sdpa(sdo, path)
+        assert path.read_text() == ref_sdpa_text(sdo)
+        mapped = SdoSolution(X=SymMatrix.identity(2), y=[0.0, -0.0, 1.0])
+        save_sdo_solution(mapped, path, meta=sdo.meta)
+        assert path.read_text() == ref_sdo_solution_text(mapped, sdo.meta)
+
+    @pytest.mark.parametrize("dims", [(1,), (1, 1), (2,)])
+    def test_small_primal_embeddings(self, tmp_path, dims):
+        # (1,) pins nothing: zero_pairs, tied_diagonals and dual_split w and u are empty
+        inst = generate_instance(dims, ("B",) * len(dims), m=2, seed=3)
+        sdo = build_primal_embedding(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
+        path = tmp_path / "p.json"
+        save_sdo_problem(sdo, path)
+        assert path.read_text() == ref_sdo_problem_text(sdo)
+        save_sdo_solution(mapped, path, meta=sdo.meta)
+        assert path.read_text() == ref_sdo_solution_text(mapped, sdo.meta)
+        if dims == (1,):
+            assert '"w": [],' in path.read_text() and '"u": []' in path.read_text()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_creates_no_file(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        values = np.array([[1.0, 2.0], [bad, 3.0]])
+        with pytest.raises(ConicEmbedError, match=f"non-finite value {float(bad)!r}"):
+            write_json({"ok": [1, 2], "M": values}, path)
+        rec = np.zeros(2, [("k", int), ("v", float)])
+        rec["v"][1] = bad
+        with pytest.raises(ConicEmbedError, match="non-finite"):
+            write_json({"r": rec}, path)
+        with pytest.raises(ConicEmbedError, match="non-finite"):
+            write_json({"x": float(bad)}, path)
+        assert not path.exists()
+
+    def test_unsupported_values_refused(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for value in (np.array([True]), np.array(1.0), {1, 2}, np.array(["a"])):
+            with pytest.raises(ConicEmbedError, match="cannot serialize"):
+                write_json({"v": value}, path)
+        assert not path.exists()
+
+    def test_reference_agrees_with_plain_lists(self):
+        # write_json still takes plain dicts and lists, with the reference's output
+        obj = {"a": [[1, 2.0], [], [[-0.0]]], "b": [{"c": None}], "d": (1, 2), "e": "é"}
+        assert render_json(obj) == ref_emit(obj) + "\n"
+
+
+class TestMOriginal:
+    """meta.m_original must give the row count: m on the dual side, m plus
+    the N(N-1)/2 pins on the primal side."""
+
+    @pytest.mark.parametrize("side", ["dual", "primal"])
+    @pytest.mark.parametrize("value", [7, -3])
+    def test_loader_refuses_a_contradicting_m_original(self, tmp_path, side, value):
+        inst = generate_instance((3, 2), ("B", "R"), 2, 5)
+        build = build_dual_embedding if side == "dual" else build_primal_embedding
+        path = tmp_path / "p.json"
+        save_sdo_problem(build(inst.problem), path)
+        obj = json.loads(path.read_text())
+        obj["meta"]["m_original"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="meta.m_original"):
+            load_sdo_problem(path)
+
+    def test_problem_refuses_a_contradicting_m_original(self):
+        sdo = build_primal_embedding(generate_instance((3, 2), ("B", "R"), 2, 5).problem)
+        assert sdo.num_constraints == 2 + 10
+        for side, m in ((Side.DUAL, 12), (Side.PRIMAL, 2), (Side.GENERIC, 5)):
+            SdoProblem(sdo.dim, sdo.C, sdo.constraints, sdo.b, EmbeddingMeta(side, (3, 2), m))
+        for side, m in ((Side.DUAL, 2), (Side.PRIMAL, 12), (Side.PRIMAL, -3), (Side.GENERIC, -1)):
+            with pytest.raises(DimensionMismatch, match="meta.m_original"):
+                SdoProblem(sdo.dim, sdo.C, sdo.constraints, sdo.b, EmbeddingMeta(side, (3, 2), m))

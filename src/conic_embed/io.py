@@ -18,8 +18,20 @@ and each of its innermost rows (the last axis, or one record) is formatted by
 one %-template call; the SDPA export formats its b line and its entry lines
 with the same row formatter and the same float rule.
 
-Parsing is stdlib json, with NaN, Infinity and numbers that overflow to
-infinity rejected as ParseError.
+Every loader parses with stdlib json through one decoder, whose hooks refuse
+NaN, Infinity and a number that overflows to infinity (1e400) anywhere in the
+file. Each field is then checked once, as a whole, by one field reader, and
+any fault is a ParseError that names the field:
+
+- exact types: a number is an int or a float; a bool is not an int, and a
+  string such as "1.5" is not a number;
+- shape: lists nested to the field's depth, each level's lists of one length,
+  and that length where the problem fixes it;
+- integers (indices, and counts such as dim and m): ints within int64, read
+  exactly as int64, never through a float;
+- a dual_split may not repeat an index; given a problem with a side, its
+  indices must be the problem's pins, in any order;
+- meta, when present, must be an object; without it the meta is generic.
 """
 
 from __future__ import annotations
@@ -169,24 +181,35 @@ def write_json(obj: dict, path: PathLike) -> None:
     Path(path).write_text(render_json(obj))
 
 
+def _non_finite(token: str):
+    raise ParseError(f"non-finite number {token}")
+
+
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        _non_finite(token)
+    return x
+
+
+# parse_float is the one gate for a number that overflows to infinity (1e400)
+# anywhere in a file, so the field reader needs no finiteness check; one
+# decoder serves every file.
+_DECODER = json.JSONDecoder(parse_constant=_non_finite, parse_float=_finite_float)
+
+
 def _read_json(path: PathLike) -> dict:
-    def non_finite(token: str):
-        raise ParseError(f"{path}: non-finite number {token}")
-
-    def finite_float(token: str) -> float:
-        x = float(token)
-        if not math.isfinite(x):
-            non_finite(token)
-        return x
-
     try:
-        obj = json.loads(
-            Path(path).read_text(), parse_constant=non_finite, parse_float=finite_float
-        )
+        with open(path) as f:  # Path.read_text costs more than the parse of a small file
+            obj = _DECODER.decode(f.read())
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        raise ParseError(
+            f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from None
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return obj
@@ -198,84 +221,84 @@ def _field(obj: dict, key: str, path: PathLike):
     return obj[key]
 
 
-_NUMBER_TYPES = frozenset((int, float))
+_NUMBER = frozenset((int, float))
+_INT = frozenset((int,))
+_LIST = frozenset((list,))
+_flat = itertools.chain.from_iterable
 
 
-def _numbers(raw: list, entries, what: str, path: PathLike) -> np.ndarray:
-    """raw as a float array, if every one of its entries is a JSON number. The
-    exact type is checked: bool subclasses int, and numpy reads true as 1.0."""
+def _not_nested(path: PathLike, what: str, shape: tuple) -> ParseError:
+    return ParseError(f"{path}: field '{what}' must be numbers in lists nested {len(shape)} deep")
+
+
+def _read(raw, shape: tuple, what: str, path: PathLike, ints: int = 0):
+    """The field raw, len(shape) levels of JSON lists with numbers innermost,
+    checked once for the whole field: each level is a list of lists of one
+    length, the lengths are those of shape where shape gives one (None is
+    free; an empty list takes the given length), and every number is an int
+    or a float by exact type (bool is not an int, "1.5" not a number).
+    Returns the float array. With ints, the first ints entries of each
+    innermost list (of a flat list: every entry) must be ints, and the pair
+    (those columns exactly as int64, the other columns as floats; each an
+    array with one row per column) is returned; an integer outside int64 is
+    a ParseError. _read_json has refused non-finite numbers."""
+    if type(raw) is not list:
+        raise _not_nested(path, what, shape)
+    got, items = [len(raw)], raw
+    bad = shape[0] is not None and got[0] != shape[0]
+    for want in shape[1:]:
+        if not _LIST.issuperset(map(type, items)):
+            raise _not_nested(path, what, shape)
+        lengths = set(map(len, items))
+        if len(lengths) > 1:
+            raise ParseError(f"{path}: field '{what}' has rows of different lengths")
+        n = lengths.pop() if lengths else want  # no rows: the length shape gives
+        bad = bad or n is None or (want is not None and n != want)
+        got.append(n)
+        items = list(_flat(items))
+    if bad:
+        raise ParseError(f"{path}: field '{what}' has shape {tuple(got)}, expected {shape}")
+    if not _NUMBER.issuperset(map(type, items)):
+        raise _not_nested(path, what, shape)
     try:
-        if _NUMBER_TYPES.issuperset(map(type, entries)):
-            return np.array(raw, dtype=float)
-    except (ValueError, OverflowError):
-        pass
-    raise ParseError(f"{path}: field '{what}' is not numeric")
+        if not ints:
+            values = np.array(items, dtype=float)
+            return values.reshape(got) if len(got) > 1 else values
+        width = got[-1] if len(got) > 1 else 1
+        columns = [items[k::width] for k in range(width)] if width > 1 else [items]
+        if not _INT.issuperset(map(type, _flat(columns[:ints]))):
+            raise ParseError(f"{path}: field '{what}' must hold integers where it holds indices")
+        return np.array(columns[:ints], dtype=np.int64), np.array(columns[ints:], dtype=float)
+    except OverflowError:
+        raise ParseError(f"{path}: field '{what}' holds a number out of range") from None
 
 
-def _vector(raw, what: str, path: PathLike, length: Optional[int] = None) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: field '{what}' must be a flat list")
-    v = _numbers(raw, raw, what, path)
-    if length is not None and v.shape[0] != length:
-        raise ParseError(f"{path}: field '{what}' has length {v.shape[0]}, expected {length}")
-    return v
+def _per_cone(raw, what: str, dims: list, path: PathLike, lead: tuple = ()) -> list:
+    """raw as one block per cone, block i of shape lead + (dims[i],)."""
+    if type(raw) is not list or len(raw) != len(dims):
+        raise ParseError(f"{path}: field '{what}' must have one block per cone")
+    return [
+        _read(blk, lead + (n,), f"{what}[{i}]", path) for i, (blk, n) in enumerate(zip(raw, dims))
+    ]
 
 
-def _matrix(raw, what: str, path: PathLike, shape: Optional[tuple[int, int]] = None) -> np.ndarray:
-    if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
-        raise ParseError(f"{path}: field '{what}' must be a list of rows")
-    m = _numbers(raw, itertools.chain.from_iterable(raw), what, path)
-    if shape is not None and m.shape != shape:
-        raise ParseError(f"{path}: field '{what}' has shape {m.shape}, expected {shape}")
-    return m
-
-
-def _int_rows(raw, width: int, what: str, path: PathLike) -> list:
-    """raw, if it is a list of integers, or with width > 0 a list of
-    width-long integer lists."""
-    def valid(e) -> bool:
-        if not width:
-            return type(e) is int
-        return isinstance(e, list) and len(e) == width and all(type(t) is int for t in e)
-
-    if not isinstance(raw, list) or not all(valid(e) for e in raw):
-        form = "integers" if not width else f"lists of {width} integers"
-        raise ParseError(f"{path}: field '{what}' must be a list of {form}")
+def _count(raw, what: str, path: PathLike, least: int) -> int:
+    """raw, if it is an int (not a bool) from least up to the int64 limit."""
+    if type(raw) is not int or not least <= raw < 2**63:
+        raise ParseError(f"{path}: field '{what}' must be an integer from {least} to 2**63 - 1")
     return raw
-
-
-def _indexed(raw, width: int, what: str, form: str, path: PathLike):
-    """Entries [index * width, value]: their integer indices as tuples, and
-    their values."""
-    if not isinstance(raw, list) or not all(
-        isinstance(e, list) and len(e) == width + 1 and all(type(t) is int for t in e[:width])
-        for e in raw
-    ):
-        raise ParseError(f"{path}: {what} entries must be {form}")
-    return [tuple(e[:width]) for e in raw], _vector([e[width] for e in raw], what, path).tolist()
 
 
 def load_problem(path: PathLike) -> SocoProblem:
     obj = _read_json(path)
-    cones_raw = _field(obj, "cones", path)
-    if not isinstance(cones_raw, list) or not cones_raw or not all(
-        isinstance(n, int) and n >= 1 for n in cones_raw
-    ):
+    dims = _read(_field(obj, "cones", path), (None,), "cones", path, ints=1)[0][0].tolist()
+    if not dims or min(dims) < 1:
         raise ParseError(f"{path}: field 'cones' must be a list of positive integers")
-    dims = tuple(cones_raw)
-    m = _field(obj, "m", path)
-    if not isinstance(m, int) or m < 1:
-        raise ParseError(f"{path}: field 'm' must be a positive integer")
-    a_raw = _field(obj, "A", path)
-    c_raw = _field(obj, "c", path)
-    if not isinstance(a_raw, list) or len(a_raw) != len(dims):
-        raise ParseError(f"{path}: field 'A' must have one block per cone")
-    if not isinstance(c_raw, list) or len(c_raw) != len(dims):
-        raise ParseError(f"{path}: field 'c' must have one block per cone")
-    A = tuple(_matrix(blk, f"A[{i}]", path, (m, dims[i])) for i, blk in enumerate(a_raw))
-    c = tuple(_vector(blk, f"c[{i}]", path, dims[i]) for i, blk in enumerate(c_raw))
-    b = _vector(_field(obj, "b", path), "b", path, m)
-    return SocoProblem(dims, A, c, b)
+    m = _count(_field(obj, "m", path), "m", path, 1)
+    A = _per_cone(_field(obj, "A", path), "A", dims, path, (m,))
+    c = _per_cone(_field(obj, "c", path), "c", dims, path)
+    b = _read(_field(obj, "b", path), (m,), "b", path)
+    return SocoProblem(tuple(dims), A, c, b)
 
 
 def save_problem(problem: SocoProblem, path: PathLike) -> None:
@@ -294,19 +317,9 @@ def save_problem(problem: SocoProblem, path: PathLike) -> None:
 def load_solution(path: PathLike, problem: SocoProblem) -> SocoSolution:
     obj = _read_json(path)
     dims = problem.cone_dims
-    x = s = y = None
-    if "x" in obj:
-        raw = obj["x"]
-        if not isinstance(raw, list) or len(raw) != len(dims):
-            raise ParseError(f"{path}: field 'x' must have one block per cone")
-        x = tuple(_vector(blk, f"x[{i}]", path, dims[i]) for i, blk in enumerate(raw))
-    if "s" in obj:
-        raw = obj["s"]
-        if not isinstance(raw, list) or len(raw) != len(dims):
-            raise ParseError(f"{path}: field 's' must have one block per cone")
-        s = tuple(_vector(blk, f"s[{i}]", path, dims[i]) for i, blk in enumerate(raw))
-    if "y" in obj:
-        y = _vector(obj["y"], "y", path, problem.m)
+    x = _per_cone(obj["x"], "x", dims, path) if "x" in obj else None
+    s = _per_cone(obj["s"], "s", dims, path) if "s" in obj else None
+    y = _read(obj["y"], (problem.m,), "y", path) if "y" in obj else None
     return SocoSolution(x_blocks=x, y=y, s_blocks=s)
 
 
@@ -352,78 +365,61 @@ def save_sdo_problem(problem: SdoProblem, path: PathLike) -> None:
     Path(path).write_text(render_sdo_problem(problem))
 
 
-def _sparse_rows(a_raw: list, dim: int, path: PathLike) -> SparseRows:
-    row, i, j, v = [], [], [], []
-    for k, entries in enumerate(a_raw):
-        if not isinstance(entries, list):
-            raise ParseError(f"{path}: field 'A[{k}]' must be a list of [i, j, value]")
-        for e in entries:
-            if not (
-                isinstance(e, list)
-                and len(e) == 3
-                and all(type(t) is int for t in e[:2])
-                and type(e[2]) in (int, float)
-            ):
-                raise ParseError(f"{path}: field 'A[{k}]' entries must be [i, j, value]")
-            row.append(k)
-            i.append(e[0])
-            j.append(e[1])
-            v.append(e[2])
+def _sparse_rows(a_raw, dim: int, path: PathLike) -> SparseRows:
+    if type(a_raw) is not list or not _LIST.issuperset(map(type, a_raw)):
+        raise ParseError(f"{path}: field 'A' must be a list of lists of [i, j, value]")
+    ij, v = _read(list(_flat(a_raw)), (None, 3), "A", path, ints=2)
+    row = np.repeat(np.arange(len(a_raw)), list(map(len, a_raw)))
     try:
-        return SparseRows(dim, len(a_raw), row, i, j, v)
-    except (DimensionMismatch, OverflowError) as e:
+        return SparseRows(dim, len(a_raw), row, ij[0], ij[1], v[0])
+    except DimensionMismatch as e:
         raise ParseError(f"{path}: field 'A': {e}") from None
 
 
 def load_sdo_problem(path: PathLike) -> SdoProblem:
     """Read an SDO problem file, in the triplet form or the older dense form.
 
+    meta, when present, must be an object; without it the meta is generic.
     meta.cone_dims, when given, must be positive and sum to dim; stored
     meta.zero_pairs and meta.tied_diagonals must equal the pins that side and
     cone_dims imply; meta.m_original must give the row count, as SdoProblem
     requires."""
     obj = _read_json(path)
     fmt = obj.get("format")
-    if fmt not in (None, SDO_FORMAT):
+    if fmt is not None and (type(fmt) is not int or fmt != SDO_FORMAT):
         raise ParseError(f"{path}: unknown SDO problem format {fmt!r}")
-    dim = _field(obj, "dim", path)
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"{path}: field 'dim' must be a positive integer")
-    C = SymMatrix(_matrix(_field(obj, "C", path), "C", path, (dim, dim)))
+    dim = _count(_field(obj, "dim", path), "dim", path, 1)
+    C = SymMatrix(_read(_field(obj, "C", path), (dim, dim), "C", path))
     a_raw = _field(obj, "A", path)
-    if not isinstance(a_raw, list):
-        raise ParseError(f"{path}: field 'A' must be a list of constraints")
     if fmt is None:
-        rows = SparseRows.from_rows(
-            dim,
-            [SymMatrix(_matrix(blk, f"A[{j}]", path, (dim, dim))) for j, blk in enumerate(a_raw)],
-        )
+        dense = _read(a_raw, (None, dim, dim), "A", path)
+        rows = SparseRows.from_rows(dim, list(map(SymMatrix, dense)))
     else:
         rows = _sparse_rows(a_raw, dim, path)
-    b = _vector(_field(obj, "b", path), "b", path, len(rows))
-    meta_raw = obj.get("meta")
-    meta = EmbeddingMeta(Side.GENERIC)
-    if isinstance(meta_raw, dict):
-        try:
-            side = Side(meta_raw.get("side", "generic"))
-        except ValueError:
-            raise ParseError(f"{path}: meta.side must be dual, primal or generic") from None
-        cone_dims = meta_raw.get("cone_dims")
-        if cone_dims is not None:
-            _int_rows(cone_dims, 0, "meta.cone_dims", path)
-            if not cone_dims or min(cone_dims) < 1 or sum(cone_dims) != dim:
-                raise ParseError(f"{path}: field 'meta.cone_dims' must be positive and sum to {dim}")
-        m_original = meta_raw.get("m_original", 0)
-        if type(m_original) is not int:
-            raise ParseError(f"{path}: field 'meta.m_original' must be an integer")
-        meta = EmbeddingMeta(side, cone_dims, m_original)
-        for key, width, pinned in (
-            ("zero_pairs", 2, meta.zero_pairs),
-            ("tied_diagonals", 0, meta.tied_diagonals),
-        ):
-            what = f"meta.{key}"
-            if key in meta_raw and _int_rows(meta_raw[key], width, what, path) != pinned.tolist():
-                raise ParseError(f"{path}: field '{what}' does not follow from side and cone_dims")
+    b = _read(_field(obj, "b", path), (len(rows),), "b", path)
+    meta_raw = obj.get("meta", {})
+    if type(meta_raw) is not dict:
+        raise ParseError(f"{path}: field 'meta' must be an object")
+    try:
+        side = Side(meta_raw.get("side", "generic"))
+    except ValueError:
+        raise ParseError(f"{path}: meta.side must be dual, primal or generic") from None
+    cone_dims = meta_raw.get("cone_dims")
+    if cone_dims is not None:
+        cone_dims = tuple(_read(cone_dims, (None,), "meta.cone_dims", path, 1)[0][0].tolist())
+        if not cone_dims or min(cone_dims) < 1 or sum(cone_dims) != dim:
+            raise ParseError(f"{path}: field 'meta.cone_dims' must be positive and sum to {dim}")
+    m_original = _count(meta_raw.get("m_original", 0), "meta.m_original", path, 0)
+    meta = EmbeddingMeta(side, cone_dims, m_original)
+    for key, shape, ints, pins in (
+        ("zero_pairs", (None, 2), 2, meta.zero_pairs.T),
+        ("tied_diagonals", (None,), 1, meta.tied_diagonals[None]),
+    ):
+        if key not in meta_raw:
+            continue
+        what = f"meta.{key}"
+        if not np.array_equal(_read(meta_raw[key], shape, what, path, ints)[0], pins):
+            raise ParseError(f"{path}: field '{what}' does not follow from side and cone_dims")
     try:
         return SdoProblem(dim, C, rows, b, meta)
     except DimensionMismatch as e:  # meta.m_original against the row count
@@ -458,40 +454,38 @@ def save_sdo_solution(
 
 
 def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> SdoSolution:
-    """Read an SDO solution. A dual_split must index the problem's pins, when
-    a problem with a side is given, and concatenate to y exactly; a file with
-    a dual_split and no y takes y from it."""
+    """Read an SDO solution. A dual_split must index each of the problem's
+    pins once, when a problem with a side is given, and otherwise repeat no
+    index; it must concatenate to y exactly, and a file with a dual_split and
+    no y takes y from it."""
     obj = _read_json(path)
     dim = problem.dim if problem is not None else None
     length = problem.num_constraints if problem is not None else None
-    X = y = S = None
-    if "X" in obj:
-        shape = (dim, dim) if dim else None
-        X = SymMatrix(_matrix(obj["X"], "X", path, shape))
-    if "S" in obj:
-        shape = (dim, dim) if dim else None
-        S = SymMatrix(_matrix(obj["S"], "S", path, shape))
-    if "y" in obj:
-        y = _vector(obj["y"], "y", path, length)
+    X, S = (SymMatrix(_read(obj[k], (dim, dim), k, path)) if k in obj else None for k in ("X", "S"))
+    y = _read(obj["y"], (length,), "y", path) if "y" in obj else None
     if "dual_split" in obj:
         raw = obj["dual_split"]
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise ParseError(f"{path}: field 'dual_split' must be an object")
-        v = _vector(_field(raw, "v", path), "dual_split.v", path)
-        w_at, w = _indexed(raw.get("w", []), 2, "dual_split.w", "[h, l, value]", path)
-        u_at, u = _indexed(raw.get("u", []), 1, "dual_split.u", "[k, value]", path)
-        if problem is not None and problem.meta.side is not Side.GENERIC:
-            pairs = list(map(tuple, problem.meta.zero_pairs.tolist()))
-            tied = [(k,) for k in problem.meta.tied_diagonals.tolist()]
-            w_map = dict(zip(w_at, w))
-            if set(w_map) != set(pairs):
-                raise ParseError(f"{path}: dual_split.w pairs do not match the embedding")
-            u_map = dict(zip(u_at, u))
-            if set(u_map) != set(tied):
-                raise ParseError(f"{path}: dual_split.u indices do not match the embedding")
-            w = [w_map[p] for p in pairs]
-            u = [u_map[k] for k in tied]
-        joined = np.concatenate((v, w, u))
+        pinned = problem is not None and problem.meta.side is not Side.GENERIC
+        parts = [_read(_field(raw, "v", path), (None,), "dual_split.v", path)]
+        for key, width, pins in (
+            ("w", 2, problem.meta.zero_pairs.T if pinned else None),
+            ("u", 1, problem.meta.tied_diagonals[None] if pinned else None),
+        ):
+            what = f"dual_split.{key}"
+            at, values = _read(raw.get(key, []), (None, width + 1), what, path, width)
+            order = np.lexsort(at[::-1])
+            at = at[:, order]
+            if pins is None:  # nothing to match: y takes the file's order
+                order = slice(None)
+                bad = (at[:, 1:] == at[:, :-1]).all(axis=0).any()
+            else:
+                bad = not np.array_equal(at, pins)
+            if bad:
+                raise ParseError(f"{path}: field '{what}' repeats an index or misses a pin")
+            parts.append(values[0, order])
+        joined = np.concatenate(parts)
         if y is None:
             y = joined
             if length is not None and len(y) != length:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,14 @@ class TestProblemRoundTrip:
             path.write_text('{"cones": [2], "m": 1, "A": [[[1, 2]]], ' + data + "}")
             with pytest.raises(ParseError, match=f"'{field}"):
                 load_problem(path)
+        # both would load as 1, which is what the files need
+        for field, data in (
+            ("cones", '"cones": [true, 2], "m": 1, "A": [[[1]], [[1, 2]]], "c": [[0], [0, 0]]'),
+            ("m", '"cones": [2], "m": true, "A": [[[1, 2]]], "c": [[0, 0]]'),
+        ):
+            path.write_text("{" + data + ', "b": [1]}')
+            with pytest.raises(ParseError, match=f"'{field}'"):
+                load_problem(path)
 
         path.write_text("[1, 2]")
         with pytest.raises(ParseError):
@@ -253,6 +263,19 @@ class TestSdoRoundTrip:
         save_sdo_problem(sdo, fresh)
         assert resaved.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.parametrize("meta", ['"primal"', "[1]", "3", "null"])
+    def test_meta_must_be_an_object(self, tmp_path, meta):
+        path = tmp_path / "g.json"
+        path.write_text('{"dim": 1, "C": [[1]], "A": [[[1]]], "b": [1], "meta": ' + meta + "}")
+        with pytest.raises(ParseError, match="'meta'"):
+            load_sdo_problem(path)
+
+    def test_dim_must_be_an_integer(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"format": 2, "dim": true, "C": [[1]], "A": [], "b": []}')
+        with pytest.raises(ParseError, match="'dim'"):
+            load_sdo_problem(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text('{"format": 3, "dim": 1, "C": [[1]], "A": [], "b": []}')
@@ -294,6 +317,29 @@ class TestSdoRoundTrip:
         path.write_text(text)
         with pytest.raises(ParseError):
             load_sdo_solution(path, sdo)
+
+    @pytest.mark.parametrize(
+        "key,edit",
+        [
+            # the extra entry was dropped
+            pytest.param("w", lambda entries: [[0, 3, 12345.0]] + entries, id="w"),
+            # 999 replaced u_k
+            pytest.param("u", lambda entries: entries + [[entries[-1][0], 999.0]], id="u"),
+        ],
+    )
+    def test_repeated_split_entry_rejected(self, tmp_path, key, edit):
+        inst = generate_instance((3, 2), ("B", "R"), 2, 5)
+        sdo = build_primal_embedding(inst.problem)
+        path = tmp_path / "m.json"
+        save_sdo_solution(map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne()), path,
+                          meta=sdo.meta)
+        obj = json.loads(path.read_text())
+        del obj["y"]
+        obj["dual_split"][key] = edit(obj["dual_split"][key])
+        path.write_text(json.dumps(obj))
+        for problem in (sdo, None):
+            with pytest.raises(ParseError, match=f"dual_split.{key}"):
+                load_sdo_solution(path, problem)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -521,36 +567,199 @@ class TestNonFiniteRejected:
             load_sdo_solution(path)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+# The loader call for each file the table mutates, with the problem it needs.
+LOADERS = {
+    "prob.json": load_problem,
+    "sol.json": lambda path: load_solution(path, load_problem(DATA / "prob.json")),
+    "primal.sdo.json": load_sdo_problem,
+    "legacy": load_sdo_problem,
+    "primal.map.json": lambda path: load_sdo_solution(
+        path, load_sdo_problem(DATA / "primal.sdo.json")
+    ),
+}
+
+# Each field of those files, with its kind: "num" holds floats, "int" integers,
+# "mixed" [index..., value] entries (integers, then a float), "text" a string
+# and "object" a JSON object.
+FIELDS = [
+    ("prob.json", "cones", "int"),
+    ("prob.json", "m", "int"),
+    ("prob.json", "A", "num"),
+    ("prob.json", "b", "num"),
+    ("prob.json", "c", "num"),
+    ("sol.json", "x", "num"),
+    ("sol.json", "y", "num"),
+    ("sol.json", "s", "num"),
+    ("primal.sdo.json", "format", "int"),
+    ("primal.sdo.json", "dim", "int"),
+    ("primal.sdo.json", "C", "num"),
+    ("primal.sdo.json", "A", "mixed"),
+    ("primal.sdo.json", "b", "num"),
+    ("primal.sdo.json", "meta", "object"),
+    ("primal.sdo.json", "meta.side", "text"),
+    ("primal.sdo.json", "meta.cone_dims", "int"),
+    ("primal.sdo.json", "meta.m_original", "int"),
+    ("primal.sdo.json", "meta.zero_pairs", "int"),
+    ("primal.sdo.json", "meta.tied_diagonals", "int"),
+    ("legacy", "C", "num"),
+    ("legacy", "A", "num"),
+    ("primal.map.json", "X", "num"),
+    ("primal.map.json", "y", "num"),
+    ("primal.map.json", "S", "num"),
+    ("primal.map.json", "dual_split", "object"),
+    ("primal.map.json", "dual_split.v", "num"),
+    ("primal.map.json", "dual_split.w", "mixed"),
+    ("primal.map.json", "dual_split.u", "mixed"),
+]
+
+
+def _file(file):
+    return json.loads(LEGACY_PRIMAL_SDO if file == "legacy" else (DATA / file).read_text())
+
+
+def _depth(value):
+    """How deep value's lists nest: 0 for a number or an object."""
+    return 1 + _depth(value[0]) if isinstance(value, list) and value else 0
+
+
+def _at_leaf(value, change, at):
+    """value with change applied to its first (at=0) or last (at=-1) leaf."""
+    if not isinstance(value, list):
+        return change(value)
+    value[at] = _at_leaf(value[at], change, at)
+    return value
+
+
+def _at_row(value, change):
+    """value with change applied to its first innermost list."""
+    if isinstance(value[0], list):
+        value[0] = _at_row(value[0], change)
+        return value
+    return change(value)
+
+
+def _innermost(value, change):
+    """value with change applied to every innermost list."""
+    if isinstance(value[0], list):
+        return [_innermost(v, change) for v in value]
+    return change(value)
+
+
+NUMERIC = {"num", "int", "mixed"}
+INDEX = {"int", "mixed"}
+ANY = NUMERIC | {"text", "object"}
+
+# mutation -> (the kinds it applies to, the least depth it needs, what it does
+# to the field value, or the token it writes in place of the last number)
+MUTATIONS = {
+    "numeric string": (NUMERIC, 0, lambda v: _at_leaf(v, str, -1)),
+    "true": (ANY, 0, lambda v: _at_leaf(v, lambda x: True, 0)),
+    "true value": ({"mixed"}, 0, lambda v: _at_leaf(v, lambda x: True, -1)),
+    "null": (ANY, 0, lambda v: _at_leaf(v, lambda x: None, 0)),
+    "one level too many": (ANY, 0, lambda v: [v]),
+    "one level too few": (NUMERIC, 1, lambda v: v[0]),
+    "ragged row": (NUMERIC, 2, lambda v: _at_row(v, lambda row: row[:-1])),
+    "wrong width": (NUMERIC, 1, lambda v: _innermost(v, lambda row: row + row[-1:])),
+    "float index": (INDEX, 0, lambda v: _at_leaf(v, float, 0)),
+    "negative index": (INDEX, 0, lambda v: _at_leaf(v, lambda x: -1, 0)),
+    "index 2**70": (INDEX, 0, lambda v: _at_leaf(v, lambda x: 2**70, 0)),
+    "index 10**400": (INDEX, 0, lambda v: _at_leaf(v, lambda x: 10**400, 0)),
+    "NaN": (NUMERIC, 0, "NaN"),
+    "Infinity": (NUMERIC, 0, "Infinity"),
+    "1e400": (NUMERIC, 0, "1e400"),
+}
+
+# Rows whose error names another field than the one mutated: the mutated
+# field is well formed on its own and contradicts the one named.
+NAMED = {
+    ("prob.json", "cones", "wrong width"): "A",
+    ("primal.sdo.json", "format", "null"): "A",  # no format: the legacy dense form
+    ("primal.map.json", "dual_split.v", "wrong width"): "dual_split",
+}
+
+
+def _field_value(obj, field):
+    for key in field.split("."):
+        obj = obj[key]
+    return obj
+
+
+def _table():
+    for file, field, kind in FIELDS:
+        depth = _depth(_field_value(_file(file), field))
+        for name, (kinds, least, _) in MUTATIONS.items():
+            if kind in kinds and depth >= least:
+                yield pytest.param(file, field, name, id=f"{file}-{field}-{name}")
+
+
+class TestMalformedInput:
+    """Every field of the tests/data files, each mutated one way: the loader
+    raises a ParseError naming the field. A non-finite token is refused as
+    the file is parsed, before any field is read, so its error names the
+    token instead."""
+
+    @pytest.mark.parametrize("file,field,mutation", list(_table()))
+    def test_refused_naming_the_field(self, tmp_path, file, field, mutation):
+        obj = _file(file)
+        *outer, key = field.split(".")
+        holder = _field_value(obj, ".".join(outer)) if outer else obj
+        mutate = MUTATIONS[mutation][2]
+        if isinstance(mutate, str):  # a token json.dumps cannot write
+            holder[key] = _at_leaf(holder[key], lambda x: "@token@", -1)
+            text = json.dumps(obj).replace('"@token@"', mutate)
+            want = "non-finite"
+        else:
+            holder[key] = mutate(holder[key])
+            text = json.dumps(obj)
+            name = NAMED.get((file, field, mutation), field)
+            want = rf"(?<![\w.]){re.escape(name)}(?![\w.])"  # the name as a whole word
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=want):
+            LOADERS[file](path)
+
+
 class TestCanonicalWriter:
     """Every file is held byte for byte to helpers.ref_emit, the per-number
-    emitter the array-native writer replaced, fed the .tolist() objects."""
+    emitter the array-native writer replaced, fed the .tolist() objects; what
+    the loader reads back from each JSON file is written again byte for byte."""
 
     def test_every_writer_matches_the_reference(self, tmp_path):
         path = tmp_path / "f"
         files = 0
 
-        def same(write, *args, want, **kwargs):
+        def same(write, *args, want, load=None, **kwargs):
+            """write's file is want, and with load, what load reads from it
+            writes the same bytes again."""
             nonlocal files
             write(*args, path, **kwargs)
             assert path.read_text() == want
+            if load is not None:
+                write(load(path), *args[1:], path, **kwargs)
+                assert path.read_text() == want
             files += 1
 
         for inst in corpus(200) + ladder():
             p = inst.problem
-            same(save_problem, p, want=ref_problem_text(p))
-            same(save_solution, inst.solution, want=ref_solution_text(inst.solution))
+            same(save_problem, p, want=ref_problem_text(p), load=load_problem)
+            same(save_solution, inst.solution, want=ref_solution_text(inst.solution),
+                 load=lambda path: load_solution(path, p))
             for side, build in ((Side.DUAL, build_dual_embedding), (Side.PRIMAL, build_primal_embedding)):
                 sdo = build(p)
-                same(save_sdo_problem, sdo, want=ref_sdo_problem_text(sdo))
+                same(save_sdo_problem, sdo, want=ref_sdo_problem_text(sdo), load=load_sdo_problem)
                 same(export_sdpa, sdo, want=ref_sdpa_text(sdo))
                 if side is Side.DUAL or len(p.cone_dims) == 1:
                     same(export_sdpa, sdo, split_blocks=True, want=ref_sdpa_text(sdo, True))
                 for spec in (RankOne(), SimZhao()):
                     mapped = map_solution(p, inst.solution, side, spec)
                     same(save_sdo_solution, mapped, meta=sdo.meta,
-                         want=ref_sdo_solution_text(mapped, sdo.meta))
+                         want=ref_sdo_solution_text(mapped, sdo.meta),
+                         load=lambda path: load_sdo_solution(path, sdo))
                     back = inverse_map(sdo.meta, mapped, problem=p)
-                    same(save_solution, back, want=ref_solution_text(back))
+                    same(save_solution, back, want=ref_solution_text(back),
+                         load=lambda path: load_solution(path, p))
         assert files == 3166  # 207 instances; a split of a multi-cone primal is refused
 
     EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,

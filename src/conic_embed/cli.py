@@ -214,9 +214,11 @@ def cmd_gen(args) -> int:
     inst = generate_instance(dims, labels, m=args.m, seed=args.seed)
     if args.gap:
         inst = with_duality_gap(inst, args.gap)
-    io.save_problem(inst.problem, args.out)
+    # both texts are rendered first, and a failed write removes the other file
+    texts = [(args.out, io.render_problem(inst.problem))]
     if args.sol_out:
-        io.save_solution(inst.solution, args.sol_out)
+        texts.append((args.sol_out, io.render_solution(inst.solution)))
+    _write_all(texts)
     print(f"generated cones={args.cones} labels={','.join(l.value for l in inst.labels)} "
           f"m={inst.problem.m} seed={args.seed}")
     return 0

@@ -53,7 +53,7 @@ from .errors import (
     ProvenanceMismatch,
     TemplateViolation,
 )
-from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SymMatrix, _require_finite, psd_status
+from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SparseSym, SymMatrix, _require_finite, psd_status
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import (
     INTERIOR,
@@ -128,7 +128,8 @@ def build_dual_embedding(problem: SocoProblem) -> SdoProblem:
     """Arrow-head image of the data: C and each constraint row become
     block-diagonal arrow-head matrices; b is unchanged."""
     layout = problem.layout
-    C = _arrow_head_matrix(layout, problem.c_blocks)
+    c = [v[None] for v in problem.c_blocks]  # one row: C's triplets, divided as the rows are
+    C = SparseSym(layout.total, *arrow_head_triplets(c, layout, 1.0, 1.0)[1:])
     rows = SparseRows(
         layout.total, problem.m, *arrow_head_triplets(problem.A_blocks, layout, 1.0, 1.0)
     )
@@ -146,7 +147,8 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     m = problem.m
     pairs, tied = layout.pins
     scale = (layout.dims, 2.0)  # divisors of each block's head and tail
-    C = _arrow_head_matrix(layout, problem.c_blocks, *scale)
+    c = [v[None] for v in problem.c_blocks]  # one row: C's triplets, divided as the rows are
+    C = SparseSym(layout.total, *arrow_head_triplets(c, layout, *scale)[1:])
     row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, *scale)
     # a tied row holds +1 at its block's leading diagonal and -1 at its own
     lead_tied = np.stack((np.asarray(layout.offsets)[layout.cone_ids[tied]], tied), axis=1).ravel()
@@ -300,13 +302,18 @@ def _transport(
 
 
 def _arrow_head_side(layout: BlockLayout, blocks, tol: float) -> SymMatrix:
-    """block_arrow_head of cone vectors that must lie in their cones; the
-    first cone outside raises OutsideCone, named as _transport names it."""
-    codes = _cone_positions(layout, np.concatenate(blocks), tol)
+    """block_arrow_head of cone vectors that must lie in their cones."""
+    _require_in_cones(layout, np.concatenate(blocks), tol)
+    return _arrow_head_matrix(layout, blocks)
+
+
+def _require_in_cones(layout: BlockLayout, flat: np.ndarray, tol: float) -> None:
+    """The first cone of the concatenated vector flat that lies outside its
+    cone raises OutsideCone, named as _transport names it."""
+    codes = _cone_positions(layout, flat, tol)
     if OUTSIDE in codes:
         i = codes.index(OUTSIDE)
-        raise OutsideCone(f"cone {i}: vector {blocks[i]} lies outside its cone")
-    return _arrow_head_matrix(layout, blocks)
+        raise OutsideCone(f"cone {i}: vector {flat[layout.block_slice(i)]} lies outside its cone")
 
 
 def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -400,7 +407,8 @@ def inverse_map(
 
     The lifted matrix (X on the dual side, S on the primal side) must be PSD
     within tol and gives per block x1 = block trace, x_j = 2 M[lead, lead + j - 1];
-    the other must be block arrow-head within tol and inverts blockwise. y must
+    the other must be block arrow-head within tol and inverts blockwise to
+    vectors in their cones (OutsideCone names the first cone outside). y must
     have the embedding's row count: m on the dual side, m + N(N-1)/2 on the
     primal side for total cone dimension N; its first m entries are the
     original multipliers. Given the problem, s read from S is cross-checked
@@ -451,7 +459,9 @@ def _read_cone_vector(
     (block trace; 2 * first block row) of a lifted matrix, the block
     arrow-head inverse of the other. When alt is given, the vector must match
     it within tol, scaled by alt's magnitude per cone, else InconsistentDual
-    names the first cone off. Then a lifted matrix must be PSD within tol."""
+    names the first cone off. Then a lifted matrix must be PSD within tol,
+    and the vector of the other must lie in its cones (Arw(v) is PSD exactly
+    when v is in its cone), else OutsideCone names the first cone outside."""
     if M.dim != layout.total:
         raise DimensionMismatch(f"{name} has dim {M.dim}, expected {layout.total}")
     if lifted:
@@ -466,7 +476,9 @@ def _read_cone_vector(
             raise InconsistentDual(
                 f"slack block {i} read from S deviates from c - A^T v by {dev[i]:.3e}"
             )
-    if lifted and psd_status(M, tol) is PsdStatus.INDEFINITE:
+    if not lifted:
+        _require_in_cones(layout, out, tol)
+    elif psd_status(M, tol) is PsdStatus.INDEFINITE:
         raise NotPSD(f"{name} is indefinite beyond tolerance")
     return out
 

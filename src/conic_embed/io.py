@@ -29,8 +29,9 @@ any fault is a ParseError that names the field:
   and that length where the problem fixes it;
 - integers (indices, and counts such as dim and m): ints within int64, read
   exactly as int64, never through a float;
-- a dual_split may not repeat an index; given a problem with a side, its
-  indices must be the problem's pins, in any order;
+- a matrix (C, a row of the dense A, X, S) must be square and symmetric;
+- a dual_split may not repeat an index or hold a negative one; given a
+  problem with a side, its indices must be the problem's pins, in any order;
 - meta, when present, must be an object; without it the meta is generic.
 """
 
@@ -45,7 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConicEmbedError, DimensionMismatch, ParseError
+from .errors import ConicEmbedError, DimensionMismatch, NotSymmetric, ParseError
 from .linalg import SparseRows, SymMatrix
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import BlockLayout, SocoProblem, SocoSolution
@@ -289,6 +290,15 @@ def _count(raw, what: str, path: PathLike, least: int) -> int:
     return raw
 
 
+def _symmetric(a: np.ndarray, what: str, path: PathLike) -> SymMatrix:
+    """The array read from field what as a SymMatrix; a matrix that is not
+    square or not symmetric is a ParseError naming the field."""
+    try:
+        return SymMatrix(a)
+    except (DimensionMismatch, NotSymmetric) as e:
+        raise ParseError(f"{path}: field '{what}': {e}") from None
+
+
 def load_problem(path: PathLike) -> SocoProblem:
     obj = _read_json(path)
     dims = _read(_field(obj, "cones", path), (None,), "cones", path, ints=1)[0][0].tolist()
@@ -301,17 +311,21 @@ def load_problem(path: PathLike) -> SocoProblem:
     return SocoProblem(tuple(dims), A, c, b)
 
 
-def save_problem(problem: SocoProblem, path: PathLike) -> None:
-    write_json(
+def render_problem(problem: SocoProblem) -> str:
+    """The text save_problem writes."""
+    return render_json(
         {
             "cones": list(problem.cone_dims),
             "m": problem.m,
             "A": problem.A_blocks,
             "b": problem.b,
             "c": problem.c_blocks,
-        },
-        path,
+        }
     )
+
+
+def save_problem(problem: SocoProblem, path: PathLike) -> None:
+    Path(path).write_text(render_problem(problem))
 
 
 def load_solution(path: PathLike, problem: SocoProblem) -> SocoSolution:
@@ -323,7 +337,8 @@ def load_solution(path: PathLike, problem: SocoProblem) -> SocoSolution:
     return SocoSolution(x_blocks=x, y=y, s_blocks=s)
 
 
-def save_solution(sol: SocoSolution, path: PathLike) -> None:
+def render_solution(sol: SocoSolution) -> str:
+    """The text save_solution writes."""
     obj: dict = {}
     if sol.x_blocks is not None:
         obj["x"] = sol.x_blocks
@@ -331,7 +346,11 @@ def save_solution(sol: SocoSolution, path: PathLike) -> None:
         obj["y"] = sol.y
     if sol.s_blocks is not None:
         obj["s"] = sol.s_blocks
-    write_json(obj, path)
+    return render_json(obj)
+
+
+def save_solution(sol: SocoSolution, path: PathLike) -> None:
+    Path(path).write_text(render_solution(sol))
 
 
 # SDO problem files: "format" 2 stores each constraint as its upper-triangle
@@ -389,11 +408,11 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
     if fmt is not None and (type(fmt) is not int or fmt != SDO_FORMAT):
         raise ParseError(f"{path}: unknown SDO problem format {fmt!r}")
     dim = _count(_field(obj, "dim", path), "dim", path, 1)
-    C = SymMatrix(_read(_field(obj, "C", path), (dim, dim), "C", path))
+    C = _symmetric(_read(_field(obj, "C", path), (dim, dim), "C", path), "C", path)
     a_raw = _field(obj, "A", path)
     if fmt is None:
         dense = _read(a_raw, (None, dim, dim), "A", path)
-        rows = SparseRows.from_rows(dim, list(map(SymMatrix, dense)))
+        rows = [_symmetric(a, f"A[{k}]", path) for k, a in enumerate(dense)]
     else:
         rows = _sparse_rows(a_raw, dim, path)
     b = _read(_field(obj, "b", path), (len(rows),), "b", path)
@@ -456,12 +475,13 @@ def save_sdo_solution(
 def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> SdoSolution:
     """Read an SDO solution. A dual_split must index each of the problem's
     pins once, when a problem with a side is given, and otherwise repeat no
-    index; it must concatenate to y exactly, and a file with a dual_split and
-    no y takes y from it."""
+    index and hold no negative one; it must concatenate to y exactly, and a
+    file with a dual_split and no y takes y from it."""
     obj = _read_json(path)
     dim = problem.dim if problem is not None else None
     length = problem.num_constraints if problem is not None else None
-    X, S = (SymMatrix(_read(obj[k], (dim, dim), k, path)) if k in obj else None for k in ("X", "S"))
+    X, S = (_symmetric(_read(obj[k], (dim, dim), k, path), k, path) if k in obj else None
+            for k in ("X", "S"))
     y = _read(obj["y"], (length,), "y", path) if "y" in obj else None
     if "dual_split" in obj:
         raw = obj["dual_split"]
@@ -479,11 +499,12 @@ def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> S
             at = at[:, order]
             if pins is None:  # nothing to match: y takes the file's order
                 order = slice(None)
-                bad = (at[:, 1:] == at[:, :-1]).all(axis=0).any()
+                bad = at.min(initial=0) < 0 or (at[:, 1:] == at[:, :-1]).all(axis=0).any()
             else:
                 bad = not np.array_equal(at, pins)
             if bad:
-                raise ParseError(f"{path}: field '{what}' repeats an index or misses a pin")
+                raise ParseError(f"{path}: field '{what}' holds a negative or repeated index, "
+                                 "or misses a pin")
             parts.append(values[0, order])
         joined = np.concatenate(parts)
         if y is None:
@@ -519,12 +540,9 @@ def render_sdpa(problem: SdoProblem, split_blocks: bool = False) -> str:
         layout = BlockLayout.from_dims((problem.dim,))
     offsets = np.asarray(layout.offsets)
     cone = layout.cone_ids
-    A = problem.constraints
-    ci, cj = np.nonzero(np.triu(problem.C.a))
-    mat = np.concatenate((np.zeros(len(ci), dtype=np.int64), A.row_ids() + 1))
-    i = np.concatenate((ci, A.i))
-    j = np.concatenate((cj, A.j))
-    val = np.concatenate((problem.C.a[ci, cj], A.v))
+    C, A = problem.C, problem.constraints  # matrix 0, then matrices 1..m, as stored triplets
+    mat = np.concatenate((np.zeros(C.nnz, dtype=np.int64), A.row_ids() + 1))
+    i, j, val = (np.concatenate(t) for t in ((C.i, A.i), (C.j, A.j), (C.v, A.v)))
     blk = cone[i]
     # data outside the declared blocks must not exist
     stray = blk != cone[j]

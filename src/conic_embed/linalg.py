@@ -119,6 +119,17 @@ class SparseSym:
         return f"SparseSym(dim={self.dim}, nnz={self.nnz})"
 
 
+def _as_sparse(m, dim: int, what: str) -> SparseSym:
+    """m, a SparseSym or a SymMatrix converted once, of dimension dim."""
+    if isinstance(m, SymMatrix):
+        m = SparseSym.from_dense(m)
+    elif not isinstance(m, SparseSym):
+        raise TypeError(f"{what} is a {type(m).__name__}, not a matrix")
+    if m.dim != dim:
+        raise DimensionMismatch(f"{what} has dim {m.dim}, expected {dim}")
+    return m
+
+
 class SparseRows:
     """Immutable sequence of sparse symmetric matrices of one dimension.
 
@@ -163,15 +174,7 @@ class SparseRows:
     @classmethod
     def from_rows(cls, dim: int, rows) -> "SparseRows":
         """Stack SparseSym or SymMatrix rows, each of dimension dim."""
-        parts = []
-        for k, r in enumerate(rows):
-            if isinstance(r, SymMatrix):
-                r = SparseSym.from_dense(r)
-            elif not isinstance(r, SparseSym):
-                raise TypeError(f"constraint {k} is a {type(r).__name__}, not a matrix")
-            if r.dim != dim:
-                raise DimensionMismatch(f"constraint {k} has dim {r.dim}, expected {dim}")
-            parts.append(r)
+        parts = [_as_sparse(r, dim, f"constraint {k}") for k, r in enumerate(rows)]
         if not parts:
             return cls(dim, 0, [], [], [], [])
         return cls(

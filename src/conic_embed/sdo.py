@@ -1,11 +1,11 @@
 """Standard-form semidefinite problem data and residuals.
 
 min Tr(CX)  s.t.  Tr(A_j X) = b_j,  X PSD, with the dual living in (y, S),
-C - sum_j y_j A_j = S. The constraints A_j are stored sparse, as one
-SparseRows stack of upper-triangle triplets; C is dense. Problems produced by
-the embedding builders carry meta: the side they came from, the cone
-dimensions and the original row count, from which the primal side's
-structural rows follow.
+C - sum_j y_j A_j = S. C and the constraints A_j are stored sparse, as
+upper-triangle triplets: one SparseSym and one SparseRows stack; X and S are
+dense. Problems produced by the embedding builders carry meta: the side they
+came from, the cone dimensions and the original row count, from which the
+primal side's structural rows follow.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart
-from .linalg import SparseRows, SymMatrix, _require_finite, trace_inner
+from .linalg import SparseRows, SparseSym, SymMatrix, _as_sparse, _require_finite, trace_inner
 from .soco import BlockLayout
 
 
@@ -70,22 +70,21 @@ GENERIC_META = EmbeddingMeta(Side.GENERIC)
 
 @dataclass(frozen=True, eq=False)
 class SdoProblem:
-    """Standard-form SDO data. The constraints may be passed as a SparseRows
-    stack or as a sequence of SparseSym or SymMatrix rows; they are stored as
-    SparseRows. meta.cone_dims, when given, must be positive and sum to dim.
-    meta.m_original must be non-negative and, on the dual or primal side, give
-    the row count: m_original, or m_original + dim (dim - 1) / 2 with the
-    primal side's pins."""
+    """Standard-form SDO data, stored as triplets: C, a SparseSym or a
+    SymMatrix, as a SparseSym; the constraints, a SparseRows stack or SparseSym
+    or SymMatrix rows, as SparseRows. meta.cone_dims, when given, must be
+    positive and sum to dim. meta.m_original must be non-negative and, on the
+    dual or primal side, give the row count: m_original, or
+    m_original + dim (dim - 1) / 2 with the primal side's pins."""
 
     dim: int
-    C: SymMatrix
+    C: SparseSym
     constraints: SparseRows
     b: np.ndarray
     meta: EmbeddingMeta = GENERIC_META
 
     def __post_init__(self):
-        if self.C.dim != self.dim:
-            raise DimensionMismatch(f"C has dim {self.C.dim}, expected {self.dim}")
+        object.__setattr__(self, "C", _as_sparse(self.C, self.dim, "C"))
         dims = self.meta.cone_dims
         if dims is not None and (min(dims, default=0) < 1 or sum(dims) != self.dim):
             raise DimensionMismatch(

@@ -19,12 +19,11 @@ from .sdo import SdoProblem, SdoSolution, Side, sdo_dual_residual, sdo_primal_re
 from .soco import (
     SocoProblem,
     SocoSolution,
-    _jordan_rows,
     _row_dots,
     arrow_head,
     jordan_product,
 )
-from .partition import ConeLabel
+from .partition import ConeLabel, _complementarity
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,9 @@ class AdmissibilityReport:
 
     def lines(self) -> list[str]:
         out = []
-        for name in ("primal_residual", "dual_residual", "primal_obj_gap", "dual_obj_gap"):
-            value = getattr(self, name)
-            mark = "PASS" if value <= self.tol else "FAIL"
-            out.append(f"{name:<22} {value:12.4e}  <= {self.tol:.1e}  {mark}")
+        for name, ok in self.checks.items():
+            mark = "PASS" if ok else "FAIL"
+            out.append(f"{name:<22} {getattr(self, name):12.4e}  <= {self.tol:.1e}  {mark}")
         out.append(f"{'soco_complementarity':<22} {self.soco_complementarity:12.4e}  (info)")
         out.append(f"{'sdo_trace_XS':<22} {self.sdo_complementarity_trace:12.4e}  (info)")
         out.append(f"{'sdo_norm_XS':<22} {self.sdo_complementarity_norm:12.4e}  (info)")
@@ -107,11 +105,8 @@ def check_admissibility(
     x, s = np.concatenate(sol.x_blocks), np.concatenate(sol.s_blocks)
     c = np.concatenate(problem.c_blocks)
     dots = np.empty(problem.r)
-    comp = 0.0
     for g in layout.groups:
-        xg = x[g.at]
-        dots[g.ids] = _row_dots(c[g.at], xg)
-        comp = max(comp, float(np.abs(_jordan_rows(xg, s[g.at])).max()))
+        dots[g.ids] = _row_dots(c[g.at], x[g.at])
     cx = sum(dots.tolist())
     by_soco = float(problem.b @ sol.y)
     by_sdo = float(sdo_problem.b @ sdo_sol.y)
@@ -121,7 +116,7 @@ def check_admissibility(
         dual_residual=sdo_dual_residual(sdo_problem, sdo_sol),
         primal_obj_gap=abs(cx - trace_inner(sdo_problem.C, sdo_sol.X)),
         dual_obj_gap=abs(by_soco - by_sdo),
-        soco_complementarity=comp,
+        soco_complementarity=float(_complementarity(layout, x, s, tol)[0].max()),
         sdo_complementarity_trace=trace_inner(sdo_sol.X, sdo_sol.S),
         sdo_complementarity_norm=float(np.abs(xs).max()),
         tol=tol,

@@ -303,6 +303,15 @@ class TestBadInput:
         assert err == f"error: {sdpa}: No such file or directory\n"
         assert not out.exists() and not sdpa.exists()
 
+    def test_gen_sol_out_in_missing_directory_leaves_no_out_file(self, tmp_path, capsys):
+        out, sol = tmp_path / "prob.json", tmp_path / "missing" / "sol.json"
+        code, stdout, err = run(capsys, "gen", "--cones", "3,2", "--labels", "B,R", "--m", 2,
+                                "--seed", 5, "--out", out, "--sol-out", sol)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {sol}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_not_text(self, tmp_path, capsys):
         prob = tmp_path / "prob.json"
         prob.write_bytes(b"\xff\xfe{")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conic_embed import (
     BadSubset,
     DimensionMismatch,
     FullRank,
+    InconsistentDual,
     NotArrowHead,
     NotFinite,
     NotInterior,
@@ -15,6 +17,7 @@ from conic_embed import (
     ProvenanceMismatch,
     RankK,
     RankOne,
+    SdoSolution,
     SimZhao,
     SocoSolution,
     SymMatrix,
@@ -369,7 +372,8 @@ class TestMapBlock:
 
 class TestOneMatrixCheckEach:
     """Per-cone blocks are plain arrays, so each assembled matrix is built and
-    checked as one SymMatrix, whatever the cone count."""
+    checked as one SymMatrix, whatever the cone count; a build stores C as
+    triplets and builds none."""
 
     def test_symmatrix_constructions_on_six_cones(self, monkeypatch):
         inst = generate_instance((4,) * 6, ("B", "N", "R", "T1", "T2", "T3"), m=3, seed=6)
@@ -384,12 +388,27 @@ class TestOneMatrixCheckEach:
         for call, want in (
             (lambda: map_solution(inst.problem, inst.solution, Side.DUAL, SimZhao()), 2),
             (lambda: map_solution(inst.problem, inst.solution, Side.PRIMAL, SimZhao()), 2),
-            (lambda: build_dual_embedding(inst.problem), 1),
-            (lambda: build_primal_embedding(inst.problem), 1),
+            (lambda: build_dual_embedding(inst.problem), 0),
+            (lambda: build_primal_embedding(inst.problem), 0),
         ):
             built.clear()
             call()
             assert len(built) == want
+
+
+class TestNoDenseObjective:
+    def test_dual_build_peaks_below_a_dense_matrix(self):
+        # 256 cones of dim 4 and 6 rows: a dense 1024 x 1024 C alone takes 8.4 MB
+        inst = generate_instance((4,) * 256, ("B",) * 256, m=6, seed=3)
+        inst.problem.layout  # built once, outside the measurement
+        tracemalloc.start()
+        try:
+            sdo = build_dual_embedding(inst.problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert sdo.C.nnz == 256 * 7
 
 
 class TestMapSolutionDual:
@@ -545,6 +564,20 @@ class TestInverseMapDual:
         assert inverse_map(sdo.meta, only_y).s_blocks is None
         back = inverse_map(sdo.meta, only_y, problem=inst.problem)
         assert max_block_diff(back.s_blocks, inst.solution.s_blocks) < 1e-12
+
+    def test_rejects_carried_slack_outside_the_cone(self):
+        # S holds Arw((-5, 0, 0)) for cone 0: indefinite, and its arrow-head
+        # read lies outside the cone
+        inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
+        sdo = build_dual_embedding(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, SimZhao())
+        s = mapped.S.a.copy()
+        s[:3, :3] = arrow_head([-5.0, 0.0, 0.0]).a
+        bad = SdoSolution(X=mapped.X, y=mapped.y, S=SymMatrix(s))
+        with pytest.raises(OutsideCone, match=r"^cone 0: vector \[-5\.  0\.  0\.\] lies outside its cone$"):
+            inverse_map(sdo.meta, bad)
+        with pytest.raises(InconsistentDual, match="^slack block 0 "):  # c - A^T y comes first
+            inverse_map(sdo.meta, bad, problem=inst.problem)
 
 
 def make_sdo_solution():

@@ -282,6 +282,19 @@ class TestInverseMapPrimal:
         with pytest.raises(NotPSD):
             primal_inverse(inst.problem, SdoSolution(y=mapped.y, S=SymMatrix(s)))
 
+    @pytest.mark.parametrize("with_problem", [False, True])
+    def test_rejects_carried_x_outside_the_cone(self, with_problem):
+        # X[0, 1] = 50 reads back as x0 = (1.48, 50, 0.62); the problem
+        # cross-checks s only, so it cannot catch this
+        inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
+        sdo = build_primal_embedding(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, SimZhao())
+        x = mapped.X.a.copy()
+        x[0, 1] = x[1, 0] = 50.0
+        bad = SdoSolution(X=SymMatrix(x), y=mapped.y, S=mapped.S)
+        with pytest.raises(OutsideCone, match=r"^cone 0: vector \[ ?1\.48\d* +50\. .*\] lies outside"):
+            inverse_map(sdo.meta, bad, problem=inst.problem if with_problem else None)
+
     def test_rejects_short_y(self):
         inst = generate_instance((3,), ("B",), m=2, seed=56)
         with pytest.raises(DimensionMismatch):

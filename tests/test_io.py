@@ -578,11 +578,13 @@ LOADERS = {
     "primal.map.json": lambda path: load_sdo_solution(
         path, load_sdo_problem(DATA / "primal.sdo.json")
     ),
+    "primal.map.json alone": load_sdo_solution,  # nothing fixes the shapes
 }
 
-# Each field of those files, with its kind: "num" holds floats, "int" integers,
-# "mixed" [index..., value] entries (integers, then a float), "text" a string
-# and "object" a JSON object.
+# Each field of those files, with its kind: "num" holds floats, "sym"
+# symmetric matrices of floats, "int" integers, "mixed" [index..., value]
+# entries (integers, then a float), "text" a string and "object" a JSON
+# object.
 FIELDS = [
     ("prob.json", "cones", "int"),
     ("prob.json", "m", "int"),
@@ -594,7 +596,7 @@ FIELDS = [
     ("sol.json", "s", "num"),
     ("primal.sdo.json", "format", "int"),
     ("primal.sdo.json", "dim", "int"),
-    ("primal.sdo.json", "C", "num"),
+    ("primal.sdo.json", "C", "sym"),
     ("primal.sdo.json", "A", "mixed"),
     ("primal.sdo.json", "b", "num"),
     ("primal.sdo.json", "meta", "object"),
@@ -603,20 +605,22 @@ FIELDS = [
     ("primal.sdo.json", "meta.m_original", "int"),
     ("primal.sdo.json", "meta.zero_pairs", "int"),
     ("primal.sdo.json", "meta.tied_diagonals", "int"),
-    ("legacy", "C", "num"),
-    ("legacy", "A", "num"),
-    ("primal.map.json", "X", "num"),
+    ("legacy", "C", "sym"),
+    ("legacy", "A", "sym"),
+    ("primal.map.json", "X", "sym"),
     ("primal.map.json", "y", "num"),
-    ("primal.map.json", "S", "num"),
+    ("primal.map.json", "S", "sym"),
     ("primal.map.json", "dual_split", "object"),
     ("primal.map.json", "dual_split.v", "num"),
     ("primal.map.json", "dual_split.w", "mixed"),
     ("primal.map.json", "dual_split.u", "mixed"),
 ]
+FIELDS += [("primal.map.json alone", field, kind) for file, field, kind in FIELDS
+           if file == "primal.map.json"]
 
 
 def _file(file):
-    return json.loads(LEGACY_PRIMAL_SDO if file == "legacy" else (DATA / file).read_text())
+    return json.loads(LEGACY_PRIMAL_SDO if file == "legacy" else (DATA / file.split()[0]).read_text())
 
 
 def _depth(value):
@@ -640,6 +644,15 @@ def _at_row(value, change):
     return change(value)
 
 
+def _asymmetric(value):
+    """value with 1 added above the diagonal of its first matrix."""
+    matrix = value
+    while isinstance(matrix[0][0], list):
+        matrix = matrix[0]
+    matrix[0][1] += 1
+    return value
+
+
 def _innermost(value, change):
     """value with change applied to every innermost list."""
     if isinstance(value[0], list):
@@ -647,7 +660,7 @@ def _innermost(value, change):
     return change(value)
 
 
-NUMERIC = {"num", "int", "mixed"}
+NUMERIC = {"num", "sym", "int", "mixed"}
 INDEX = {"int", "mixed"}
 ANY = NUMERIC | {"text", "object"}
 
@@ -662,6 +675,7 @@ MUTATIONS = {
     "one level too few": (NUMERIC, 1, lambda v: v[0]),
     "ragged row": (NUMERIC, 2, lambda v: _at_row(v, lambda row: row[:-1])),
     "wrong width": (NUMERIC, 1, lambda v: _innermost(v, lambda row: row + row[-1:])),
+    "asymmetric": ({"sym"}, 2, _asymmetric),
     "float index": (INDEX, 0, lambda v: _at_leaf(v, float, 0)),
     "negative index": (INDEX, 0, lambda v: _at_leaf(v, lambda x: -1, 0)),
     "index 2**70": (INDEX, 0, lambda v: _at_leaf(v, lambda x: 2**70, 0)),
@@ -677,6 +691,7 @@ NAMED = {
     ("prob.json", "cones", "wrong width"): "A",
     ("primal.sdo.json", "format", "null"): "A",  # no format: the legacy dense form
     ("primal.map.json", "dual_split.v", "wrong width"): "dual_split",
+    ("primal.map.json alone", "dual_split.v", "wrong width"): "dual_split",
 }
 
 

@@ -13,8 +13,11 @@ from conic_embed import (
     SdoSolution,
     Side,
     SocoProblem,
+    SparseSym,
     SymMatrix,
+    build_dual_embedding,
     build_primal_embedding,
+    generate_instance,
     load_sdo_solution,
     save_sdo_solution,
     sdo_dual_residual,
@@ -22,6 +25,7 @@ from conic_embed import (
     sdo_primal_residual,
     trace_inner,
 )
+from conic_embed.io import render_sdo_problem, render_sdpa
 from conic_embed.soco import BlockLayout
 
 
@@ -45,6 +49,23 @@ class TestProblemData:
             SdoProblem(3, C, (SymMatrix.identity(2),), np.zeros(1))
         with pytest.raises(DimensionMismatch):
             SdoProblem(3, C, (C,), np.zeros(2))
+
+    def test_C_given_dense_or_as_triplets(self):
+        # a SymMatrix C is converted once; a built C is already those triplets
+        inst = generate_instance((3, 2, 1), ("B", "R", "N"), m=2, seed=5)
+        for build in (build_dual_embedding, build_primal_embedding):
+            sdo = build(inst.problem)
+            assert isinstance(sdo.C, SparseSym)
+            dense = SdoProblem(sdo.dim, SymMatrix(sdo.C.a), sdo.constraints, sdo.b, sdo.meta)
+            assert isinstance(dense.C, SparseSym)
+            for got, want in ((dense.C.i, sdo.C.i), (dense.C.j, sdo.C.j), (dense.C.v, sdo.C.v)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert render_sdo_problem(dense) == render_sdo_problem(sdo)
+            assert render_sdpa(dense) == render_sdpa(sdo)
+
+    def test_C_must_be_a_matrix(self):
+        with pytest.raises(TypeError, match="^C is a list, not a matrix$"):
+            SdoProblem(2, [[1.0, 0.0], [0.0, 1.0]], (), np.zeros(0))
 
     def test_meta_must_match_dim(self):
         C = SymMatrix.identity(5)

@@ -389,7 +389,7 @@ def map_solution(
     S = None if sol.s_blocks is None else s_image(sol.s_blocks)
     y = None
     if side is Side.DUAL:
-        y = None if sol.y is None else sol.y.copy()
+        y = sol.y
     elif sol.y is not None and S is not None:
         u, w = _recover_uw(S, np.concatenate(sol.s_blocks), layout, tol)
         y = np.concatenate((sol.y, w, u))
@@ -437,7 +437,7 @@ def inverse_map(
         rows = meta.m_original + (0 if dual else layout.total * (layout.total - 1) // 2)
         if sol.y.shape[0] != rows:
             raise DimensionMismatch(f"y has length {sol.y.shape[0]}, expected {rows}")
-        v = sol.y[: meta.m_original].copy()
+        v = sol.y[: meta.m_original]
     s = None
     if sol.S is not None:
         alt = None if v is None or problem is None else _slack(problem, v)
@@ -455,8 +455,8 @@ def _read_cone_vector(
     M: SymMatrix, name: str, layout: BlockLayout, lifted: bool, tol: float,
     alt: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The concatenated cone vector behind one side of an embedded solution:
-    (block trace; 2 * first block row) of a lifted matrix, the block
+    """The concatenated cone vector, read-only, behind one side of an embedded
+    solution: (block trace; 2 * first block row) of a lifted matrix, the block
     arrow-head inverse of the other. When alt is given, the vector must match
     it within tol, scaled by alt's magnitude per cone, else InconsistentDual
     names the first cone off. Then a lifted matrix must be PSD within tol,
@@ -480,6 +480,7 @@ def _read_cone_vector(
         _require_in_cones(layout, out, tol)
     elif psd_status(M, tol) is PsdStatus.INDEFINITE:
         raise NotPSD(f"{name} is indefinite beyond tolerance")
+    out.setflags(write=False)
     return out
 
 
@@ -494,6 +495,8 @@ def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
 
 def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarray:
     """Read (block trace; 2 * first block row) out of one diagonal block of X."""
+    if X.dim != layout.total:
+        raise DimensionMismatch(f"X has dim {X.dim}, expected {layout.total}")
     return _block_vectors(X.a, layout)[layout.block_slice(i)]
 
 
@@ -548,14 +551,15 @@ def _recover_uw(
 
 
 def _slack(problem: SocoProblem, v: np.ndarray) -> np.ndarray:
-    """c - A^T v, concatenated in cone order. The A blocks of one size are
-    stacked, and each block's product is the same matrix-vector product, with
-    the same bits, as A_i^T v alone; a product with the concatenated A rounds
-    differently."""
+    """c - A^T v, concatenated in cone order, read-only. The A blocks of one
+    size are stacked, and each block's product is the same matrix-vector
+    product, with the same bits, as A_i^T v alone; a product with the
+    concatenated A rounds differently."""
     layout = problem.layout
     out = np.empty(layout.total)
     for g in layout.groups:
         A = np.stack([problem.A_blocks[i] for i in g.ids.tolist()])
         out[g.at] = np.stack([problem.c_blocks[i] for i in g.ids.tolist()]) \
             - A.transpose(0, 2, 1) @ v
+    out.setflags(write=False)
     return out

@@ -238,7 +238,8 @@ def _read(raw, shape: tuple, what: str, path: PathLike, ints: int = 0):
     length, the lengths are those of shape where shape gives one (None is
     free; an empty list takes the given length), and every number is an int
     or a float by exact type (bool is not an int, "1.5" not a number).
-    Returns the float array. With ints, the first ints entries of each
+    Returns the float array, read-only, so the data classes keep it
+    without a copy. With ints, the first ints entries of each
     innermost list (of a flat list: every entry) must be ints, and the pair
     (those columns exactly as int64, the other columns as floats; each an
     array with one row per column) is returned; an integer outside int64 is
@@ -264,6 +265,7 @@ def _read(raw, shape: tuple, what: str, path: PathLike, ints: int = 0):
     try:
         if not ints:
             values = np.array(items, dtype=float)
+            values.setflags(write=False)
             return values.reshape(got) if len(got) > 1 else values
         width = got[-1] if len(got) > 1 else 1
         columns = [items[k::width] for k in range(width)] if width > 1 else [items]
@@ -475,13 +477,15 @@ def save_sdo_solution(
 def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> SdoSolution:
     """Read an SDO solution. A dual_split must index each of the problem's
     pins once, when a problem with a side is given, and otherwise repeat no
-    index and hold no negative one; it must concatenate to y exactly, and a
-    file with a dual_split and no y takes y from it."""
+    index, hold no negative one or pair (h, l) with h >= l, and stay below
+    the dim the problem, X or S gives; it must concatenate to y exactly, and
+    a file with a dual_split and no y takes y from it."""
     obj = _read_json(path)
     dim = problem.dim if problem is not None else None
     length = problem.num_constraints if problem is not None else None
     X, S = (_symmetric(_read(obj[k], (dim, dim), k, path), k, path) if k in obj else None
             for k in ("X", "S"))
+    dim = next((M.dim for M in (X, S) if M is not None), dim)
     y = _read(obj["y"], (length,), "y", path) if "y" in obj else None
     if "dual_split" in obj:
         raw = obj["dual_split"]
@@ -499,12 +503,14 @@ def load_sdo_solution(path: PathLike, problem: Optional[SdoProblem] = None) -> S
             at = at[:, order]
             if pins is None:  # nothing to match: y takes the file's order
                 order = slice(None)
-                bad = at.min(initial=0) < 0 or (at[:, 1:] == at[:, :-1]).all(axis=0).any()
+                bad = (at.min(initial=0) < 0 or (at[:-1] >= at[1:]).any()  # each pair has h < l
+                       or (dim is not None and at.max(initial=0) >= dim)
+                       or (at[:, 1:] == at[:, :-1]).all(axis=0).any())
             else:
                 bad = not np.array_equal(at, pins)
             if bad:
-                raise ParseError(f"{path}: field '{what}' holds a negative or repeated index, "
-                                 "or misses a pin")
+                raise ParseError(f"{path}: field '{what}' holds a negative, repeated, "
+                                 "out-of-range or lower-triangle index, or misses a pin")
             parts.append(values[0, order])
         joined = np.concatenate(parts)
         if y is None:

@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, EighConvergenceError, NotFinite, NotSymme
 DEFAULT_TOL = 1e-8
 SYM_TOL = 1e-9  # largest |a - a.T| SymMatrix accepts, relative to 1 + max|a|
 _HALF_MAX = np.finfo(float).max / 2
+_F64 = np.dtype(float)
 
 
 class SymMatrix:
@@ -74,6 +75,40 @@ class SymMatrix:
 def _require_finite(values: np.ndarray, what: str = "matrix data") -> None:
     if not np.isfinite(values).all():
         raise NotFinite(f"{what} holds a NaN or an infinite entry")
+
+
+def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
+    """values as read-only float arrays: the data classes' one rule. A
+    read-only native float64 ndarray that owns its memory, or views a
+    read-only one that does, is kept; anything else is copied. shapes[k]
+    fixes every length of value k, or holds None on each axis to fix only
+    the number of axes. The first value in order with another shape, or a
+    NaN or an infinite entry, raises DimensionMismatch or NotFinite naming
+    it name.format(k); finiteness is tested once for the batch."""
+    out, misshapen = [], None
+    for k, (v, shape) in enumerate(zip(values, shapes)):
+        if not _kept(v):
+            v = np.array(v, dtype=float)
+            v.setflags(write=False)
+        if v.ndim != len(shape) or (shape[0] is not None and v.shape != shape):
+            misshapen = DimensionMismatch(f"{name.format(k)} has shape {v.shape}, "
+                                          f"expected {shape}")
+            break
+        out.append(v)
+    if out and not np.isfinite(out[0] if len(out) == 1 else np.concatenate(out, axis=None)).all():
+        k = next(k for k, a in enumerate(out) if not np.isfinite(a).all())
+        _require_finite(out[k], name.format(k))
+    if misshapen is not None:
+        raise misshapen
+    return tuple(out)
+
+
+def _kept(v) -> bool:
+    if type(v) is not np.ndarray or v.flags.writeable or v.dtype != _F64:
+        return False
+    base = v.base
+    return base is None or (type(base) is np.ndarray and base.base is None
+                            and not base.flags.writeable)
 
 
 class SparseSym:

@@ -30,6 +30,7 @@ from .linalg import (
     EigenDecomposition,
     PsdStatus,
     SymMatrix,
+    _checked,
     _require_finite,
     _two_level_eigensystem,
     eigh,
@@ -154,10 +155,7 @@ class SdoPartition:
 
     def __post_init__(self):
         for name in ("basis_b", "basis_n", "basis_t"):
-            a = np.array(getattr(self, name), dtype=float)
-            if a.ndim != 2:
-                raise DimensionMismatch(f"{name} must be a matrix, got shape {a.shape}")
-            a.setflags(write=False)
+            (a,) = _checked((getattr(self, name),), ((None, None),), name)
             object.__setattr__(self, name, a)
 
     @property

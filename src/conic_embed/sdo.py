@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart
-from .linalg import SparseRows, SparseSym, SymMatrix, _as_sparse, _require_finite, trace_inner
+from .linalg import SparseRows, SparseSym, SymMatrix, _as_sparse, _checked, trace_inner
 from .soco import BlockLayout
 
 
@@ -96,14 +96,7 @@ class SdoProblem:
         elif rows.dim != self.dim:
             raise DimensionMismatch(f"constraints have dim {rows.dim}, expected {self.dim}")
         object.__setattr__(self, "constraints", rows)
-        b = np.array(self.b, dtype=float)
-        if b.ndim != 1 or b.shape[0] != len(self.constraints):
-            raise DimensionMismatch(
-                f"b has shape {b.shape}, expected ({len(self.constraints)},)"
-            )
-        _require_finite(b, "b")
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", _checked((self.b,), ((len(rows),),), "b")[0])
         m, side = self.meta.m_original, self.meta.side
         if m < 0:
             raise DimensionMismatch(f"meta.m_original must be non-negative, got {m}")
@@ -127,13 +120,11 @@ class SdoSolution:
     S: Optional[SymMatrix] = None
 
     def __post_init__(self):
+        for name, m in (("X", self.X), ("S", self.S)):
+            if not isinstance(m, (SymMatrix, type(None))):
+                raise TypeError(f"{name} is a {type(m).__name__}, not a matrix")
         if self.y is not None:
-            y = np.array(self.y, dtype=float)
-            if y.ndim != 1:
-                raise DimensionMismatch(f"y must be a vector, got shape {y.shape}")
-            _require_finite(y, "y")
-            y.setflags(write=False)
-            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "y", _checked((self.y,), ((None,),), "y")[0])
 
     def validate_against(self, problem: SdoProblem) -> None:
         if self.X is not None and self.X.dim != problem.dim:

@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead, NotFinite
-from .linalg import DEFAULT_TOL, SymMatrix, _require_finite
+from .linalg import DEFAULT_TOL, SymMatrix, _checked, _require_finite
 
 
 class ConePosition(Enum):
@@ -167,37 +168,6 @@ def _pins(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
     return pairs, tied
 
 
-def _frozen_vector(v, length: int | None = None, what: str = "vector") -> np.ndarray:
-    a = np.array(v, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{what} must be one-dimensional, got shape {a.shape}")
-    if length is not None and a.shape[0] != length:
-        raise DimensionMismatch(f"{what} has length {a.shape[0]}, expected {length}")
-    _require_finite(a, what)
-    a.setflags(write=False)
-    return a
-
-
-def _frozen_blocks(blocks, name: str) -> tuple[np.ndarray, ...]:
-    """_frozen_vector on each block, with the finiteness of all blocks checked
-    at once: the first block that is not a vector, or not finite, is named."""
-    out = []
-    for i, v in enumerate(blocks):
-        a = np.array(v, dtype=float)
-        if a.ndim != 1:
-            for j, earlier in enumerate(out):  # a non-finite earlier block comes first
-                _require_finite(earlier, f"{name}[{j}]")
-            raise DimensionMismatch(
-                f"{name}[{i}] must be one-dimensional, got shape {a.shape}"
-            )
-        a.setflags(write=False)
-        out.append(a)
-    if out and not np.isfinite(np.concatenate(out)).all():
-        i = next(i for i, a in enumerate(out) if not np.isfinite(a).all())
-        _require_finite(out[i], f"{name}[{i}]")
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class SocoProblem:
     """min sum_i <c_i, x_i>  s.t.  sum_i A_i x_i = b,  each x_i in a Lorentz cone."""
@@ -211,23 +181,14 @@ class SocoProblem:
         layout = BlockLayout.from_dims(self.cone_dims)
         object.__setattr__(self, "cone_dims", layout.dims)
         object.__setattr__(self, "_layout", layout)
-        b = _frozen_vector(self.b, what="b")
+        (b,) = _checked((self.b,), ((None,),), "b")
         m = b.shape[0]
         if len(self.A_blocks) != len(layout.dims) or len(self.c_blocks) != len(layout.dims):
             raise DimensionMismatch("A and c must have one block per cone")
-        A = []
-        for i, blk in enumerate(self.A_blocks):
-            a = np.array(blk, dtype=float)
-            if a.shape != (m, layout.dims[i]):
-                raise DimensionMismatch(
-                    f"A block {i} has shape {a.shape}, expected {(m, layout.dims[i])}"
-                )
-            _require_finite(a, f"A block {i}")
-            a.setflags(write=False)
-            A.append(a)
-        c = [_frozen_vector(blk, layout.dims[i], f"c block {i}") for i, blk in enumerate(self.c_blocks)]
-        object.__setattr__(self, "A_blocks", tuple(A))
-        object.__setattr__(self, "c_blocks", tuple(c))
+        A = _checked(self.A_blocks, [(m, n) for n in layout.dims], "A block {}")
+        c = _checked(self.c_blocks, [(n,) for n in layout.dims], "c block {}")
+        object.__setattr__(self, "A_blocks", A)
+        object.__setattr__(self, "c_blocks", c)
         object.__setattr__(self, "b", b)
 
     @property
@@ -260,9 +221,9 @@ class SocoSolution:
         for name in ("x_blocks", "s_blocks"):
             blocks = getattr(self, name)
             if blocks is not None:
-                object.__setattr__(self, name, _frozen_blocks(blocks, name))
+                object.__setattr__(self, name, _checked(blocks, repeat((None,)), name + "[{}]"))
         if self.y is not None:
-            object.__setattr__(self, "y", _frozen_vector(self.y, what="y"))
+            object.__setattr__(self, "y", _checked((self.y,), ((None,),), "y")[0])
 
     def validate_against(self, problem: SocoProblem) -> None:
         for name, blocks in (("x", self.x_blocks), ("s", self.s_blocks)):
@@ -361,6 +322,8 @@ def block_arrow_head_inv(
     """Inverse of block_arrow_head: the per-cone vectors of m. Entries outside
     the diagonal blocks must vanish within tol, and each block must pass
     arrow_head_inv; otherwise NotArrowHead reports the worst violation."""
+    if m.dim != layout.total:
+        raise DimensionMismatch(f"X has dim {m.dim}, expected {layout.total}")
     stray = layout.max_off_block(m)
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")

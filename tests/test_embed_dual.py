@@ -477,6 +477,20 @@ class TestInverseMapDual:
                 assert max_block_diff(back.s_blocks, inst.solution.s_blocks) < 1e-12, name
                 assert np.array_equal(back.y, inst.solution.y)
 
+    @pytest.mark.parametrize("side", [Side.DUAL, Side.PRIMAL])
+    def test_transports_hand_over_without_a_copy(self, side):
+        # y is passed on as the read-only array or slice it is, and the
+        # inverse's cone blocks are views of the one vector it computed
+        inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
+        sdo = (build_dual_embedding if side is Side.DUAL else build_primal_embedding)(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, side, RankOne())
+        if side is Side.DUAL:
+            assert mapped.y is inst.solution.y
+        back = inverse_map(sdo.meta, mapped, problem=inst.problem)
+        assert np.shares_memory(back.y, mapped.y)
+        for blocks in (back.x_blocks, back.s_blocks):
+            assert blocks[0].base is not None and blocks[0].base is blocks[1].base
+
     def test_extraction_formula(self):
         layout = BlockLayout.from_dims((3,))
         rng = np.random.default_rng(33)
@@ -485,6 +499,11 @@ class TestInverseMapDual:
         v = extract_block_vector(X, layout, 0)
         assert v[0] == pytest.approx(np.trace(X.a))
         assert np.array_equal(v[1:], 2.0 * X.a[0, 1:])
+
+    def test_extraction_checks_the_layout(self):
+        X = block_arrow_head([[3.0, 1.0, 1.0], [2.0, 1.0]])  # dim 5
+        with pytest.raises(DimensionMismatch, match="^X has dim 5, expected 4$"):
+            extract_block_vector(X, BlockLayout.from_dims((2, 2)), 1)
 
     def test_extraction_of_psd_block_lands_in_cone(self):
         # trace >= 2 ||first row|| holds for every PSD matrix

@@ -191,6 +191,26 @@ class TestSolutionRoundTrip:
             assert np.array_equal(a, b)
         assert np.array_equal(loaded.y, inst.solution.y)
 
+    def test_loaders_keep_the_arrays_they_read(self, inst, tmp_path, monkeypatch):
+        # every array of the loaded problem and solution is an array the field
+        # reader returned, not a second copy of it
+        from conic_embed import io
+
+        read, real = [], io._read
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            read.append(out)
+            return out
+
+        monkeypatch.setattr(io, "_read", spy)
+        save_problem(inst.problem, tmp_path / "p.json")
+        save_solution(inst.solution, tmp_path / "s.json")
+        p = load_problem(tmp_path / "p.json")
+        sol = load_solution(tmp_path / "s.json", p)
+        for a in (*p.A_blocks, *p.c_blocks, p.b, *sol.x_blocks, sol.y, *sol.s_blocks):
+            assert any(a is r for r in read)
+
     def test_partial(self, inst, tmp_path):
         from conic_embed import SocoSolution
 
@@ -583,8 +603,8 @@ LOADERS = {
 
 # Each field of those files, with its kind: "num" holds floats, "sym"
 # symmetric matrices of floats, "int" integers, "mixed" [index..., value]
-# entries (integers, then a float), "text" a string and "object" a JSON
-# object.
+# entries (integers, then a float), "pairs" such entries [h, l, value] with
+# h < l, "text" a string and "object" a JSON object.
 FIELDS = [
     ("prob.json", "cones", "int"),
     ("prob.json", "m", "int"),
@@ -612,7 +632,7 @@ FIELDS = [
     ("primal.map.json", "S", "sym"),
     ("primal.map.json", "dual_split", "object"),
     ("primal.map.json", "dual_split.v", "num"),
-    ("primal.map.json", "dual_split.w", "mixed"),
+    ("primal.map.json", "dual_split.w", "pairs"),
     ("primal.map.json", "dual_split.u", "mixed"),
 ]
 FIELDS += [("primal.map.json alone", field, kind) for file, field, kind in FIELDS
@@ -660,8 +680,9 @@ def _innermost(value, change):
     return change(value)
 
 
-NUMERIC = {"num", "sym", "int", "mixed"}
-INDEX = {"int", "mixed"}
+MIXED = {"mixed", "pairs"}
+NUMERIC = {"num", "sym", "int"} | MIXED
+INDEX = {"int"} | MIXED
 ANY = NUMERIC | {"text", "object"}
 
 # mutation -> (the kinds it applies to, the least depth it needs, what it does
@@ -669,7 +690,7 @@ ANY = NUMERIC | {"text", "object"}
 MUTATIONS = {
     "numeric string": (NUMERIC, 0, lambda v: _at_leaf(v, str, -1)),
     "true": (ANY, 0, lambda v: _at_leaf(v, lambda x: True, 0)),
-    "true value": ({"mixed"}, 0, lambda v: _at_leaf(v, lambda x: True, -1)),
+    "true value": (MIXED, 0, lambda v: _at_leaf(v, lambda x: True, -1)),
     "null": (ANY, 0, lambda v: _at_leaf(v, lambda x: None, 0)),
     "one level too many": (ANY, 0, lambda v: [v]),
     "one level too few": (NUMERIC, 1, lambda v: v[0]),
@@ -680,6 +701,8 @@ MUTATIONS = {
     "negative index": (INDEX, 0, lambda v: _at_leaf(v, lambda x: -1, 0)),
     "index 2**70": (INDEX, 0, lambda v: _at_leaf(v, lambda x: 2**70, 0)),
     "index 10**400": (INDEX, 0, lambda v: _at_leaf(v, lambda x: 10**400, 0)),
+    "last index 10**6": (MIXED, 2, lambda v: _at_row(v, lambda row: row[:-2] + [10**6] + row[-1:])),
+    "lower-triangle pair": ({"pairs"}, 2, lambda v: _at_row(v, lambda row: row[1::-1] + row[2:])),
     "NaN": (NUMERIC, 0, "NaN"),
     "Infinity": (NUMERIC, 0, "Infinity"),
     "1e400": (NUMERIC, 0, "1e400"),

@@ -9,6 +9,7 @@ from conic_embed import (
     MissingSolutionPart,
     NotFinite,
     ParseError,
+    RankOne,
     SdoProblem,
     SdoSolution,
     Side,
@@ -19,6 +20,7 @@ from conic_embed import (
     build_primal_embedding,
     generate_instance,
     load_sdo_solution,
+    map_solution,
     save_sdo_solution,
     sdo_dual_residual,
     sdo_gap,
@@ -66,6 +68,16 @@ class TestProblemData:
     def test_C_must_be_a_matrix(self):
         with pytest.raises(TypeError, match="^C is a list, not a matrix$"):
             SdoProblem(2, [[1.0, 0.0], [0.0, 1.0]], (), np.zeros(0))
+
+    @pytest.mark.parametrize("name", ["X", "S"])
+    def test_solution_matrices_must_be_matrices(self, name):
+        # an array in place of X or S failed later, in each reader, with an
+        # AttributeError on .dim
+        inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, RankOne())
+        parts = {"X": mapped.X, "y": mapped.y, "S": mapped.S, name: getattr(mapped, name).a}
+        with pytest.raises(TypeError, match=f"^{name} is a ndarray, not a matrix$"):
+            SdoSolution(**parts)
 
     def test_meta_must_match_dim(self):
         C = SymMatrix.identity(5)

@@ -12,6 +12,9 @@ from conic_embed import (
     NotArrowHead,
     NotFinite,
     PsdStatus,
+    SdoPartition,
+    SdoProblem,
+    SdoSolution,
     SocoProblem,
     SocoSolution,
     SymMatrix,
@@ -94,6 +97,14 @@ class TestArrowHead:
             block_arrow_head_inv(SymMatrix(a), layout)
         assert exc.value.violation == violation
         assert str(exc.value).endswith(f"by {violation:.3e} at {where}")
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_block_inverse_checks_the_layout(self, dims):
+        # the matrix has dim 5; without the check (2, 2) read a misleading
+        # off-block entry and (3, 3) an index out of bounds
+        m = block_arrow_head([[3.0, 1.0, 1.0], [2.0, 1.0]])
+        with pytest.raises(DimensionMismatch, match=f"^X has dim 5, expected {sum(dims)}$"):
+            block_arrow_head_inv(m, BlockLayout.from_dims(dims))
 
     def test_block_arrow_head(self):
         m = block_arrow_head([np.array([1.0, 2.0]), np.array([3.0])])
@@ -298,6 +309,15 @@ class TestProblemData:
             p.b[0] = 9.0
         with pytest.raises(ValueError):
             p.A_blocks[0][0, 0] = 9.0
+        sol = SocoSolution(x_blocks=([1.0, 0.0], [2]), y=[0, 1], s_blocks=np.ones((2, 1)))
+        sdo = SdoProblem(2, SymMatrix.identity(2), (SymMatrix.identity(2),), [1])
+        sdo_sol = SdoSolution(y=np.arange(3))
+        part = SdoPartition(np.eye(2), [[0.0], [0.0]], np.zeros((2, 0)))
+        stored = (*p.A_blocks, *p.c_blocks, p.b, *sol.x_blocks, sol.y, *sol.s_blocks, sdo.b,
+                  sdo_sol.y, part.basis_b, part.basis_n, part.basis_t)
+        for a in stored:
+            assert type(a) is np.ndarray and a.dtype == np.float64
+            assert not a.flags.writeable
 
     def test_properties(self):
         p = tiny_problem()
@@ -365,6 +385,128 @@ class TestNonFiniteRejected:
         with pytest.raises(NotFinite):
             jordan_product([1.0, 0.0], [bad, 0.0])
 
+
+def _problem_with(field, blocks):
+    parts = {"A_blocks": [np.eye(2), np.ones((2, 1))], "c_blocks": [np.ones(2), np.ones(1)]}
+    parts[field] = blocks
+    return SocoProblem((2, 1), parts["A_blocks"], parts["c_blocks"], np.ones(2))
+
+
+# The block batches: (the name of block k, the object built from two blocks,
+# two good blocks, the shape block 0 must have).
+_BATCHES = {
+    "A_blocks": ("A block {}", lambda blocks: _problem_with("A_blocks", blocks),
+                 [np.eye(2), np.ones((2, 1))], (2, 2)),
+    "c_blocks": ("c block {}", lambda blocks: _problem_with("c_blocks", blocks),
+                 [np.ones(2), np.ones(1)], (2,)),
+    "x_blocks": ("x_blocks[{}]", lambda blocks: SocoSolution(x_blocks=blocks),
+                 [np.ones(2), np.ones(1)], (None,)),
+    "s_blocks": ("s_blocks[{}]", lambda blocks: SocoSolution(s_blocks=blocks),
+                 [np.ones(2), np.ones(1)], (None,)),
+}
+
+
+def _frozen_copy(a):
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _readonly(a):
+    a.setflags(write=False)
+    return a
+
+
+# Every array field of the five data classes: (the shape the test gives
+# it, the object built with value in that field, the stored array).
+_FIELDS = {
+    "SocoProblem.b": ((2,), lambda v: SocoProblem((2, 1), [np.eye(2), np.ones((2, 1))],
+                                                  [np.ones(2), np.ones(1)], v).b),
+    "SocoProblem.A_blocks": ((2, 2), lambda v: SocoProblem((2,), [v], [np.ones(2)], [1, 2])
+                             .A_blocks[0]),
+    "SocoProblem.c_blocks": ((2,), lambda v: SocoProblem((2,), [np.eye(2)], [v], [1, 2])
+                             .c_blocks[0]),
+    "SocoSolution.x_blocks": ((2,), lambda v: SocoSolution(x_blocks=[v]).x_blocks[0]),
+    "SocoSolution.y": ((2,), lambda v: SocoSolution(y=v).y),
+    "SocoSolution.s_blocks": ((2,), lambda v: SocoSolution(s_blocks=[np.ones(1), v]).s_blocks[1]),
+    "SdoProblem.b": ((2,), lambda v: SdoProblem(2, SymMatrix.identity(2),
+                                                (SymMatrix.identity(2),) * 2, v).b),
+    "SdoSolution.y": ((2,), lambda v: SdoSolution(y=v).y),
+    "SdoPartition.basis_b": ((2, 2), lambda v: SdoPartition(v, np.zeros((2, 0)), np.zeros((2, 0)))
+                             .basis_b),
+    "SdoPartition.basis_t": ((2, 2), lambda v: SdoPartition(np.zeros((2, 0)), np.zeros((2, 0)), v)
+                             .basis_t),
+}
+
+# Values that are kept as they are: read-only float64 arrays that own their
+# memory or view a read-only array that does.
+_KEPT = {
+    "read-only": _frozen_copy,
+    "read-only view of read-only": lambda a: _frozen_copy(np.stack([a, a]))[1],
+}
+
+# Values that are copied: anything through which the data can still change,
+# or that is not a native float64 ndarray.
+_COPIED = {
+    "list": lambda a: a.tolist(),
+    "writable": lambda a: np.array(a),
+    "read-only view of writable": lambda a: _readonly(np.stack([a, a])[1]),
+    "int": lambda a: _readonly(a.astype(np.int64)),
+    "big-endian": lambda a: _readonly(a.astype(">f8")),
+    "foreign buffer": lambda a: np.frombuffer(a.tobytes()).reshape(a.shape),
+    "read-only view of a foreign buffer": lambda a: _readonly(
+        np.frombuffer(bytearray(np.stack([a, a]).tobytes())).reshape((2, *a.shape)))[1],
+}
+
+
+class TestOneArrayRule:
+    """Every array field of the five data classes is checked and frozen by one
+    rule: a read-only float64 array that owns its memory, or views a read-only
+    one that does, is kept as it is; any other value is copied, once."""
+
+    @pytest.mark.parametrize("field", list(_FIELDS))
+    @pytest.mark.parametrize("kind", list(_KEPT))
+    def test_read_only_array_is_kept(self, field, kind):
+        shape, stored = _FIELDS[field]
+        v = _KEPT[kind](np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+        assert stored(v) is v
+
+    @pytest.mark.parametrize("field", list(_FIELDS))
+    @pytest.mark.parametrize("kind", list(_COPIED))
+    def test_anything_else_is_copied(self, field, kind):
+        shape, stored = _FIELDS[field]
+        a = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        v = _COPIED[kind](a)
+        got = stored(v)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.dtype.isnative
+        assert not got.flags.writeable
+        assert np.array_equal(got, a)
+        if isinstance(v, np.ndarray):
+            assert not np.shares_memory(got, v)
+
+    @pytest.mark.parametrize("field", list(_FIELDS))
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_named(self, field, bad):
+        shape, stored = _FIELDS[field]
+        v = _frozen_copy(np.full(shape, bad))
+        name = field.split(".")[1]
+        name = {"A_blocks": "A block 0", "c_blocks": "c block 0", "x_blocks": "x_blocks[0]",
+                "s_blocks": "s_blocks[1]"}.get(name, name)
+        with pytest.raises(NotFinite, match=f"^{re.escape(name)} holds"):
+            stored(v)
+
+    @pytest.mark.parametrize("field", list(_BATCHES))
+    def test_first_bad_block_named_in_every_batch(self, field):
+        # shape or finiteness, whichever comes first in block order
+        name, make, good, expected = _BATCHES[field]
+        wrong = np.ones((3, 3))
+        shape = re.escape(f"has shape (3, 3), expected {expected}")
+        with pytest.raises(NotFinite, match=f"^{re.escape(name.format(0))} holds"):
+            make([good[0] * np.nan, wrong])
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(name.format(0))} {shape}$"):
+            make([wrong, good[1] * np.inf])
+        with pytest.raises(NotFinite, match=f"^{re.escape(name.format(1))} holds"):
+            make([good[0], good[1] * np.inf])
 
 class TestResiduals:
     def test_primal_residual_oracle(self):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .embed import (
     map_solution,
 )
 from .errors import ConicEmbedError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _checked_tol
 from .partition import (
     classify_cones,
     map_partition,
@@ -57,9 +56,7 @@ def _resolve_tol(args) -> float:
             tol = float(env)
         except ValueError:
             raise ConicEmbedError(f"{ENV_TOL} is not a number: {env!r}") from None
-    if not 0.0 < tol < math.inf:
-        raise ConicEmbedError(f"{source} must be finite and > 0, got {tol!r}")
-    return tol
+    return _checked_tol(tol, source)
 
 
 def _parse_rank(text: str, r: int):
@@ -179,7 +176,7 @@ def cmd_partition(args) -> int:
     side = _side(args)
     labels = classify_cones(problem, sol, tol=tol)
     mapped = proper_map_solution(problem, sol, side, tol=tol)
-    part = map_partition(problem, sol, labels, side, tol=tol)
+    part = map_partition(problem, sol, labels, side)
     agreement = None
     if mapped.X is not None and mapped.S is not None:
         eigen = sdo_partition_from_solution(mapped.X, mapped.S, tol=tol)

@@ -53,14 +53,14 @@ from .errors import (
     ProvenanceMismatch,
     TemplateViolation,
 )
-from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SparseSym, SymMatrix, _require_finite, psd_status
+from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SparseSym, SymMatrix, psd_status
+from .linalg import _checked, _checked_int, _checked_tol, _vector
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import (
     INTERIOR,
     OUTSIDE,
     ZERO,
     BlockLayout,
-    ConePosition,
     SocoProblem,
     SocoSolution,
     _arrow_head_matrix,
@@ -69,7 +69,6 @@ from .soco import (
     _row_dots,
     arrow_head_triplets,
     block_arrow_head_inv,
-    cone_position,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -98,9 +97,10 @@ class RankK:
     subset: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _checked_int(self.k, "k", 1, BadSubset))
         if self.subset is not None:
-            object.__setattr__(self, "subset", tuple(sorted(int(j) for j in self.subset)))
+            subset = (_checked_int(j, "subset index", error=BadSubset) for j in self.subset)
+            object.__setattr__(self, "subset", tuple(sorted(subset)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def _sim_zhao_theta(head: float, tt: float) -> tuple[float, float]:
 
 def _rank_k_subset(choice: RankK, n: int) -> tuple[int, ...]:
     """The k - 1 bump indices of a RankK choice on a block of size n >= 2."""
-    if not 1 <= choice.k <= n:
+    if choice.k > n:  # RankK itself refuses k < 1
         raise BadSubset(f"rank {choice.k} impossible for a block of size {n}")
     subset = choice.subset
     if subset is None:
@@ -321,8 +321,8 @@ def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     map_block(x, FullRank()): the Sim-Zhao leading factor
     nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1)).
     [sqrt(x1)] in one dimension."""
-    x = np.asarray(x, dtype=float)
-    if cone_position(x, tol) is not ConePosition.INTERIOR:
+    x, tol = _vector(x, "x"), _checked_tol(tol)
+    if _position_codes(x[None], tol)[0] != INTERIOR:
         raise NotInterior("full-rank transport needs a cone-interior vector")
     n = x.shape[0]
     if n == 1:
@@ -349,10 +349,7 @@ def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
     freedom: every choice gives [[x1]], and FullRank still refuses a
     non-interior x1. NotFinite on a NaN or an infinite entry.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionMismatch(f"map_block needs a nonempty vector, got shape {x.shape}")
-    _require_finite(x, "cone vector")
+    x, tol = _vector(x, "x"), _checked_tol(tol)
     return _transport(BlockLayout.from_dims(x.shape), x, (choice,), tol, name_cones=False)
 
 
@@ -374,6 +371,7 @@ def map_solution(
     """
     if side not in (Side.DUAL, Side.PRIMAL):
         raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
+    tol = _checked_tol(tol)
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
     layout = problem.layout
@@ -417,6 +415,7 @@ def inverse_map(
     """
     if meta.side not in (Side.DUAL, Side.PRIMAL):
         raise ProvenanceMismatch(f"expected a dual- or primal-side embedding, got {meta.side.value}")
+    tol = _checked_tol(tol)
     if meta.cone_dims is None:
         raise ProvenanceMismatch("embedding meta lacks cone dimensions")
     if problem is None:
@@ -494,7 +493,8 @@ def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
 
 
 def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarray:
-    """Read (block trace; 2 * first block row) out of one diagonal block of X."""
+    """Read (block trace; 2 * first block row) out of diagonal block i of X."""
+    i = _checked_int(i, "i", 0, high=len(layout.dims) - 1)
     if X.dim != layout.total:
         raise DimensionMismatch(f"X has dim {X.dim}, expected {layout.total}")
     return _block_vectors(X.a, layout)[layout.block_slice(i)]
@@ -515,11 +515,12 @@ def recover_uw(
     by the block magnitude; violations raise TemplateViolation.
     """
     layout = BlockLayout.from_dims(cone_dims)
+    tol = _checked_tol(tol)
     if S.dim != layout.total:
         raise DimensionMismatch(f"S has dim {S.dim}, expected {layout.total}")
-    s = [np.asarray(v, dtype=float) for v in s_blocks]
-    if tuple(v.shape for v in s) != tuple((n,) for n in layout.dims):
-        raise DimensionMismatch(f"slack blocks do not match the cone dimensions {layout.dims}")
+    if len(s_blocks) != len(layout.dims):
+        raise DimensionMismatch(f"s_blocks has {len(s_blocks)} blocks, expected {len(layout.dims)}")
+    s = _checked(s_blocks, [(n,) for n in layout.dims], "s_blocks[{}]")
     return _recover_uw(S, np.concatenate(s), layout, tol)
 
 

@@ -8,14 +8,16 @@ and by cyclic Jacobi otherwise. Neither path calls LAPACK's eigensolvers."""
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EighConvergenceError, NotFinite, NotSymmetric
+from .errors import ConicEmbedError, DimensionMismatch, EighConvergenceError, NotFinite, NotSymmetric
 
 DEFAULT_TOL = 1e-8
 SYM_TOL = 1e-9  # largest |a - a.T| SymMatrix accepts, relative to 1 + max|a|
@@ -66,7 +68,7 @@ class SymMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(_checked((values,), ((None,),), "values")[0]))
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
@@ -78,13 +80,13 @@ def _require_finite(values: np.ndarray, what: str = "matrix data") -> None:
 
 
 def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
-    """values as read-only float arrays: the data classes' one rule. A
-    read-only native float64 ndarray that owns its memory, or views a
-    read-only one that does, is kept; anything else is copied. shapes[k]
-    fixes every length of value k, or holds None on each axis to fix only
-    the number of axes. The first value in order with another shape, or a
-    NaN or an infinite entry, raises DimensionMismatch or NotFinite naming
-    it name.format(k); finiteness is tested once for the batch."""
+    """values as read-only float arrays: the one rule for every array argument
+    and field. A read-only native float64 ndarray that owns its memory, or
+    views a read-only one that does, is kept; anything else is copied.
+    shapes[k] fixes every length of value k, or holds None on each axis to
+    fix only the number of axes. The first value in order with another shape,
+    or a NaN or an infinite entry, raises DimensionMismatch or NotFinite
+    naming it name.format(k); finiteness is tested once for the batch."""
     out, misshapen = [], None
     for k, (v, shape) in enumerate(zip(values, shapes)):
         if not _kept(v):
@@ -95,9 +97,11 @@ def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
                                           f"expected {shape}")
             break
         out.append(v)
-    if out and not np.isfinite(out[0] if len(out) == 1 else np.concatenate(out, axis=None)).all():
-        k = next(k for k, a in enumerate(out) if not np.isfinite(a).all())
-        _require_finite(out[k], name.format(k))
+    if out:
+        flat = out[0] if len(out) == 1 else np.concatenate(out, axis=None)
+        if np.count_nonzero(np.isfinite(flat)) < flat.size:  # less work than isfinite().all()
+            k = next(k for k, a in enumerate(out) if not np.isfinite(a).all())
+            _require_finite(out[k], name.format(k))
     if misshapen is not None:
         raise misshapen
     return tuple(out)
@@ -109,6 +113,39 @@ def _kept(v) -> bool:
     base = v.base
     return base is None or (type(base) is np.ndarray and base.base is None
                             and not base.flags.writeable)
+
+
+def _vector(v, name: str) -> np.ndarray:
+    """v through _checked as a vector, which must not be empty."""
+    (v,) = _checked((v,), ((None,),), name)
+    if not v.shape[0]:
+        raise DimensionMismatch(f"{name} has shape (0,), expected a nonempty vector")
+    return v
+
+
+def _checked_tol(tol, name: str = "tol") -> float:
+    """tol as a float; anything but a finite number > 0 raises
+    ConicEmbedError naming name and the value."""
+    try:
+        if 0.0 < tol < math.inf:
+            return float(tol)
+    except (TypeError, ValueError):
+        pass
+    raise ConicEmbedError(f"{name} must be finite and > 0, got {tol!r}")
+
+
+def _checked_int(value, name: str, low=None, error=DimensionMismatch, high=None) -> int:
+    """value, an int or a numpy integer, as an int in low..high (None: no
+    bound). A float or a string is refused, not truncated or parsed;
+    anything refused raises error naming name and the value."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or (low is not None and out < low) or (high is not None and out > high):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return out
 
 
 class SparseSym:
@@ -248,9 +285,7 @@ class SparseRows:
 
     def combine(self, y) -> np.ndarray:
         """Dense sum_k y_k A_k, scattered into one n x n accumulator."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (len(self),):
-            raise DimensionMismatch(f"y has shape {y.shape}, expected ({len(self)},)")
+        (y,) = _checked((y,), ((len(self),),), "y")
         n, i, j = self.dim, self.i, self.j
         w = y[self.row_ids()] * self.v
         off = i != j
@@ -271,14 +306,14 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def block_diag(blocks: Sequence[np.ndarray]) -> SymMatrix:
     """Write square arrays into one block-diagonal SymMatrix.
 
-    The blocks are plain arrays and are not checked one by one: finiteness
-    and symmetry are checked once, on the assembled matrix."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    The blocks are checked as one batch, and symmetry once, on the assembled
+    matrix."""
+    blocks = _checked(blocks, repeat((None, None)), "blocks[{}]")
     if not blocks:
         raise DimensionMismatch("need at least one block")
-    for b in blocks:
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DimensionMismatch(f"expected square blocks, got shape {b.shape}")
+    for k, b in enumerate(blocks):
+        if b.shape[0] != b.shape[1]:
+            raise DimensionMismatch(f"blocks[{k}] has shape {b.shape}, expected a square block")
     n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n))
     at = 0
@@ -318,6 +353,7 @@ class EigenDecomposition:
 
     def psd_status(self, tol: float = DEFAULT_TOL) -> PsdStatus:
         """Definiteness from the smallest eigenvalue with an absolute tol band."""
+        tol = _checked_tol(tol)
         lam_min = float(self.eigenvalues[0])
         if lam_min > tol:
             return PsdStatus.POSITIVE_DEFINITE
@@ -328,7 +364,7 @@ class EigenDecomposition:
     def rank_cutoff(self, tol: float = DEFAULT_TOL) -> float:
         """Eigenvalues larger than this in magnitude count towards the rank:
         tol * max(1, |lambda|_max)."""
-        return tol * max(1.0, float(np.abs(self.eigenvalues).max()))
+        return _checked_tol(tol) * max(1.0, float(np.abs(self.eigenvalues).max()))
 
     def rank(self, tol: float = DEFAULT_TOL) -> int:
         return int(np.count_nonzero(np.abs(self.eigenvalues) > self.rank_cutoff(tol)))
@@ -355,6 +391,7 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     of the same sweeps over the full matrix. Raises EighConvergenceError
     carrying the residual if max_sweeps is exhausted.
     """
+    tol = _checked_tol(tol)
     n = a.dim
     m = a.a
     thresh = tol * (1.0 + float(np.abs(m).max()))
@@ -603,7 +640,11 @@ def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:
     trailing dim - k columns of the complete Householder QR of the k columns,
     which is deterministic.
     """
-    k = vectors.shape[1] if vectors.size else 0
+    (vectors,) = _checked((vectors,), ((None, None),), "vectors")
+    dim = _checked_int(dim, "dim", 0)
+    if vectors.shape[0] != dim:
+        raise DimensionMismatch(f"vectors has {vectors.shape[0]} rows, expected dim {dim}")
+    k = vectors.shape[1]
     if k == 0:
         return np.eye(dim)
     if k >= dim:

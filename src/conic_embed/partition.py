@@ -31,8 +31,9 @@ from .linalg import (
     PsdStatus,
     SymMatrix,
     _checked,
-    _require_finite,
+    _checked_tol,
     _two_level_eigensystem,
+    _vector,
     eigh,
     orthonormal_complement,
     trace_inner,
@@ -83,6 +84,7 @@ def classify_cones(
     raise OutsideCone. Positions and Jordan products are computed for the
     cones of one size at once; the first failing cone, in cone order, raises.
     """
+    tol = _checked_tol(tol)
     if sol.x_blocks is None or sol.s_blocks is None:
         raise MissingSolutionPart("classification needs x and s blocks")
     sol.validate_against(problem)
@@ -132,10 +134,7 @@ def arrowhead_eigensystem(v) -> EigenDecomposition:
     z spanning the tail complement. Degenerates to the standard basis when the
     tail vanishes. NotFinite on a NaN or an infinite entry.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DimensionMismatch(f"need a nonempty vector, got shape {v.shape}")
-    _require_finite(v, "arrow-head vector")
+    v = _vector(v, "v")
     if float(v[1:] @ v[1:]) == 0.0:
         vals, vecs = np.full(v.shape[0], v[0]), np.eye(v.shape[0])
     else:
@@ -143,6 +142,9 @@ def arrowhead_eigensystem(v) -> EigenDecomposition:
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomposition(vals, vecs)
+
+
+ORTHONORMAL_GATE = 1e-6  # SdoPartition.validate's bound on |B^T B - I|, B the bases side by side
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +164,7 @@ class SdoPartition:
     def dims(self) -> tuple[int, int, int]:
         return (self.basis_b.shape[1], self.basis_n.shape[1], self.basis_t.shape[1])
 
-    def validate(self, gate: float = 1e-6) -> None:
+    def validate(self) -> None:
         n = self.basis_b.shape[0]
         stacked = np.hstack([self.basis_b, self.basis_n, self.basis_t])
         if stacked.shape != (n, n):
@@ -170,7 +172,7 @@ class SdoPartition:
                 f"basis dimensions {self.dims} do not sum to the ambient {n}"
             )
         dev = float(np.abs(stacked.T @ stacked - np.eye(n)).max())
-        if dev > gate:
+        if dev > ORTHONORMAL_GATE:
             raise DimensionMismatch(f"bases deviate from orthonormality by {dev:.3e}")
 
 
@@ -178,7 +180,7 @@ def _boundary_block(blocks, i: int, what: str) -> np.ndarray:
     """Cone i's block, which must carry a boundary direction (a nonzero tail)."""
     if blocks is None:
         raise MissingSolutionPart(f"label needs the {what} block for cone {i}")
-    v = np.asarray(blocks[i], dtype=float)
+    v = blocks[i]
     if v.shape[0] < 2:
         raise LabelMismatch(f"cone {i} is one-dimensional; no boundary direction exists")
     if float(v[1:] @ v[1:]) <= 0.0:  # ||v[1:]|| <= 0, without the square root
@@ -213,7 +215,8 @@ def map_partition(
     (1, -d)/sqrt(2), and the middle vectors (0, z), z perpendicular to d. The
     middle vectors join the side carried as an arrow-head (s on the dual side,
     x on the primal side): the transported X is a low-rank image on the dual
-    side but an arrow-head on the primal side.
+    side but an arrow-head on the primal side. tol is not read: the routing
+    takes the labels as given.
     """
     if side not in (Side.DUAL, Side.PRIMAL):
         raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
@@ -287,6 +290,7 @@ def sdo_partition_from_solution(
     out orthogonal (gate sqrt(tol)), otherwise the pair was not complementary
     enough to define a partition.
     """
+    tol = _checked_tol(tol)
     if X.dim != S.dim:
         raise DimensionMismatch(f"dimensions differ: {X.dim} vs {S.dim}")
     ex = eigh(X, tol)
@@ -326,6 +330,7 @@ def proper_map_solution(
     which is what the partition correspondence requires."""
     if interior not in ("simzhao", "full"):
         raise DimensionMismatch(f"interior transport must be simzhao or full, got {interior!r}")
+    tol = _checked_tol(tol)
     if side is Side.DUAL:
         blocks = sol.x_blocks
     elif side is Side.PRIMAL:
@@ -349,12 +354,14 @@ def max_principal_angle(u: np.ndarray, v: np.ndarray) -> float:
     loses half the digits. Subspaces of different dimension are maximally
     apart by convention.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    (u,) = _checked((u,), ((None, None),), "u")
+    (v,) = _checked((v,), ((None, None),), "v")
+    if v.shape[0] != u.shape[0]:
+        raise DimensionMismatch(f"v has {v.shape[0]} rows, expected {u.shape[0]} as u has")
     if u.shape[1] != v.shape[1]:
         return math.pi / 2.0
     if u.shape[1] == 0:
         return 0.0
     residual = v - u @ (u.T @ v)
-    sig = np.linalg.svd(residual, compute_uv=False)
-    return float(math.asin(min(1.0, float(sig.max()))))
+    sig = np.linalg.svd(residual, compute_uv=False)  # descending
+    return math.asin(min(1.0, float(sig[0])))

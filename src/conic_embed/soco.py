@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead, NotFinite
-from .linalg import DEFAULT_TOL, SymMatrix, _checked, _require_finite
+from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead
+from .linalg import DEFAULT_TOL, SymMatrix, _checked, _checked_int, _checked_tol, _vector
 
 
 class ConePosition(Enum):
@@ -60,9 +60,9 @@ class BlockLayout:
 
     @classmethod
     def from_dims(cls, dims: Sequence[int]) -> "BlockLayout":
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionMismatch(f"cone dimensions must be positive, got {dims}")
+        dims = tuple(_checked_int(d, "cone_dims", 1) for d in dims)
+        if not dims:
+            raise DimensionMismatch("cone_dims must not be empty")
         offsets = tuple(int(x) for x in np.cumsum((0,) + dims[:-1]))
         return cls(dims, offsets, sum(dims))
 
@@ -243,7 +243,7 @@ class SocoSolution:
 
 def arrow_head(v) -> SymMatrix:
     """Arrow-head matrix [[v1, t^T], [t, v1*I]] with t = v[1:]."""
-    return block_arrow_head([v])
+    return block_arrow_head([_vector(v, "v")])
 
 
 def arrow_head_inv(m: SymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -253,7 +253,7 @@ def arrow_head_inv(m: SymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     leading one, all within tol; otherwise NotArrowHead reports the worst
     violation.
     """
-    return _arrow_head_vector(m.a, tol)
+    return _arrow_head_vector(m.a, _checked_tol(tol))
 
 
 def _arrow_head_vector(a: np.ndarray, tol: float) -> np.ndarray:
@@ -287,12 +287,9 @@ def block_arrow_head(
 ) -> SymMatrix:
     """Block-diagonal arrow-head matrix of the per-cone vectors
     (v1 / head_div[i], v[1:] / tail_div), with head_div and tail_div as in
-    arrow_head_triplets: the dense matrix of its entries. Finiteness and
-    symmetry are checked once, on the whole matrix."""
-    vectors = [np.asarray(v, dtype=float) for v in blocks]
-    for v in vectors:
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise DimensionMismatch(f"arrow_head needs a nonempty vector, got shape {v.shape}")
+    arrow_head_triplets: the dense matrix of its entries. Symmetry is
+    checked once, on the whole matrix."""
+    vectors = [_vector(v, f"blocks[{k}]") for k, v in enumerate(blocks)]
     layout = BlockLayout.from_dims([v.shape[0] for v in vectors])
     return _arrow_head_matrix(layout, vectors, head_div, tail_div)
 
@@ -322,6 +319,7 @@ def block_arrow_head_inv(
     """Inverse of block_arrow_head: the per-cone vectors of m. Entries outside
     the diagonal blocks must vanish within tol, and each block must pass
     arrow_head_inv; otherwise NotArrowHead reports the worst violation."""
+    tol = _checked_tol(tol)
     if m.dim != layout.total:
         raise DimensionMismatch(f"X has dim {m.dim}, expected {layout.total}")
     stray = layout.max_off_block(m)
@@ -402,12 +400,8 @@ def _jordan_rows(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def jordan_product(x, s) -> np.ndarray:
     """Jordan product (x^T s; x1*s[1:] + s1*x[1:]) on one cone block."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if x.shape != s.shape or x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionMismatch(f"operands differ in shape: {x.shape} vs {s.shape}")
-    _require_finite(x, "jordan_product operand")
-    _require_finite(s, "jordan_product operand")
+    x = _vector(x, "x")
+    (s,) = _checked((s,), (x.shape,), "s")
     return _jordan_rows(x[None], s[None])[0]
 
 
@@ -417,10 +411,8 @@ def _position_codes(v: np.ndarray, tol: float, tt: Optional[np.ndarray] = None) 
     and magnitudes are taken for the whole stack; the square roots and the
     comparisons that pick each code are made on Python floats, which costs
     less than the array operations they would take, up to a few dozen rows.
-    NotFinite on a NaN or an infinite entry."""
+    The rows must be finite."""
     peaks = np.abs(v).max(axis=1).tolist()
-    if not all(peak < math.inf for peak in peaks):
-        raise NotFinite("cone vector holds a NaN or an infinite entry")
     if tt is None:
         tail = v[:, 1:]
         tt = _row_dots(tail, tail)
@@ -451,10 +443,8 @@ def cone_position(v, tol: float = DEFAULT_TOL) -> ConePosition:
     against tol scaled by (1 + ||v||_inf). NotFinite on a NaN or an infinite
     entry.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DimensionMismatch(f"cone_position needs a nonempty vector, got shape {v.shape}")
-    return POSITIONS[_position_codes(v[None], tol)[0]]
+    v = _vector(v, "v")
+    return POSITIONS[_position_codes(v[None], _checked_tol(tol))[0]]
 
 
 def primal_residual(problem: SocoProblem, sol: SocoSolution) -> float:

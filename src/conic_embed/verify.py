@@ -14,9 +14,10 @@ from .errors import (
     MissingSolutionPart,
     ProvenanceMismatch,
 )
-from .linalg import DEFAULT_TOL, SymMatrix, trace_inner
+from .linalg import DEFAULT_TOL, SymMatrix, _checked, _checked_int, _checked_tol, trace_inner
 from .sdo import SdoProblem, SdoSolution, Side, sdo_dual_residual, sdo_primal_residual
 from .soco import (
+    BlockLayout,
     SocoProblem,
     SocoSolution,
     _row_dots,
@@ -83,6 +84,7 @@ def check_admissibility(
     from (side set, same cone dimensions and sizes); otherwise
     ProvenanceMismatch. Needs the full (x, y, s) and (X, y, S) pairs.
     """
+    tol = _checked_tol(tol)
     meta = sdo_problem.meta
     if meta.side is Side.GENERIC:
         raise ProvenanceMismatch("embedded problem carries no side provenance")
@@ -133,18 +135,12 @@ def example1_counterexample(
     returned residual is ||Arw(x) Arw(s)||_inf. n = 2 is rejected: with a
     single tail coordinate the product genuinely vanishes.
     """
-    n = int(n)
-    if n < 3:
-        raise DimensionMismatch(
-            "need n >= 3: for n = 2 the arrow-head product vanishes as well"
-        )
+    n = _checked_int(n, "n", 3)
     if direction is None:
         u = np.zeros(n - 1)
         u[0] = 1.0
     else:
-        u = np.asarray(direction, dtype=float)
-        if u.shape != (n - 1,):
-            raise DimensionMismatch(f"direction must have length {n - 1}, got {u.shape}")
+        (u,) = _checked((direction,), ((n - 1,),), "direction")
         if abs(float(np.linalg.norm(u)) - 1.0) > 1e-12:
             raise DimensionMismatch("direction must be a unit vector (within 1e-12)")
     x = np.concatenate(([1.0], u))
@@ -216,13 +212,12 @@ def generate_instance(
     which makes the pair optimal with zero duality gap. The concatenated A is
     redrawn until its rank is min(m, total dim). Same seed, same instance.
     """
-    dims = tuple(int(d) for d in cone_dims)
+    dims = BlockLayout.from_dims(cone_dims).dims
     labels = tuple(_as_label(lab) for lab in labels)
     if len(labels) != len(dims):
         raise GenerationError(f"{len(labels)} labels for {len(dims)} cones")
-    m = int(m)
-    if m < 1:
-        raise GenerationError("need at least one linear constraint")
+    m = _checked_int(m, "m", 1, GenerationError)
+    seed = _checked_int(seed, "seed", 0, GenerationError)
     for n, lab in zip(dims, labels):
         if n == 1 and lab in (ConeLabel.R, ConeLabel.T2, ConeLabel.T3):
             raise GenerationError(
@@ -263,7 +258,7 @@ def generate_instance(
     c_blocks = [a.T @ y + s for a, s in zip(A_blocks, s_blocks)]
     problem = SocoProblem(dims, tuple(A_blocks), tuple(c_blocks), b)
     solution = SocoSolution(tuple(x_blocks), y, tuple(s_blocks))
-    return GeneratedInstance(problem, solution, labels, int(seed))
+    return GeneratedInstance(problem, solution, labels, seed)
 
 
 def with_duality_gap(inst: GeneratedInstance, delta: float) -> GeneratedInstance:

@@ -1,0 +1,238 @@
+"""The three argument rules of the exported functions, one table row per
+(function, argument, bad value): arrays go through one checked-array rule, a
+tol must be a finite number > 0, and an integer argument must be an int or a
+numpy integer in range. Every row expects a ConicEmbedError subclass whose
+message starts with the argument's name."""
+
+import inspect
+import re
+
+import numpy as np
+import pytest
+
+from conic_embed import (
+    BadSubset,
+    BlockLayout,
+    ConicEmbedError,
+    DimensionMismatch,
+    GenerationError,
+    NotFinite,
+    RankK,
+    RankOne,
+    SdoPartition,
+    Side,
+    SocoProblem,
+    SparseRows,
+    SymMatrix,
+    arrow_head,
+    arrow_head_inv,
+    arrowhead_eigensystem,
+    block_arrow_head,
+    block_arrow_head_inv,
+    block_diag,
+    build_dual_embedding,
+    build_primal_embedding,
+    check_admissibility,
+    classify_cones,
+    cone_position,
+    eigh,
+    example1_counterexample,
+    extract_block_vector,
+    full_rank_factors,
+    generate_instance,
+    inverse_map,
+    jordan_product,
+    map_block,
+    map_solution,
+    max_principal_angle,
+    numeric_rank,
+    orthonormal_complement,
+    proper_map_solution,
+    psd_status,
+    recover_uw,
+    sdo_partition_from_solution,
+)
+from conic_embed.linalg import _checked_int, _checked_tol
+
+INST = generate_instance((3, 2), ("B", "R"), 2, 5)
+P, S = INST.problem, INST.solution
+DUAL = map_solution(P, S, Side.DUAL)
+PRIMAL = map_solution(P, S, Side.PRIMAL)
+PROPER = proper_map_solution(P, S, Side.DUAL)
+BASIS = np.eye(3)[:, :1]
+ROWS = SparseRows.from_rows(2, [SymMatrix.identity(2)] * 3)
+NAN, INF = float("nan"), float("inf")
+
+# Bad values of a vector argument and the error each raises. The non-finite
+# ones have length 3, which every vector argument below accepts.
+VECTOR_FAULTS = {
+    "empty": ([], DimensionMismatch),
+    "0-d": (np.array(2.0), DimensionMismatch),
+    "2-d": (np.ones((2, 2)), DimensionMismatch),
+    "nan": (np.full(3, NAN), NotFinite),
+    "inf": ([INF, 1.0, 0.0], NotFinite),
+}
+# The same for a matrix argument: empty, 0-d and 1-d all have too few axes.
+MATRIX_FAULTS = {
+    "empty": ([], DimensionMismatch),
+    "0-d": (np.array(1.0), DimensionMismatch),
+    "1-d": (np.ones(3), DimensionMismatch),
+    "3-d": (np.ones((3, 1, 1)), DimensionMismatch),
+    "nan": (np.full((3, 1), NAN), NotFinite),
+    "inf": (np.full((3, 1), -INF), NotFinite),
+}
+
+# (function, the argument's name in the message, the call with the bad value
+# in that argument, its faults)
+ARRAY_ARGUMENTS = [
+    ("cone_position", "v", lambda bad: cone_position(bad), VECTOR_FAULTS),
+    ("jordan_product", "x", lambda bad: jordan_product(bad, [1.0, 0.0, 0.0]), VECTOR_FAULTS),
+    ("jordan_product", "s", lambda bad: jordan_product([1.0, 0.0, 0.0], bad), VECTOR_FAULTS),
+    ("arrow_head", "v", lambda bad: arrow_head(bad), VECTOR_FAULTS),
+    ("block_arrow_head", "blocks[1]", lambda bad: block_arrow_head([[1.0], bad]), VECTOR_FAULTS),
+    ("map_block", "x", lambda bad: map_block(bad, RankOne()), VECTOR_FAULTS),
+    ("full_rank_factors", "x", lambda bad: full_rank_factors(bad), VECTOR_FAULTS),
+    ("recover_uw", "s_blocks[0]",
+     lambda bad: recover_uw(PRIMAL.S, [bad, S.s_blocks[1]], (3, 2)), VECTOR_FAULTS),
+    ("arrowhead_eigensystem", "v", lambda bad: arrowhead_eigensystem(bad), VECTOR_FAULTS),
+    ("example1_counterexample", "direction",
+     lambda bad: example1_counterexample(4, bad), VECTOR_FAULTS),
+    ("max_principal_angle", "u", lambda bad: max_principal_angle(bad, BASIS), MATRIX_FAULTS),
+    ("max_principal_angle", "v", lambda bad: max_principal_angle(BASIS, bad), MATRIX_FAULTS),
+    ("block_diag", "blocks[0]", lambda bad: block_diag([bad]), MATRIX_FAULTS),
+    ("orthonormal_complement", "vectors",
+     lambda bad: orthonormal_complement(bad, 3), MATRIX_FAULTS),
+    ("SparseRows.combine", "y", lambda bad: ROWS.combine(bad), VECTOR_FAULTS),
+    ("SymMatrix.diagonal", "values", lambda bad: SymMatrix.diagonal(bad),
+     {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
+]
+
+# Arguments whose length is fixed by another one: (function, argument, the
+# call with a value of the wrong length).
+WRONG_LENGTH = [
+    ("jordan_product", "s", lambda: jordan_product([1.0, 0.0], [1.0, 0.0, 0.0])),
+    ("recover_uw", "s_blocks[0]",
+     lambda: recover_uw(PRIMAL.S, [np.ones(2), S.s_blocks[1]], (3, 2))),
+    ("recover_uw", "s_blocks", lambda: recover_uw(PRIMAL.S, [S.s_blocks[0]], (3, 2))),
+    ("example1_counterexample", "direction", lambda: example1_counterexample(3, [1.0, 0.0, 0.0])),
+    ("max_principal_angle", "v", lambda: max_principal_angle(BASIS, np.eye(4)[:, :1])),
+    ("block_diag", "blocks[1]", lambda: block_diag([np.eye(2), [[1.0, 2.0]]])),
+    ("orthonormal_complement", "vectors", lambda: orthonormal_complement(np.eye(2)[:, :1], 3)),
+    ("SparseRows.combine", "y", lambda: ROWS.combine([1.0, 2.0])),
+]
+
+# Every exported function and method that reads a tol: the call with tol.
+# map_partition takes a tol that it does not read, so it is not checked.
+TOL_CALLS = {
+    "EigenDecomposition.psd_status": lambda tol: eigh(SymMatrix.identity(2)).psd_status(tol),
+    "EigenDecomposition.rank_cutoff": lambda tol: eigh(SymMatrix.identity(2)).rank_cutoff(tol),
+    "EigenDecomposition.rank": lambda tol: eigh(SymMatrix.identity(2)).rank(tol),
+    "eigh": lambda tol: eigh(SymMatrix([[1.0, 2.0], [2.0, 1.0]]), tol),
+    "psd_status": lambda tol: psd_status(SymMatrix.identity(2), tol),
+    "numeric_rank": lambda tol: numeric_rank(SymMatrix.identity(2), tol),
+    "arrow_head_inv": lambda tol: arrow_head_inv(arrow_head([2.0, 1.0]), tol),
+    "block_arrow_head_inv": lambda tol: block_arrow_head_inv(arrow_head([2.0, 1.0]),
+                                                             BlockLayout.from_dims((2,)), tol),
+    "cone_position": lambda tol: cone_position([1.0, 1.0], tol),
+    "full_rank_factors": lambda tol: full_rank_factors([2.0, 1.0], tol),
+    "map_block": lambda tol: map_block([2.0, 1.0], RankOne(), tol),
+    "map_solution": lambda tol: map_solution(P, S, Side.DUAL, RankOne(), tol),
+    "inverse_map": lambda tol: inverse_map(build_dual_embedding(P).meta, DUAL, tol),
+    "recover_uw": lambda tol: recover_uw(PRIMAL.S, S.s_blocks, P.cone_dims, tol),
+    "classify_cones": lambda tol: classify_cones(P, S, tol),
+    "sdo_partition_from_solution": lambda tol: sdo_partition_from_solution(PROPER.X, PROPER.S, tol),
+    "proper_map_solution": lambda tol: proper_map_solution(P, S, Side.DUAL, "simzhao", tol),
+    "check_admissibility": lambda tol: check_admissibility(P, S, build_primal_embedding(P),
+                                                           PRIMAL, tol),
+}
+BAD_TOLS = {"zero": 0.0, "negative": -1.0, "nan": NAN, "inf": INF, "text": "1e-8"}
+
+# (function, argument, the call, the error)
+INTEGER_CALLS = [
+    ("SocoProblem", "cone_dims", lambda: SocoProblem((2.5, 2), P.A_blocks, P.c_blocks, P.b),
+     DimensionMismatch),
+    ("SocoProblem", "cone_dims", lambda: SocoProblem(("3", 2), P.A_blocks, P.c_blocks, P.b),
+     DimensionMismatch),
+    ("RankK", "k", lambda: RankK(2.5), BadSubset),
+    ("RankK", "k", lambda: RankK("3"), BadSubset),
+    ("RankK", "k", lambda: RankK(0), BadSubset),
+    ("RankK", "subset index", lambda: RankK(2, (2.5,)), BadSubset),
+    ("generate_instance", "m", lambda: generate_instance((3,), ("B",), 2.5, 1), GenerationError),
+    ("generate_instance", "m", lambda: generate_instance((3,), ("B",), 0, 1), GenerationError),
+    ("generate_instance", "cone_dims", lambda: generate_instance((0,), ("B",), 1, 1),
+     DimensionMismatch),
+    ("generate_instance", "cone_dims", lambda: generate_instance((2.5,), ("B",), 1, 1),
+     DimensionMismatch),
+    ("generate_instance", "seed", lambda: generate_instance((3,), ("B",), 1, -1), GenerationError),
+    ("generate_instance", "seed", lambda: generate_instance((3,), ("B",), 1, 2.7), GenerationError),
+    ("example1_counterexample", "n", lambda: example1_counterexample(3.9), DimensionMismatch),
+    ("example1_counterexample", "n", lambda: example1_counterexample(2), DimensionMismatch),
+    ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, 5),
+     DimensionMismatch),
+    ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, -1),
+     DimensionMismatch),
+    ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, 0.0),
+     DimensionMismatch),
+    ("orthonormal_complement", "dim", lambda: orthonormal_complement(BASIS, 2.5),
+     DimensionMismatch),
+]
+
+
+def _rows():
+    for fn, arg, call, faults in ARRAY_ARGUMENTS:
+        for fault, (bad, error) in faults.items():
+            yield pytest.param(lambda call=call, bad=bad: call(bad), error, arg,
+                               id=f"{fn}-{arg}-{fault}")
+    for fn, arg, call in WRONG_LENGTH:
+        yield pytest.param(call, DimensionMismatch, arg, id=f"{fn}-{arg}-wrong-length")
+    for fn, call in TOL_CALLS.items():
+        for fault, bad in BAD_TOLS.items():
+            yield pytest.param(lambda call=call, bad=bad: call(bad), ConicEmbedError, "tol",
+                               id=f"{fn}-tol-{fault}")
+    for k, (fn, arg, call, error) in enumerate(INTEGER_CALLS):
+        yield pytest.param(call, error, arg, id=f"{fn}-{arg}-{k}")
+
+
+@pytest.mark.parametrize("call, error, name", list(_rows()))
+def test_bad_argument_is_refused_and_named(call, error, name):
+    with pytest.raises(error, match="^" + re.escape(name) + " "):
+        call()
+
+
+def test_every_tol_taker_is_in_the_table():
+    import conic_embed
+    takers = set()
+    for name in conic_embed.__all__:
+        obj = getattr(conic_embed, name)
+        if inspect.isfunction(obj):
+            members = [(name, obj)]
+        elif inspect.isclass(obj):
+            members = [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                       if inspect.isfunction(f) and not attr.startswith("_")]
+        else:
+            continue
+        takers |= {label for label, f in members if "tol" in inspect.signature(f).parameters}
+    assert takers == set(TOL_CALLS) | {"map_partition"}
+
+
+def test_numpy_scalars_are_accepted():
+    assert RankK(np.int64(2), (np.int32(3),)) == RankK(2, (3,))
+    assert SocoProblem((np.int64(3), np.int8(2)), P.A_blocks, P.c_blocks, P.b).cone_dims == (3, 2)
+    inst = generate_instance(np.array([3, 2]), ("B", "R"), np.int64(2), np.uint8(5))
+    assert inst.seed == 5 and np.array_equal(inst.problem.b, P.b)
+    assert np.array_equal(extract_block_vector(DUAL.X, P.layout, np.int64(1)),
+                          extract_block_vector(DUAL.X, P.layout, 1))
+    assert cone_position([1.0, 0.5], np.float64(1e-8)) is cone_position([1.0, 0.5])
+
+
+def test_helpers_return_plain_numbers():
+    assert type(_checked_tol(np.float64(1e-6))) is float and _checked_tol(1) == 1.0
+    assert type(_checked_int(np.int64(4), "n", 0)) is int
+    with pytest.raises(DimensionMismatch, match=r"^n must be an integer in 0\.\.3, got 4$"):
+        _checked_int(4, "n", 0, high=3)
+    with pytest.raises(BadSubset, match=r"^j must be an integer, got 1\.5$"):
+        _checked_int(1.5, "j", error=BadSubset)
+
+
+def test_partition_validate_has_no_gate():
+    assert list(inspect.signature(SdoPartition.validate).parameters) == ["self"]

@@ -32,7 +32,11 @@ sides alike (_transport): it checks each cone's choice against its position
 in a plain loop, in cone order, so that the first failing cone raises, and
 then builds the theta-blocks of all cones of one size as one (k, n, n) stack,
 scattered into the assembled matrix at once. inverse_map reads the traces and
-first rows of all lifted blocks of one size the same way.
+first rows of all lifted blocks of one size the same way, and gates the
+lifted matrix with linalg._psd_within: one batched Cholesky per block size
+certifies lambda_min >= -tol, and eigh decides only what that leaves open.
+The carried side is the solution's shared arrow-head image
+(SocoSolution._arrow_head_image), read once per matrix (soco._arrow_head_rows).
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from .errors import (
     ProvenanceMismatch,
     TemplateViolation,
 )
-from .linalg import DEFAULT_TOL, PsdStatus, SparseRows, SparseSym, SymMatrix, psd_status
-from .linalg import _checked, _checked_int, _checked_tol, _vector
+from .linalg import DEFAULT_TOL, SparseRows, SparseSym, SymMatrix
+from .linalg import _checked, _checked_int, _checked_tol, _psd_within, _vector
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
 from .soco import (
     INTERIOR,
@@ -63,12 +67,11 @@ from .soco import (
     BlockLayout,
     SocoProblem,
     SocoSolution,
-    _arrow_head_matrix,
+    _arrow_head_rows,
     _cone_positions,
     _position_codes,
     _row_dots,
     arrow_head_triplets,
-    block_arrow_head_inv,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -301,12 +304,6 @@ def _transport(
     ]))
 
 
-def _arrow_head_side(layout: BlockLayout, blocks, tol: float) -> SymMatrix:
-    """block_arrow_head of cone vectors that must lie in their cones."""
-    _require_in_cones(layout, np.concatenate(blocks), tol)
-    return _arrow_head_matrix(layout, blocks)
-
-
 def _require_in_cones(layout: BlockLayout, flat: np.ndarray, tol: float) -> None:
     """The first cone of the concatenated vector flat that lies outside its
     cone raises OutsideCone, named as _transport names it."""
@@ -364,7 +361,10 @@ def map_solution(
 
     The lifted blocks (x on the dual side, s on the primal side) go through
     the chosen per-cone transports, the other blocks become their block
-    arrow-head; x's image is made first, so that its error wins. The dual
+    arrow-head; x's image is made first, so that its error wins. The
+    arrow-head image is sol's shared one (SocoSolution keeps a weak
+    reference), so every map of one solution, at any rank, carries the same
+    SymMatrix while one of them is alive. The dual
     vector is y on the dual side and (y | w | u) on the primal side, with
     (u, w) read out of the lifted slack matrix; there it needs both y and s.
     Absent parts stay absent.
@@ -376,15 +376,18 @@ def map_solution(
     choices = per_cone_choices(spec, problem.r)
     layout = problem.layout
 
-    def lift(blocks):
-        return _transport(layout, np.concatenate(blocks), choices, tol)
+    def lift(name):
+        return _transport(layout, np.concatenate(getattr(sol, name)), choices, tol)
 
-    def carry(blocks):
-        return _arrow_head_side(layout, blocks, tol)
+    def carry(name):
+        # the image is shared with every other map of sol while it lives; the
+        # cones are checked against this call's tol
+        _require_in_cones(layout, np.concatenate(getattr(sol, name)), tol)
+        return sol._arrow_head_image(name, layout)
 
     x_image, s_image = (lift, carry) if side is Side.DUAL else (carry, lift)
-    X = None if sol.x_blocks is None else x_image(sol.x_blocks)
-    S = None if sol.s_blocks is None else s_image(sol.s_blocks)
+    X = None if sol.x_blocks is None else x_image("x_blocks")
+    S = None if sol.s_blocks is None else s_image("s_blocks")
     y = None
     if side is Side.DUAL:
         y = sol.y
@@ -456,17 +459,20 @@ def _read_cone_vector(
 ) -> np.ndarray:
     """The concatenated cone vector, read-only, behind one side of an embedded
     solution: (block trace; 2 * first block row) of a lifted matrix, the block
-    arrow-head inverse of the other. When alt is given, the vector must match
-    it within tol, scaled by alt's magnitude per cone, else InconsistentDual
-    names the first cone off. Then a lifted matrix must be PSD within tol,
-    and the vector of the other must lie in its cones (Arw(v) is PSD exactly
-    when v is in its cone), else OutsideCone names the first cone outside."""
+    arrow-head inverse of the other (read once per matrix and layout, see
+    soco._arrow_head_rows). When alt is given, the vector must match it
+    within tol, scaled by alt's magnitude per cone, else InconsistentDual
+    names the first cone off. Then a lifted matrix must pass the PSD gate
+    linalg._psd_within (a certified lambda_min >= -tol, else psd_status's
+    verdict), else NotPSD; and the vector of the other must lie in its cones
+    (Arw(v) is PSD exactly when v is in its cone, so no eigensolver runs on
+    that side), else OutsideCone names the first cone outside."""
     if M.dim != layout.total:
         raise DimensionMismatch(f"{name} has dim {M.dim}, expected {layout.total}")
     if lifted:
         out = _block_vectors(M.a, layout)
     else:
-        out = np.concatenate(block_arrow_head_inv(M, layout, tol))
+        out = _arrow_head_rows(M, layout, tol)
     if alt is not None:
         dev = layout.cone_max(np.abs(out - alt))
         bad = np.flatnonzero(dev > tol * (1.0 + layout.cone_max(np.abs(alt))))
@@ -477,7 +483,7 @@ def _read_cone_vector(
             )
     if not lifted:
         _require_in_cones(layout, out, tol)
-    elif psd_status(M, tol) is PsdStatus.INDEFINITE:
+    elif not _psd_within(M, tol):
         raise NotPSD(f"{name} is indefinite beyond tolerance")
     out.setflags(write=False)
     return out

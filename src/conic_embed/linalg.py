@@ -4,7 +4,11 @@ eigensolver, and PSD / rank queries built on top of it.
 The eigensolver answers each diagonal block of its input in closed form when
 the block is an arrow-head or a theta-block with a bump on any subset of its
 tail (the shapes every embedding produces), all blocks of one size at once,
-and by cyclic Jacobi otherwise. Neither path calls LAPACK's eigensolvers."""
+and by cyclic Jacobi otherwise. Neither path calls LAPACK's eigensolvers.
+A yes-or-no PSD gate (_psd_within) first tries a certificate, one batched
+Cholesky factorization per diagonal block size, and asks the eigensolver
+only when that does not settle it; this module is the only caller of
+np.linalg.cholesky."""
 
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ DEFAULT_TOL = 1e-8
 SYM_TOL = 1e-9  # largest |a - a.T| SymMatrix accepts, relative to 1 + max|a|
 _HALF_MAX = np.finfo(float).max / 2
 _F64 = np.dtype(float)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class SymMatrix:
@@ -30,10 +35,13 @@ class SymMatrix:
 
     The backing array is symmetrized on construction (exact for input that is
     already symmetric) and marked read-only, so downstream code can rely on
-    a[i, j] == a[j, i] holding bit for bit.
+    a[i, j] == a[j, i] holding bit for bit. _arrow_read holds the last
+    layout's tol-independent block arrow-head read of the matrix
+    (soco.block_arrow_head_inv), O(dim) numbers, for as long as the matrix
+    lives; it is valid only while nobody writes to a.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "_arrow_read", "__weakref__")
 
     def __init__(self, array):
         a = np.array(array, dtype=float)
@@ -53,6 +61,7 @@ class SymMatrix:
             sym[over] = (0.5 * a + 0.5 * a.T)[over]
         sym.setflags(write=False)
         self.a = sym
+        self._arrow_read = None
 
     @property
     def dim(self) -> int:
@@ -86,11 +95,17 @@ def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
     shapes[k] fixes every length of value k, or holds None on each axis to
     fix only the number of axes. The first value in order with another shape,
     or a NaN or an infinite entry, raises DimensionMismatch or NotFinite
-    naming it name.format(k); finiteness is tested once for the batch."""
+    naming it name.format(k); finiteness is tested once for the batch. A
+    value numpy cannot read as a float array (a string, a ragged list) is
+    misshapen too."""
     out, misshapen = [], None
     for k, (v, shape) in enumerate(zip(values, shapes)):
         if not _kept(v):
-            v = np.array(v, dtype=float)
+            try:
+                v = np.array(v, dtype=float)
+            except (TypeError, ValueError) as exc:
+                misshapen = DimensionMismatch(f"{name.format(k)} is not an array of numbers: {exc}")
+                break
             v.setflags(write=False)
         if v.ndim != len(shape) or (shape[0] is not None and v.shape != shape):
             misshapen = DimensionMismatch(f"{name.format(k)} has shape {v.shape}, "
@@ -626,6 +641,62 @@ def _rotate(w: np.ndarray, p: int, q: int, c: float, s: float) -> None:
 def psd_status(a: SymMatrix, tol: float = DEFAULT_TOL) -> PsdStatus:
     """Classify definiteness from the smallest eigenvalue with an absolute tol band."""
     return eigh(a, tol).psd_status(tol)
+
+
+def _psd_within(a: SymMatrix, tol: float) -> bool:
+    """Whether a passes the PSD gate with band tol: True when a certificate
+    proves lambda_min(a) >= -tol, else psd_status(a, tol) is not INDEFINITE.
+
+    The certificate works on the diagonal blocks eigh finds (_diagonal_blocks),
+    so a is exactly their direct sum. A 1 x 1 block is its eigenvalue and is
+    compared directly. The blocks B of each size n >= 2 are stacked, and
+    B + sigma I is factored by one batched np.linalg.cholesky, with
+    sigma = (tol - c d) / (1 + c), d the group's largest diagonal entry
+    (0 if negative), u the unit roundoff, g = gamma_{n+1} = (n+1) u / (1 - (n+1) u)
+    and c = n g (1 + u) / (1 - g) + 5 u.
+
+    Why success proves lambda_min(B) >= -tol: the factored matrix is
+    A = B + sigma I + E, E diagonal with |E_ii| <= u (d + sigma) for the
+    rounding of the shift (a diagonal below -sigma makes a pivot <= 0, and the
+    factorization fails). If Cholesky runs to completion on a symmetric A, in
+    any summation order, its computed factor R has R^T R = A + dA with
+    |dA| <= g |R^T| |R| (Higham 2002, Thm 10.3), so
+    ||dA||_2 <= g ||R||_F^2 = g tr(A + dA) <= g tr(A) / (1 - g)
+    <= n g (1 + u) (d + sigma) / (1 - g). R^T R is PSD, so by Weyl
+    lambda_min(B) >= -sigma - ||E||_2 - ||dA||_2 >= -sigma - (c - 4u)(d + sigma),
+    and the 4 u left over covers the rounding of sigma's own formula for any
+    c < 0.3 (n < 10^7), so this is >= -tol.
+
+    When sigma <= 0 (d too large for tol to leave room) or a factorization
+    fails, the certificate says nothing, and eigh decides as psd_status
+    does. So the gate never passes a matrix with lambda_min < -tol, and
+    differs from psd_status only on a matrix whose lambda_min lies within
+    eigh's rounding of -tol, in the certified direction."""
+    m = a.a
+    starts, stops = _diagonal_blocks(m)
+    sizes = stops - starts
+    diag = m.diagonal()
+    u = _UNIT_ROUNDOFF
+    for n in sorted(set(sizes.tolist())):
+        at = starts[sizes == n, None] + np.arange(n)  # (blocks, n) indices
+        if n == 1:
+            certified = float(diag[at].min()) >= -tol
+        else:
+            g = (n + 1) * u / (1.0 - (n + 1) * u)
+            c = n * g * (1.0 + u) / (1.0 - g) + 5.0 * u
+            sigma = (tol - c * max(float(diag[at].max()), 0.0)) / (1.0 + c)
+            certified = sigma > 0.0
+            if certified:
+                stack = m.take((at * m.shape[0])[:, :, None] + at[:, None, :])
+                idx = np.arange(n)
+                stack[:, idx, idx] += sigma
+                try:
+                    np.linalg.cholesky(stack)
+                except np.linalg.LinAlgError:
+                    certified = False
+        if not certified:
+            return psd_status(a, tol) is not PsdStatus.INDEFINITE
+    return True
 
 
 def numeric_rank(a: SymMatrix, tol: float = DEFAULT_TOL) -> int:

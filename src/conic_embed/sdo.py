@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart
-from .linalg import SparseRows, SparseSym, SymMatrix, _as_sparse, _checked, trace_inner
+from .linalg import SparseRows, SparseSym, SymMatrix, trace_inner
+from .linalg import _as_sparse, _checked, _checked_int
 from .soco import BlockLayout
 
 
@@ -36,7 +37,9 @@ class EmbeddingMeta:
     h < l) whose X entries structural rows pin to zero, and tied_diagonals,
     the non-leading diagonal indices tied to their block's leading diagonal
     entry, follow from cone_dims (BlockLayout.pins). Both are empty off the
-    primal side.
+    primal side. Each cone dimension must be an int or a numpy integer; a
+    float or a string is refused (DimensionMismatch), not truncated.
+    SdoProblem checks that they are positive and sum to its dim.
     """
 
     side: Side
@@ -45,7 +48,8 @@ class EmbeddingMeta:
 
     def __post_init__(self):
         if self.cone_dims is not None:
-            object.__setattr__(self, "cone_dims", tuple(int(d) for d in self.cone_dims))
+            dims = tuple(_checked_int(d, "cone_dims") for d in self.cone_dims)
+            object.__setattr__(self, "cone_dims", dims)
 
     @cached_property
     def _layout(self) -> BlockLayout:

@@ -7,11 +7,18 @@ per distinct cone size: BlockLayout.groups holds each size's cone ids and coordi
 kernel gathers the stack of a group from the concatenated vector, works on
 all k rows at once and scatters its results back in cone order. Errors are
 still reported for the first failing cone in cone order.
+
+The carried side is built and read once. A SocoSolution keeps a weak
+reference to the block arrow-head image of each part, so the maps of one
+solution share it while any of them lives, and a SymMatrix keeps the
+tol-independent part of its block arrow-head read (block_arrow_head_inv) for
+the last layout it was read with; each call still checks its own tol.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -211,7 +218,12 @@ class SocoProblem:
 
 @dataclass(frozen=True, eq=False)
 class SocoSolution:
-    """Primal blocks, dual multipliers, slack blocks; any part may be absent."""
+    """Primal blocks, dual multipliers, slack blocks; any part may be absent.
+
+    The block arrow-head image of x_blocks or s_blocks, once made, is shared
+    by every later request for it while anyone holds it: the solution keeps
+    only a weak reference (_images), so it never keeps an n x n matrix
+    alive."""
 
     x_blocks: Optional[tuple[np.ndarray, ...]] = None
     y: Optional[np.ndarray] = None
@@ -224,6 +236,21 @@ class SocoSolution:
                 object.__setattr__(self, name, _checked(blocks, repeat((None,)), name + "[{}]"))
         if self.y is not None:
             object.__setattr__(self, "y", _checked((self.y,), ((None,),), "y")[0])
+        object.__setattr__(self, "_images", {})
+
+    def __getstate__(self):
+        return {**self.__dict__, "_images": {}}  # a weak reference cannot be pickled
+
+    def _arrow_head_image(self, name: str, layout: BlockLayout) -> SymMatrix:
+        """block_arrow_head of the part name ("x_blocks" or "s_blocks"), whose
+        blocks must match layout: the image made before if it is still alive,
+        else a new one."""
+        ref = self._images.get(name)
+        image = None if ref is None else ref()
+        if image is None:
+            image = _arrow_head_matrix(layout, getattr(self, name))
+            self._images[name] = weakref.ref(image)
+        return image
 
     def validate_against(self, problem: SocoProblem) -> None:
         for name, blocks in (("x", self.x_blocks), ("s", self.s_blocks)):
@@ -316,17 +343,39 @@ def _arrow_head_matrix(
 def block_arrow_head_inv(
     m: SymMatrix, layout: BlockLayout, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, ...]:
-    """Inverse of block_arrow_head: the per-cone vectors of m. Entries outside
-    the diagonal blocks must vanish within tol, and each block must pass
-    arrow_head_inv; otherwise NotArrowHead reports the worst violation."""
-    tol = _checked_tol(tol)
+    """Inverse of block_arrow_head: the per-cone vectors of m, read-only.
+    Entries outside the diagonal blocks must vanish within tol, and each
+    block must pass arrow_head_inv; otherwise NotArrowHead reports the worst
+    violation."""
+    return layout.split(_arrow_head_rows(m, layout, _checked_tol(tol)))
+
+
+def _arrow_head_rows(m: SymMatrix, layout: BlockLayout, tol: float) -> np.ndarray:
+    """block_arrow_head_inv's vectors, concatenated. The read does not depend
+    on tol: the largest off-block magnitude, each block's worst deviation and
+    the first block rows. m keeps it for the last layout asked (_arrow_read),
+    so repeated inverses of one matrix read it once; each call compares it
+    with its own tol, in the same order."""
     if m.dim != layout.total:
         raise DimensionMismatch(f"X has dim {m.dim}, expected {layout.total}")
-    stray = layout.max_off_block(m)
+    read = m._arrow_read
+    if read is None or read[0] != layout:
+        read = m._arrow_read = (layout, *_arrow_head_read(m, layout))
+    _, stray, worst, rows = read
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
-    a = m.a
-    # the worst deviation of every block, the blocks of one size at once
+    bad = np.flatnonzero(worst > tol)
+    if bad.size:
+        sl = layout.block_slice(int(bad[0]))
+        _arrow_head_vector(m.a[sl, sl], tol)  # raises with that block's worst violation
+    return rows
+
+
+def _arrow_head_read(m: SymMatrix, layout: BlockLayout) -> tuple[float, np.ndarray, np.ndarray]:
+    """The largest magnitude of m outside the diagonal blocks of layout, the
+    worst arrow-head deviation of every block (the blocks of one size at
+    once), and the first block rows, read-only."""
+    stray, a = layout.max_off_block(m), m.a
     worst = np.zeros(len(layout.dims))
     for g in layout.groups:
         if g.n == 1:
@@ -335,12 +384,9 @@ def block_arrow_head_inv(
         diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)[:, 1:] - stack[:, :1, 0])
         off_arrow = np.abs(stack[:, 1:, 1:]) * np.triu(np.ones((g.n - 1, g.n - 1)), 1)
         worst[g.ids] = np.maximum(diag.max(axis=1), off_arrow.max(axis=(1, 2)))
-    bad = np.flatnonzero(worst > tol)
-    if bad.size:
-        sl = layout.block_slice(int(bad[0]))
-        _arrow_head_vector(a[sl, sl], tol)  # raises with that block's worst violation
     _, rows = layout.lead_rows(a)
-    return layout.split(rows)
+    rows.setflags(write=False)
+    return stray, worst, rows
 
 
 def arrow_head_triplets(

@@ -15,6 +15,7 @@ from conic_embed import (
     BlockLayout,
     ConicEmbedError,
     DimensionMismatch,
+    EmbeddingMeta,
     GenerationError,
     NotFinite,
     RankK,
@@ -22,6 +23,7 @@ from conic_embed import (
     SdoPartition,
     Side,
     SocoProblem,
+    SocoSolution,
     SparseRows,
     SymMatrix,
     arrow_head,
@@ -63,6 +65,12 @@ BASIS = np.eye(3)[:, :1]
 ROWS = SparseRows.from_rows(2, [SymMatrix.identity(2)] * 3)
 NAN, INF = float("nan"), float("inf")
 
+# Values numpy cannot read as a float array: a string that is not one number,
+# and a ragged list.
+UNREADABLE = {
+    "text": ("2, 1", DimensionMismatch),
+    "ragged": ([[1.0], [1.0, 2.0]], DimensionMismatch),
+}
 # Bad values of a vector argument and the error each raises. The non-finite
 # ones have length 3, which every vector argument below accepts.
 VECTOR_FAULTS = {
@@ -71,6 +79,7 @@ VECTOR_FAULTS = {
     "2-d": (np.ones((2, 2)), DimensionMismatch),
     "nan": (np.full(3, NAN), NotFinite),
     "inf": ([INF, 1.0, 0.0], NotFinite),
+    **UNREADABLE,
 }
 # The same for a matrix argument: empty, 0-d and 1-d all have too few axes.
 MATRIX_FAULTS = {
@@ -80,6 +89,7 @@ MATRIX_FAULTS = {
     "3-d": (np.ones((3, 1, 1)), DimensionMismatch),
     "nan": (np.full((3, 1), NAN), NotFinite),
     "inf": (np.full((3, 1), -INF), NotFinite),
+    **UNREADABLE,
 }
 
 # (function, the argument's name in the message, the call with the bad value
@@ -105,6 +115,8 @@ ARRAY_ARGUMENTS = [
     ("SparseRows.combine", "y", lambda bad: ROWS.combine(bad), VECTOR_FAULTS),
     ("SymMatrix.diagonal", "values", lambda bad: SymMatrix.diagonal(bad),
      {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
+    ("SocoSolution", "y", lambda bad: SocoSolution(y=bad), UNREADABLE),
+    ("SocoSolution", "x_blocks[1]", lambda bad: SocoSolution(x_blocks=([1.0], bad)), UNREADABLE),
 ]
 
 # Arguments whose length is fixed by another one: (function, argument, the
@@ -174,6 +186,10 @@ INTEGER_CALLS = [
     ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, 0.0),
      DimensionMismatch),
     ("orthonormal_complement", "dim", lambda: orthonormal_complement(BASIS, 2.5),
+     DimensionMismatch),
+    ("EmbeddingMeta", "cone_dims", lambda: EmbeddingMeta(Side.PRIMAL, [2.5, 2], 4),
+     DimensionMismatch),
+    ("EmbeddingMeta", "cone_dims", lambda: EmbeddingMeta(Side.DUAL, ("3", 2), 4),
      DimensionMismatch),
 ]
 

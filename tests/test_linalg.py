@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conic_embed import (
     DimensionMismatch,
     EighConvergenceError,
     NotFinite,
+    NotPSD,
     NotSymmetric,
     PsdStatus,
     RankK,
@@ -15,7 +18,10 @@ from conic_embed import (
     SimZhao,
     SymMatrix,
     block_diag,
+    build_dual_embedding,
     eigh,
+    generate_instance,
+    inverse_map,
     map_block,
     map_solution,
     numeric_rank,
@@ -23,6 +29,7 @@ from conic_embed import (
     psd_status,
     trace_inner,
 )
+from conic_embed import linalg
 from conic_embed.linalg import EigenDecomposition, _diagonal_blocks
 from conic_embed.partition import max_principal_angle
 from conic_embed.soco import arrow_head
@@ -503,6 +510,82 @@ class TestPsdQueries:
             g = rng.standard_normal((6, k))
             m = SymMatrix(g @ g.T)
             assert numeric_rank(m) == np.linalg.matrix_rank(m.a, tol=1e-8)
+
+
+def spectral_blocks(seed, sizes, norm, lam_min):
+    """Block-diagonal matrix of blocks Q diag(lambda) Q^T of the given sizes,
+    Q orthogonal: every eigenvalue drawn from [lam_min, norm], and lam_min
+    itself once, in a block drawn from seed."""
+    rng = np.random.default_rng(seed)
+    host = int(rng.integers(len(sizes)))
+    blocks = []
+    for k, n in enumerate(sizes):
+        lam = lam_min + (norm - lam_min) * rng.random(n)
+        if k == host:
+            lam[0] = lam_min
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = (q * lam) @ q.T
+        blocks.append(0.5 * (b + b.T))
+    return block_diag(blocks)
+
+
+def psd_gate(a, tol):
+    """linalg._psd_within's verdict, and whether it came from the certificate
+    alone (psd_status was not asked)."""
+    with mock.patch.object(linalg, "psd_status", wraps=linalg.psd_status) as spy:
+        verdict = linalg._psd_within(a, tol)
+    return verdict, verdict and not spy.called
+
+
+class TestPsdCertificate:
+    """inverse_map's PSD gate: a batched Cholesky certificate of
+    lambda_min >= -tol per block size, else psd_status's verdict."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(st.integers(1, 30), min_size=1, max_size=3),
+        st.floats(-3.0, 3.0),
+        st.sampled_from((-10.0, -2.0, -1.01, -0.99, -0.5, 0.0, 0.5)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sound_and_equal_to_eigh_off_the_edge(self, sizes, exponent, factor, seed):
+        tol = 1e-8
+        norm = 10.0 ** exponent
+        lam_min = factor * tol
+        a = spectral_blocks(seed, sizes, norm, lam_min)
+        verdict, certified = psd_gate(a, tol)
+        if certified:
+            assert lam_min >= -tol
+        if abs(lam_min + tol) > 1e-12 * (1.0 + norm):
+            assert verdict == (psd_status(a, tol) is not PsdStatus.INDEFINITE)
+
+    def test_certifies_psd_blocks_of_every_size(self):
+        for sizes in ((1,), (2, 2), (4,) * 6, (30, 1, 7)):
+            for factor in (-0.99, 0.0, 0.5):
+                a = spectral_blocks(3, sizes, 10.0, factor * 1e-8)
+                assert psd_gate(a, 1e-8) == (True, True)
+
+    def test_large_norm_takes_the_eigh_route(self):
+        # n = 16 and d = 1e6 leave no room for a positive shift at tol 1e-8
+        a = spectral_blocks(1, (16,), 1e6, 0.0)
+        with mock.patch.object(linalg, "psd_status", wraps=linalg.psd_status) as spy:
+            assert linalg._psd_within(a, 1e-8)
+        assert spy.call_count == 1
+
+    def test_negative_diagonal_fails_the_certificate(self):
+        assert psd_gate(SymMatrix.diagonal([1.0, -2e-8]), 1e-8) == (False, False)
+        assert psd_gate(SymMatrix([[1.0, 2.0], [2.0, 1.0]]), 1e-8) == (False, False)
+
+    def test_indefinite_lifted_matrix_raises(self):
+        # diag(0, 10, -10) on cone 0's block keeps its trace and first row
+        inst = generate_instance((3, 2), ("B", "R"), 2, 5)
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL, SimZhao())
+        x = mapped.X.a.copy()
+        x[1, 1] += 10.0
+        x[2, 2] -= 10.0
+        bad = type(mapped)(X=SymMatrix(x), y=mapped.y, S=mapped.S)
+        with pytest.raises(NotPSD, match=r"^X is indefinite beyond tolerance$"):
+            inverse_map(build_dual_embedding(inst.problem).meta, bad)
 
 
 class TestOrthonormalComplement:

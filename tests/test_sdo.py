@@ -98,11 +98,11 @@ class TestProblemData:
 
     def test_meta_coercion(self):
         # the pins follow from side and cone_dims, and exist on the primal side only
-        meta = EmbeddingMeta(Side.PRIMAL, [3.0, 2.0], 4)
-        assert meta.cone_dims == (3, 2)
+        meta = EmbeddingMeta(Side.PRIMAL, [np.int64(3), 2], 4)
+        assert meta.cone_dims == (3, 2) and type(meta.cone_dims[0]) is int
         assert np.array_equal(meta.zero_pairs, BlockLayout.from_dims((3, 2)).pins[0])
         assert np.array_equal(meta.tied_diagonals, [1, 2, 4])
-        dual = EmbeddingMeta(Side.DUAL, [3.0, 2.0], 4)
+        dual = EmbeddingMeta(Side.DUAL, [3, 2], 4)
         assert np.array_equal(dual.zero_pairs, np.empty((0, 2)))
         assert np.array_equal(dual.tied_diagonals, [])
 

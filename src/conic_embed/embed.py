@@ -35,8 +35,10 @@ scattered into the assembled matrix at once. inverse_map reads the traces and
 first rows of all lifted blocks of one size the same way, and gates the
 lifted matrix with linalg._psd_within: one batched Cholesky per block size
 certifies lambda_min >= -tol, and eigh decides only what that leaves open.
-The carried side is the solution's shared arrow-head image
-(SocoSolution._arrow_head_image), read once per matrix (soco._arrow_head_rows).
+The positions and the theta of the cones come from one frame per cone
+vector (soco._cone_frame), and the carried side is the solution's shared
+arrow-head image (SocoSolution._arrow_head_image), read once per matrix by
+the one stacked arrow-head reader (soco._arrow_head_rows).
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ from .soco import (
     SocoProblem,
     SocoSolution,
     _arrow_head_rows,
-    _cone_positions,
+    _cone_frame,
+    _frame,
     _position_codes,
-    _row_dots,
     arrow_head_triplets,
 )
 
@@ -229,10 +231,10 @@ def _gate(x: np.ndarray, choice: ConeRankChoice, pos: int) -> Optional[tuple[int
     return () if isinstance(choice, RankOne) else subset
 
 
-def _theta_blocks(v: np.ndarray, tt: np.ndarray, codes: list, subsets: list) -> np.ndarray:
+def _theta_blocks(v: np.ndarray, cones: list) -> np.ndarray:
     """The (k, n, n) stack of transported blocks of the rows of v, all of one
-    size n, from the rows' tail dot products tt, their position codes and the
-    subsets _gate returned.
+    size n, from each row's (head, tail dot, position code, subset _gate
+    returned) in cones.
 
     A zero row gives the zero block and a one-dimensional row [[x1]], without
     squaring x1, which could overflow. Every other row gives the theta-block
@@ -245,12 +247,12 @@ def _theta_blocks(v: np.ndarray, tt: np.ndarray, codes: list, subsets: list) -> 
     so that the matrix it is assembled into is checked once.
     """
     k, n = v.shape
-    zero = [c == ZERO for c in codes]
+    zero = [code == ZERO for _, _, code, _ in cones]
     if n == 1:
         return np.where(np.array(zero)[:, None], 0.0, v)[:, :, None]
     theta, bump = np.ones(k), np.zeros(k)  # a zero row keeps these; its block is cleared below
-    for row, (head, dot, is_zero, s) in enumerate(zip(v[:, 0].tolist(), tt.tolist(), zero, subsets)):
-        if is_zero:
+    for row, (head, dot, code, s) in enumerate(cones):
+        if code == ZERO:
             continue
         if s == ():
             theta[row] = _theta_one(head, dot)
@@ -258,9 +260,9 @@ def _theta_blocks(v: np.ndarray, tt: np.ndarray, codes: list, subsets: list) -> 
             theta[row], rest = _sim_zhao_theta(head, dot)
             bump[row] = rest / (2.0 * (n - 1 if s is None else len(s)))
     on = np.eye(n - 1)
-    if any(subsets):  # a RankK subset: its row's diagonal is masked
+    if any(s for *_, s in cones):  # a RankK subset: its row's diagonal is masked
         mask = np.ones((k, n - 1))
-        for row, s in enumerate(subsets):
+        for row, (*_, s) in enumerate(cones):
             if s:
                 mask[row] = 0.0
                 mask[row, np.asarray(s) - 2] = 1.0
@@ -285,11 +287,10 @@ def _transport(
     finite cone vector flat, one choice per cone. Each cone passes _gate in
     cone order, so the first failing cone raises; with name_cones, its
     NotInterior, BadSubset and OutsideCone carry "cone i: " (0-based), so that
-    the user can tell which cone to change."""
-    stacks = [flat[g.at] for g in layout.groups]
-    tts = [_row_dots(v[:, 1:], v[:, 1:]) for v in stacks]  # shared by positions and theta
-    per_group = [_position_codes(v, tol, tt) for v, tt in zip(stacks, tts)]
-    codes = layout.in_cone_order(per_group)
+    the user can tell which cone to change. The cones' frame gives both their
+    positions and their theta."""
+    frame = _cone_frame(layout, flat)
+    codes = _position_codes(frame, tol)
     subsets = []
     for i, (x, choice, pos) in enumerate(zip(layout.split(flat), choices, codes)):
         try:
@@ -298,16 +299,16 @@ def _transport(
             if not name_cones:
                 raise
             raise type(exc)(f"cone {i}: {exc}") from None
+    cones = list(zip(frame.head.tolist(), frame.tt.tolist(), codes, subsets))
     return SymMatrix(layout.assemble([
-        _theta_blocks(v, tt, group_codes, [subsets[i] for i in g.ids.tolist()])
-        for g, v, tt, group_codes in zip(layout.groups, stacks, tts, per_group)
+        _theta_blocks(flat[g.at], [cones[i] for i in g.ids.tolist()]) for g in layout.groups
     ]))
 
 
 def _require_in_cones(layout: BlockLayout, flat: np.ndarray, tol: float) -> None:
     """The first cone of the concatenated vector flat that lies outside its
     cone raises OutsideCone, named as _transport names it."""
-    codes = _cone_positions(layout, flat, tol)
+    codes = _position_codes(_cone_frame(layout, flat), tol)
     if OUTSIDE in codes:
         i = codes.index(OUTSIDE)
         raise OutsideCone(f"cone {i}: vector {flat[layout.block_slice(i)]} lies outside its cone")
@@ -319,12 +320,13 @@ def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1)).
     [sqrt(x1)] in one dimension."""
     x, tol = _vector(x, "x"), _checked_tol(tol)
-    if _position_codes(x[None], tol)[0] != INTERIOR:
+    frame = _frame(x[None])
+    if _position_codes(frame, tol)[0] != INTERIOR:
         raise NotInterior("full-rank transport needs a cone-interior vector")
     n = x.shape[0]
     if n == 1:
         return [np.array([math.sqrt(float(x[0]))])]
-    theta, rest = _sim_zhao_theta(float(x[0]), float(x[1:] @ x[1:]))
+    theta, rest = _sim_zhao_theta(float(frame.head[0]), float(frame.tt[0]))
     nu = np.concatenate(([theta / 2.0], x[1:])) / math.sqrt(theta)
     return [nu, *(math.sqrt(rest / (2.0 * (n - 1))) * np.eye(n)[1:])]
 

@@ -96,16 +96,19 @@ def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
     fix only the number of axes. The first value in order with another shape,
     or a NaN or an infinite entry, raises DimensionMismatch or NotFinite
     naming it name.format(k); finiteness is tested once for the batch. A
-    value numpy cannot read as a float array (a string, a ragged list) is
-    misshapen too."""
+    value numpy cannot read (a ragged list), or reads as anything but ints
+    or floats (text, booleans), is misshapen too: refused, not parsed."""
     out, misshapen = [], None
     for k, (v, shape) in enumerate(zip(values, shapes)):
         if not _kept(v):
             try:
-                v = np.array(v, dtype=float)
+                v = np.array(v)
+                if v.dtype.kind not in "iuf":
+                    raise TypeError(f"numpy reads it as {v.dtype}")
             except (TypeError, ValueError) as exc:
                 misshapen = DimensionMismatch(f"{name.format(k)} is not an array of numbers: {exc}")
                 break
+            v = v.astype(float, copy=False)
             v.setflags(write=False)
         if v.ndim != len(shape) or (shape[0] is not None and v.shape != shape):
             misshapen = DimensionMismatch(f"{name.format(k)} has shape {v.shape}, "

@@ -5,6 +5,10 @@ eigensystem, and the two routes from a labeled cone solution to subspace bases
 The table route builds the bases directly from the labels and the boundary
 directions; the eigen route decomposes a transported matrix pair. For proper
 transports (block rank equal to the cone rank everywhere) the two agree.
+
+Cone positions, the complementarity band, the zero-tail checks and the
+arrow-head eigensystems read each cone vector's frame (soco._frame); no tail
+dot is computed here.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ from .soco import (
     ConePosition,
     SocoProblem,
     SocoSolution,
-    _cone_positions,
+    _cone_frame,
+    _frame,
     _jordan_rows,
-    _row_dots,
+    _position_codes,
 )
 from .embed import FullRank, RankOne, SimZhao, map_solution
 
@@ -90,9 +95,10 @@ def classify_cones(
     sol.validate_against(problem)
     layout = problem.layout
     x, s = np.concatenate(sol.x_blocks), np.concatenate(sol.s_blocks)
-    px = _cone_positions(layout, x, tol)
-    ps = _cone_positions(layout, s, tol)
-    comp, band = _complementarity(layout, x, s, tol)
+    fx, fs = _cone_frame(layout, x), _cone_frame(layout, s)
+    px, ps = _position_codes(fx, tol), _position_codes(fs, tol)
+    comp = _complementarity(layout, x, s)
+    band = tol * (1.0 + fx.peak) * (1.0 + fs.peak)
     labels = []
     for i, codes in enumerate(zip(px, ps)):
         if OUTSIDE in codes:
@@ -111,18 +117,14 @@ def classify_cones(
     return labels
 
 
-def _complementarity(
-    layout: BlockLayout, x: np.ndarray, s: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per cone of the concatenated x and s, in cone order: max |x_i o s_i|
-    and the band tol (1 + ||x_i||_inf) (1 + ||s_i||_inf) it must stay within."""
-    r = len(layout.dims)
-    comp, band = np.empty(r), np.empty(r)
+def _complementarity(layout: BlockLayout, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """max |x_i o s_i| per cone of the concatenated x and s, in cone order.
+    classify_cones holds it within tol (1 + ||x_i||_inf) (1 + ||s_i||_inf),
+    from the peaks of the cones' frames."""
+    comp = np.empty(len(layout.dims))
     for g in layout.groups:
-        xg, sg = x[g.at], s[g.at]
-        comp[g.ids] = np.abs(_jordan_rows(xg, sg)).max(axis=1)
-        band[g.ids] = tol * (1.0 + np.abs(xg).max(axis=1)) * (1.0 + np.abs(sg).max(axis=1))
-    return comp, band
+        comp[g.ids] = np.abs(_jordan_rows(x[g.at], s[g.at])).max(axis=1)
+    return comp
 
 
 def arrowhead_eigensystem(v) -> EigenDecomposition:
@@ -135,10 +137,11 @@ def arrowhead_eigensystem(v) -> EigenDecomposition:
     tail vanishes. NotFinite on a NaN or an infinite entry.
     """
     v = _vector(v, "v")
-    if float(v[1:] @ v[1:]) == 0.0:
+    tt = _frame(v[None]).tt
+    if tt[0] == 0.0:
         vals, vecs = np.full(v.shape[0], v[0]), np.eye(v.shape[0])
     else:
-        vals, vecs = (a[0] for a in _arrow_head_eigensystems(v[None]))
+        vals, vecs = (a[0] for a in _arrow_head_eigensystems(v[None], tt))
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomposition(vals, vecs)
@@ -176,18 +179,6 @@ class SdoPartition:
             raise DimensionMismatch(f"bases deviate from orthonormality by {dev:.3e}")
 
 
-def _boundary_block(blocks, i: int, what: str) -> np.ndarray:
-    """Cone i's block, which must carry a boundary direction (a nonzero tail)."""
-    if blocks is None:
-        raise MissingSolutionPart(f"label needs the {what} block for cone {i}")
-    v = blocks[i]
-    if v.shape[0] < 2:
-        raise LabelMismatch(f"cone {i} is one-dimensional; no boundary direction exists")
-    if float(v[1:] @ v[1:]) <= 0.0:  # ||v[1:]|| <= 0, without the square root
-        raise LabelMismatch(f"cone {i}: {what} block has a zero tail, no direction")
-    return v
-
-
 # Whole blocks go to one class.
 _WHOLE_ROUTE = {ConeLabel.B: "B", ConeLabel.N: "N", ConeLabel.T1: "T"}
 # Boundary labels: the block giving the direction d, the class of the x side
@@ -216,18 +207,20 @@ def map_partition(
     middle vectors join the side carried as an arrow-head (s on the dual side,
     x on the primal side): the transported X is a low-rank image on the dual
     side but an arrow-head on the primal side. tol is not read: the routing
-    takes the labels as given.
+    takes the labels as given; the solution's blocks must match the problem.
     """
     if side not in (Side.DUAL, Side.PRIMAL):
         raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
     labels = list(labels)
     if len(labels) != problem.r:
         raise DimensionMismatch(f"{len(labels)} labels for {problem.r} cones")
+    sol.validate_against(problem)
     layout = problem.layout
     # per class, the (cone, columns) pieces in order: columns None for the
     # whole block, else columns of the cone's arrow-head frame
     pieces = {cls: [] for cls in "BNT"}
-    boundary = {}  # cone -> the vector giving its direction
+    boundary = {}  # cone -> (the vector giving its direction, its tail dot)
+    tails = {}  # "x" or "s" -> the tail dots of its cones' frame, made on first use
     for i, label in enumerate(labels):
         n = layout.dims[i]
         if label in _WHOLE_ROUTE:
@@ -237,7 +230,15 @@ def map_partition(
             raise LabelMismatch(f"unknown label {label!r}")
         source, x_cls, s_cls = _BOUNDARY_ROUTE[label]
         blocks = sol.x_blocks if source == "x" else sol.s_blocks
-        boundary[i] = _boundary_block(blocks, i, source)
+        if blocks is None:
+            raise MissingSolutionPart(f"label needs the {source} block for cone {i}")
+        if n < 2:
+            raise LabelMismatch(f"cone {i} is one-dimensional; no boundary direction exists")
+        if source not in tails:
+            tails[source] = _cone_frame(layout, np.concatenate(blocks)).tt
+        if tails[source][i] <= 0.0:  # ||v[1:]|| <= 0, without the square root
+            raise LabelMismatch(f"cone {i}: {source} block has a zero tail, no direction")
+        boundary[i] = blocks[i], tails[source][i]
         aligned, opposed = (x_cls, s_cls) if source == "x" else (s_cls, x_cls)
         arrow = s_cls if side is Side.DUAL else x_cls
         middle = list(range(1, n - 1))
@@ -259,25 +260,25 @@ def map_partition(
     return part
 
 
-def _boundary_frames(vectors: dict) -> dict:
+def _boundary_frames(boundary: dict) -> dict:
     """The arrow-head eigenvectors (arrowhead_eigensystem's, in its order) of
-    each vector, all of one size in one call. Every vector has a nonzero
-    tail."""
+    each (vector, nonzero tail dot) of boundary, all of one size in one call."""
     frames = {}
-    by_size = {}
-    for i, v in vectors.items():
-        by_size.setdefault(v.shape[0], []).append(i)
-    for ids in by_size.values():
-        frames.update(zip(ids, _arrow_head_eigensystems(np.stack([vectors[i] for i in ids]))[1]))
+    for n in {v.shape[0] for v, _ in boundary.values()}:
+        ids = [i for i, (v, _) in boundary.items() if v.shape[0] == n]
+        v = np.stack([boundary[i][0] for i in ids])
+        tt = np.array([boundary[i][1] for i in ids])
+        frames.update(zip(ids, _arrow_head_eigensystems(v, tt)[1]))
     return frames
 
 
-def _arrow_head_eigensystems(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _arrow_head_eigensystems(v: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and column eigenvectors of the arrow-head of each row of
-    the (k, n) stack v, whose tails are nonzero, in the order of
-    arrowhead_eigensystem: _two_level_eigensystem with along = rest = v1."""
+    the (k, n) stack v, whose tail dots tt (from the rows' frame) are
+    nonzero, in the order of arrowhead_eigensystem: _two_level_eigensystem
+    with along = rest = v1."""
     head = v[:, :1]
-    rho = np.sqrt(_row_dots(v[:, 1:], v[:, 1:]))[:, None]
+    rho = np.sqrt(tt)[:, None]
     return _two_level_eigensystem(head, rho, v[:, 1:] / rho, head, head)
 
 
@@ -341,7 +342,7 @@ def proper_map_solution(
         raise MissingSolutionPart("proper transport needs the mapped-side blocks")
     sol.validate_against(problem)
     inside = SimZhao() if interior == "simzhao" else FullRank()
-    codes = _cone_positions(problem.layout, np.concatenate(blocks), tol)
+    codes = _position_codes(_cone_frame(problem.layout, np.concatenate(blocks)), tol)
     choices = [inside if pos == INTERIOR else RankOne() for pos in codes]
     return map_solution(problem, sol, side, choices, tol)
 

@@ -8,11 +8,11 @@ kernel gathers the stack of a group from the concatenated vector, works on
 all k rows at once and scatters its results back in cone order. Errors are
 still reported for the first failing cone in cone order.
 
-The carried side is built and read once. A SocoSolution keeps a weak
-reference to the block arrow-head image of each part, so the maps of one
-solution share it while any of them lives, and a SymMatrix keeps the
-tol-independent part of its block arrow-head read (block_arrow_head_inv) for
-the last layout it was read with; each call still checks its own tol.
+Each cone vector v = (v1, t) is read through one frame (_frame), the only
+place its tail dot t @ t is computed, with its head and peak ||v||_inf. One
+stacked reader (_arrow_head_read) reads every arrow-head matrix, one alone as
+a layout of one block; a SymMatrix keeps its tol-independent read for the
+last layout, and a SocoSolution a weak reference to each part's image.
 """
 
 from __future__ import annotations
@@ -92,17 +92,6 @@ class BlockLayout:
     def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """The per-cone pieces of a concatenated vector, as views."""
         return tuple(flat[o:o + n] for o, n in zip(self.offsets, self.dims))
-
-    def in_cone_order(self, per_group: Sequence[list]) -> list:
-        """One list per group, in the group's cone order, merged into one
-        list in cone order."""
-        if len(per_group) == 1:
-            return list(per_group[0])
-        out = [None] * len(self.dims)
-        for g, values in zip(self.groups, per_group):
-            for i, value in zip(g.ids.tolist(), values):
-                out[i] = value
-        return out
 
     def assemble(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         """The block-diagonal total x total array holding the (k, n, n) stack
@@ -274,39 +263,11 @@ def arrow_head(v) -> SymMatrix:
 
 
 def arrow_head_inv(m: SymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Read the vector back out of an arrow-head matrix.
-
-    Off-arrow entries must vanish and trailing diagonal entries must equal the
-    leading one, all within tol; otherwise NotArrowHead reports the worst
-    violation.
-    """
-    return _arrow_head_vector(m.a, _checked_tol(tol))
-
-
-def _arrow_head_vector(a: np.ndarray, tol: float) -> np.ndarray:
-    """arrow_head_inv on a square array already known symmetric and finite.
-
-    The worst violation is the first largest deviation, trailing diagonal
-    entries before off-arrow ones on a tie.
-    """
-    n = a.shape[0]
-    worst = 0.0
-    where = ""
-    if n > 1:
-        dev = np.abs(a.diagonal()[1:] - a[0, 0])
-        j = int(np.argmax(dev))
-        if dev[j] > worst:
-            worst, where = float(dev[j]), f"diagonal ({j + 1},{j + 1})"
-    if n > 2:
-        tri = np.triu(np.abs(a[1:, 1:]), 1)
-        k = int(np.argmax(tri))
-        dev = float(tri.flat[k])
-        if dev > worst:
-            i, j = divmod(k, n - 1)
-            worst, where = dev, f"off-arrow ({i + 1},{j + 1})"
-    if worst > tol:
-        raise NotArrowHead(worst, where)
-    return np.concatenate(([a[0, 0]], a[0, 1:]))
+    """Read the vector back out of an arrow-head matrix, block_arrow_head_inv
+    of one block: off-arrow entries must vanish and trailing diagonal entries
+    must equal the leading one, all within tol; otherwise NotArrowHead
+    reports the worst violation."""
+    return _arrow_head_rows(m, BlockLayout.from_dims((m.dim,)), _checked_tol(tol)).copy()
 
 
 def block_arrow_head(
@@ -347,46 +308,56 @@ def block_arrow_head_inv(
     Entries outside the diagonal blocks must vanish within tol, and each
     block must pass arrow_head_inv; otherwise NotArrowHead reports the worst
     violation."""
-    return layout.split(_arrow_head_rows(m, layout, _checked_tol(tol)))
+    tol = _checked_tol(tol)
+    if m.dim != layout.total:
+        raise DimensionMismatch(f"m has dim {m.dim}, expected {layout.total}")
+    return layout.split(_arrow_head_rows(m, layout, tol))
 
 
 def _arrow_head_rows(m: SymMatrix, layout: BlockLayout, tol: float) -> np.ndarray:
-    """block_arrow_head_inv's vectors, concatenated. The read does not depend
-    on tol: the largest off-block magnitude, each block's worst deviation and
-    the first block rows. m keeps it for the last layout asked (_arrow_read),
-    so repeated inverses of one matrix read it once; each call compares it
-    with its own tol, in the same order."""
-    if m.dim != layout.total:
-        raise DimensionMismatch(f"X has dim {m.dim}, expected {layout.total}")
+    """block_arrow_head_inv's vectors, concatenated, for an m of the layout's
+    size. The read does not depend on tol (_arrow_head_read); m keeps it for
+    the last layout asked (_arrow_read), so repeated inverses of one matrix
+    read it once, and each call compares it with its own tol: the off-block
+    magnitude first, then the first block in cone order whose worst deviation
+    exceeds tol, named at the entry the read recorded."""
     read = m._arrow_read
     if read is None or read[0] != layout:
         read = m._arrow_read = (layout, *_arrow_head_read(m, layout))
-    _, stray, worst, rows = read
+    _, stray, worst, entry, rows = read
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
     bad = np.flatnonzero(worst > tol)
     if bad.size:
-        sl = layout.block_slice(int(bad[0]))
-        _arrow_head_vector(m.a[sl, sl], tol)  # raises with that block's worst violation
+        b = int(bad[0])
+        i, j = divmod(int(entry[b]), layout.dims[b] - 1)
+        raise NotArrowHead(worst[b], f"{'diagonal' if i == j else 'off-arrow'} ({i + 1},{j + 1})")
     return rows
 
 
-def _arrow_head_read(m: SymMatrix, layout: BlockLayout) -> tuple[float, np.ndarray, np.ndarray]:
-    """The largest magnitude of m outside the diagonal blocks of layout, the
-    worst arrow-head deviation of every block (the blocks of one size at
-    once), and the first block rows, read-only."""
+def _arrow_head_read(m: SymMatrix, layout: BlockLayout) -> tuple:
+    """The largest magnitude of m outside the diagonal blocks of layout; per
+    block (the blocks of one size at once), its worst arrow-head deviation
+    and the first entry that attains it, as a flat index into the block's
+    trailing (n-1) x (n-1) part: a trailing diagonal entry before an
+    off-arrow one on a tie, the first in row-major order within a kind; and
+    the first block rows, read-only."""
     stray, a = layout.max_off_block(m), m.a
     worst = np.zeros(len(layout.dims))
+    entry = np.zeros(len(layout.dims), dtype=int)
     for g in layout.groups:
         if g.n == 1:
             continue
         stack = a.take(g.flat(layout.total))
         diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)[:, 1:] - stack[:, :1, 0])
         off_arrow = np.abs(stack[:, 1:, 1:]) * np.triu(np.ones((g.n - 1, g.n - 1)), 1)
-        worst[g.ids] = np.maximum(diag.max(axis=1), off_arrow.max(axis=(1, 2)))
+        off_arrow = off_arrow.reshape(len(g.ids), -1)
+        on_diag, off = diag.max(axis=1), off_arrow.max(axis=1)
+        worst[g.ids] = np.maximum(on_diag, off)
+        entry[g.ids] = np.where(off > on_diag, off_arrow.argmax(axis=1), diag.argmax(axis=1) * g.n)
     _, rows = layout.lead_rows(a)
     rows.setflags(write=False)
-    return stray, worst, rows
+    return stray, worst, entry, rows
 
 
 def arrow_head_triplets(
@@ -451,19 +422,43 @@ def jordan_product(x, s) -> np.ndarray:
     return _jordan_rows(x[None], s[None])[0]
 
 
-def _position_codes(v: np.ndarray, tol: float, tt: Optional[np.ndarray] = None) -> list[int]:
-    """cone_position of each row of a (k, n) stack, as codes into POSITIONS;
-    tt holds the rows' tail dot products when the caller has them. The norms
-    and magnitudes are taken for the whole stack; the square roots and the
-    comparisons that pick each code are made on Python floats, which costs
-    less than the array operations they would take, up to a few dozen rows.
-    The rows must be finite."""
-    peaks = np.abs(v).max(axis=1).tolist()
-    if tt is None:
-        tail = v[:, 1:]
-        tt = _row_dots(tail, tail)
+class _Frame(NamedTuple):
+    """Per cone vector v = (v1, t): head v1, tail dot t @ t, peak ||v||_inf."""
+
+    head: np.ndarray
+    tt: np.ndarray
+    peak: np.ndarray
+
+
+def _frame(stack: np.ndarray) -> _Frame:
+    """The frame of each row of a (k, n) stack of cone vectors, the only
+    place a tail dot is computed. Each tail dot is one _row_dots row, with
+    the bits of the vector dot t @ t."""
+    tail = stack[:, 1:]
+    return _Frame(stack[:, 0], _row_dots(tail, tail), np.abs(stack).max(axis=1))
+
+
+def _cone_frame(layout: BlockLayout, flat: np.ndarray) -> _Frame:
+    """_frame of every cone of the concatenated vector flat, in cone order,
+    the cones of one size as one stack."""
+    if len(layout.groups) == 1:
+        return _frame(flat[layout.groups[0].at])
+    r = len(layout.dims)
+    out = _Frame(np.empty(r), np.empty(r), np.empty(r))
+    for g in layout.groups:
+        for field, values in zip(out, _frame(flat[g.at])):
+            field[g.ids] = values
+    return out
+
+
+def _position_codes(frame: _Frame, tol: float) -> list[int]:
+    """cone_position of each vector of a frame, in the frame's order (cone
+    order for a _cone_frame), as codes into POSITIONS. The square roots and
+    the comparisons that pick each code are made on Python floats, which
+    costs less than the array operations they would take, up to a few dozen
+    vectors. The vectors must be finite."""
     codes = []
-    for peak, head, dot in zip(peaks, v[:, 0].tolist(), tt.tolist()):
+    for peak, head, dot in zip(frame.peak.tolist(), frame.head.tolist(), frame.tt.tolist()):
         margin = head - math.sqrt(dot)
         band = tol * (1.0 + peak)
         if peak <= tol:
@@ -477,11 +472,6 @@ def _position_codes(v: np.ndarray, tol: float, tt: Optional[np.ndarray] = None) 
     return codes
 
 
-def _cone_positions(layout: BlockLayout, flat: np.ndarray, tol: float) -> list[int]:
-    """_position_codes of every cone of a concatenated vector, in cone order."""
-    return layout.in_cone_order([_position_codes(flat[g.at], tol) for g in layout.groups])
-
-
 def cone_position(v, tol: float = DEFAULT_TOL) -> ConePosition:
     """Locate v relative to its Lorentz cone.
 
@@ -489,8 +479,8 @@ def cone_position(v, tol: float = DEFAULT_TOL) -> ConePosition:
     against tol scaled by (1 + ||v||_inf). NotFinite on a NaN or an infinite
     entry.
     """
-    v = _vector(v, "v")
-    return POSITIONS[_position_codes(v[None], _checked_tol(tol))[0]]
+    v, tol = _vector(v, "v"), _checked_tol(tol)
+    return POSITIONS[_position_codes(_frame(v[None]), tol)[0]]
 
 
 def primal_residual(problem: SocoProblem, sol: SocoSolution) -> float:

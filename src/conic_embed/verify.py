@@ -118,7 +118,7 @@ def check_admissibility(
         dual_residual=sdo_dual_residual(sdo_problem, sdo_sol),
         primal_obj_gap=abs(cx - trace_inner(sdo_problem.C, sdo_sol.X)),
         dual_obj_gap=abs(by_soco - by_sdo),
-        soco_complementarity=float(_complementarity(layout, x, s, tol)[0].max()),
+        soco_complementarity=float(_complementarity(layout, x, s).max()),
         sdo_complementarity_trace=trace_inner(sdo_sol.X, sdo_sol.S),
         sdo_complementarity_norm=float(np.abs(xs).max()),
         tol=tol,

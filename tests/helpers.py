@@ -42,7 +42,6 @@ from conic_embed import (
 )
 from conic_embed.embed import per_cone_choices
 from conic_embed.linalg import _two_level_eigensystem
-from conic_embed.soco import _arrow_head_vector
 
 LABELS_1D = ("B", "N", "T1")
 LABELS_ANY = ("B", "N", "R", "T1", "T2", "T3")
@@ -247,6 +246,26 @@ def ref_block_arrow_head(blocks) -> SymMatrix:
     return SymMatrix(m)
 
 
+def ref_arrow_head_vector(a, tol=1e-8):
+    """arrow_head_inv of one square array, checked entry by entry: the worst
+    violation is the first largest deviation, a trailing diagonal entry
+    before an off-arrow one on a tie."""
+    n = a.shape[0]
+    worst, where = 0.0, ""
+    for j in range(1, n):
+        dev = abs(float(a[j, j]) - float(a[0, 0]))
+        if dev > worst:
+            worst, where = dev, f"diagonal ({j},{j})"
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            dev = abs(float(a[i, j]))
+            if dev > worst:
+                worst, where = dev, f"off-arrow ({i},{j})"
+    if worst > tol:
+        raise NotArrowHead(worst, where)
+    return np.array(a[0])
+
+
 def ref_block_arrow_head_inv(m, layout, tol=1e-8):
     """block_arrow_head_inv checked one block at a time: the worst off-block
     entry first, then the first block off the arrow-head form."""
@@ -257,7 +276,7 @@ def ref_block_arrow_head_inv(m, layout, tol=1e-8):
             stray = max(stray, float(np.abs(m.a[layout.block_slice(i), end:]).max()))
     if stray > tol:
         raise NotArrowHead(stray, "off-block entry")
-    return tuple(_arrow_head_vector(m.a[sl, sl], tol)
+    return tuple(ref_arrow_head_vector(m.a[sl, sl], tol)
                  for sl in map(layout.block_slice, range(len(layout.dims))))
 
 

@@ -21,6 +21,7 @@ from conic_embed import (
     RankK,
     RankOne,
     SdoPartition,
+    SdoSolution,
     Side,
     SocoProblem,
     SocoSolution,
@@ -71,6 +72,12 @@ UNREADABLE = {
     "text": ("2, 1", DimensionMismatch),
     "ragged": ([[1.0], [1.0, 2.0]], DimensionMismatch),
 }
+# Values numpy reads as text or booleans, refused rather than parsed as
+# numbers, as a vector (length 3) and as a matrix (3 x 1).
+NOT_NUMBERS = {
+    "numeric text": ["2", "1", "0"],
+    "boolean": [True, False, False],
+}
 # Bad values of a vector argument and the error each raises. The non-finite
 # ones have length 3, which every vector argument below accepts.
 VECTOR_FAULTS = {
@@ -80,6 +87,7 @@ VECTOR_FAULTS = {
     "nan": (np.full(3, NAN), NotFinite),
     "inf": ([INF, 1.0, 0.0], NotFinite),
     **UNREADABLE,
+    **{fault: (bad, DimensionMismatch) for fault, bad in NOT_NUMBERS.items()},
 }
 # The same for a matrix argument: empty, 0-d and 1-d all have too few axes.
 MATRIX_FAULTS = {
@@ -90,7 +98,11 @@ MATRIX_FAULTS = {
     "nan": (np.full((3, 1), NAN), NotFinite),
     "inf": (np.full((3, 1), -INF), NotFinite),
     **UNREADABLE,
+    **{fault: ([[v] for v in bad], DimensionMismatch) for fault, bad in NOT_NUMBERS.items()},
 }
+# The faults of a vector that a data class field refuses as well as any
+# exported function.
+FIELD_FAULTS = {fault: VECTOR_FAULTS[fault] for fault in (*UNREADABLE, *NOT_NUMBERS)}
 
 # (function, the argument's name in the message, the call with the bad value
 # in that argument, its faults)
@@ -115,8 +127,8 @@ ARRAY_ARGUMENTS = [
     ("SparseRows.combine", "y", lambda bad: ROWS.combine(bad), VECTOR_FAULTS),
     ("SymMatrix.diagonal", "values", lambda bad: SymMatrix.diagonal(bad),
      {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
-    ("SocoSolution", "y", lambda bad: SocoSolution(y=bad), UNREADABLE),
-    ("SocoSolution", "x_blocks[1]", lambda bad: SocoSolution(x_blocks=([1.0], bad)), UNREADABLE),
+    ("SocoSolution", "y", lambda bad: SocoSolution(y=bad), FIELD_FAULTS),
+    ("SocoSolution", "x_blocks[1]", lambda bad: SocoSolution(x_blocks=([1.0], bad)), FIELD_FAULTS),
 ]
 
 # Arguments whose length is fixed by another one: (function, argument, the
@@ -131,6 +143,7 @@ WRONG_LENGTH = [
     ("block_diag", "blocks[1]", lambda: block_diag([np.eye(2), [[1.0, 2.0]]])),
     ("orthonormal_complement", "vectors", lambda: orthonormal_complement(np.eye(2)[:, :1], 3)),
     ("SparseRows.combine", "y", lambda: ROWS.combine([1.0, 2.0])),
+    ("block_arrow_head_inv", "m", lambda: block_arrow_head_inv(DUAL.S, BlockLayout.from_dims((3, 3)))),
 ]
 
 # Every exported function and method that reads a tol: the call with tol.
@@ -213,6 +226,14 @@ def _rows():
 def test_bad_argument_is_refused_and_named(call, error, name):
     with pytest.raises(error, match="^" + re.escape(name) + " "):
         call()
+
+
+@pytest.mark.parametrize("build", [build_dual_embedding, build_primal_embedding])
+@pytest.mark.parametrize("name", ["X", "S"])
+def test_inverse_map_names_its_matrices(build, name):
+    # block_arrow_head_inv names its argument m; inverse_map names the part
+    with pytest.raises(DimensionMismatch, match=f"^{name} has dim 4, expected 5$"):
+        inverse_map(build(P).meta, SdoSolution(**{name: SymMatrix.identity(4)}))
 
 
 def test_every_tol_taker_is_in_the_table():

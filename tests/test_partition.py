@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,22 @@ class TestArrowheadEigensystem:
         dec = arrowhead_eigensystem(np.array([3.0, 0.0, 0.0]))
         assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 3.0])
         assert np.array_equal(dec.eigenvectors, np.eye(3))
+
+    @pytest.mark.parametrize("tail, zero", [
+        ([0.0, -0.0], True),
+        ([1e-170, 0.0], True),  # its square underflows: no direction
+        ([1e-160, 0.0], False),  # a subnormal square still gives one
+    ])
+    def test_tail_dot_decides_the_degenerate_case(self, tail, zero):
+        dec = arrowhead_eigensystem([3.0, *tail])
+        if zero:
+            assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 3.0])
+            assert np.array_equal(dec.eigenvectors, np.eye(3))
+        else:
+            assert np.array_equal(dec.eigenvalues, [3.0 - tail[0], 3.0, 3.0 + tail[0]])
+            # the subnormal square keeps about five digits of ||t||
+            assert np.allclose(np.abs(dec.eigenvectors[1:, [0, 2]]), [[0.5 ** 0.5] * 2, [0.0] * 2],
+                               atol=1e-4)
 
     def test_one_dimensional(self):
         dec = arrowhead_eigensystem(np.array([-4.0]))
@@ -255,6 +272,31 @@ class TestMapPartitionRouting:
             x_blocks=(np.array([2.0, 0.0, 0.0]),), s_blocks=(np.zeros(3),)
         )
         with pytest.raises(LabelMismatch):
+            map_partition(p, sol, [ConeLabel.R], Side.DUAL)
+
+    @pytest.mark.parametrize("zero_tails, labels, where", [
+        ((0, 2), "R R T3", "cone 0: x block has a zero tail"),
+        ((2,), "R R T3", "cone 2: s block has a zero tail"),
+        ((1, 2), "B R T3", "cone 1: x block has a zero tail"),
+        ((2,), "R R Q", "unknown label"),
+        ((1,), "R T2 Q", "cone 1: x block has a zero tail"),
+    ])
+    def test_first_zero_tail_in_cone_order(self, zero_tails, labels, where):
+        p = SocoProblem((3, 4, 3), tuple(np.ones((1, n)) for n in (3, 4, 3)),
+                        tuple(np.zeros(n) for n in (3, 4, 3)), [0.0])
+        blocks = [np.array([2.0, 1.0, 0.0]), np.array([2.0, 0.0, 1e-170, 1.0]),
+                  np.array([2.0, 0.0, -1.0])]
+        for i in zero_tails:  # a tail whose dot is zero, exactly or by underflow
+            blocks[i] = np.r_[2.0, 1e-170 * blocks[i][1:]]
+        sol = SocoSolution(x_blocks=tuple(blocks), s_blocks=tuple(blocks))
+        labels = [getattr(ConeLabel, name, name) for name in labels.split()]
+        with pytest.raises(LabelMismatch, match=re.escape(where)):
+            map_partition(p, sol, labels, Side.PRIMAL)
+
+    def test_solution_checked_against_the_problem(self):
+        p = one_cone_problem(3)
+        sol = SocoSolution(x_blocks=(np.array([1.0, 1.0]),), s_blocks=(np.zeros(3),))
+        with pytest.raises(DimensionMismatch, match="^x block 0 has length 2, expected 3$"):
             map_partition(p, sol, [ConeLabel.R], Side.DUAL)
 
     def test_label_count_checked(self):

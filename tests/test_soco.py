@@ -29,7 +29,9 @@ from conic_embed import (
     primal_residual,
     psd_status,
 )
-from conic_embed.soco import BlockLayout, _arrow_head_vector, arrow_head_triplets
+from conic_embed.soco import BlockLayout, arrow_head_triplets
+
+from helpers import ref_arrow_head_vector, ref_block_arrow_head_inv
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -103,7 +105,7 @@ class TestArrowHead:
         # the matrix has dim 5; without the check (2, 2) read a misleading
         # off-block entry and (3, 3) an index out of bounds
         m = block_arrow_head([[3.0, 1.0, 1.0], [2.0, 1.0]])
-        with pytest.raises(DimensionMismatch, match=f"^X has dim 5, expected {sum(dims)}$"):
+        with pytest.raises(DimensionMismatch, match=f"^m has dim 5, expected {sum(dims)}$"):
             block_arrow_head_inv(m, BlockLayout.from_dims(dims))
 
     def test_block_arrow_head(self):
@@ -142,15 +144,6 @@ def triplets_per_cone(blocks, layout, head_div, tail_div):
             np.tile(np.concatenate(jj), m), v.ravel())
 
 
-def inverse_per_block(m, layout, tol):
-    """Reference: block_arrow_head_inv checked one block at a time."""
-    stray = layout.max_off_block(m)
-    if stray > tol:
-        raise NotArrowHead(stray, "off-block entry")
-    slices = map(layout.block_slice, range(len(layout.dims)))
-    return tuple(_arrow_head_vector(m.a[sl, sl], tol) for sl in slices)
-
-
 class TestAllConesAtOnce:
     """arrow_head_triplets and block_arrow_head_inv work on all cones at once
     and give the bytes, and raise the errors, of the per-cone references."""
@@ -182,7 +175,7 @@ class TestAllConesAtOnce:
                 a[j, i] = a[i, j]
             m = SymMatrix(a)
             try:
-                want = inverse_per_block(m, layout, 1e-8)
+                want = ref_block_arrow_head_inv(m, layout, 1e-8)
             except NotArrowHead as exc:
                 raised += 1
                 with pytest.raises(NotArrowHead) as got:
@@ -192,6 +185,87 @@ class TestAllConesAtOnce:
             for g, w in zip(block_arrow_head_inv(m, layout, 1e-8), want):
                 assert g.tobytes() == w.tobytes()
         assert raised > 50
+
+
+# Deviations added to arrow-head entries, against tols on either side of
+# them. The powers of two keep a perturbed diagonal's deviation exact on the
+# integer-valued vectors below, so that a diagonal and an off-arrow entry can
+# tie exactly.
+DEVIATIONS = (1e-9, 2.0 ** -30, 3e-8, 2.0 ** -20, 1e-6)
+TOLS = (1e-8, 2.0 ** -30, 2.0 ** -20)
+
+
+@st.composite
+def perturbed_block_arrow_heads(draw):
+    """A block arrow-head matrix of integer-valued vectors (block sizes 1-8)
+    with a few entries moved, some off the blocks, and possibly an exact tie
+    between a trailing diagonal and an off-arrow deviation of one block."""
+    dims = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    layout = BlockLayout.from_dims(dims)
+    blocks = [np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)), dtype=float)
+              for n in dims]
+    a = block_arrow_head(blocks).a.copy()
+    n = layout.total
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i, j] += draw(st.sampled_from(DEVIATIONS))
+        a[j, i] = a[i, j]
+    wide = [b for b, d in enumerate(dims) if d >= 3]
+    if wide and draw(st.booleans()):
+        b = draw(st.sampled_from(wide))
+        off, d = layout.offsets[b], dims[b]
+        dev = draw(st.sampled_from((2.0 ** -30, 2.0 ** -20)))
+        p = off + draw(st.integers(1, d - 1))
+        q = off + draw(st.integers(1, d - 2))
+        r = draw(st.integers(q + 1, off + d - 1))
+        a[p, p] = a[off, off] + dev
+        a[q, r] = a[r, q] = dev
+    return SymMatrix(a), layout
+
+
+def outcome(call):
+    """The class and message of call's error, or the bits of what it returns."""
+    try:
+        got = call()
+    except NotArrowHead as exc:
+        return type(exc), str(exc), exc.violation
+    return tuple((g.dtype, g.tobytes()) for g in (got if isinstance(got, tuple) else (got,)))
+
+
+class TestErrorParity:
+    """arrow_head_inv and block_arrow_head_inv raise the error of the
+    entry-by-entry reference, or return its bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_block_arrow_heads(), st.sampled_from(TOLS))
+    def test_stacked_reader_matches_the_reference(self, case, tol):
+        m, layout = case
+        assert outcome(lambda: block_arrow_head_inv(m, layout, tol)) == \
+            outcome(lambda: ref_block_arrow_head_inv(m, layout, tol))
+        for b in range(len(layout.dims)):
+            block = SymMatrix(m.a[layout.block_slice(b), layout.block_slice(b)])
+            assert outcome(lambda: arrow_head_inv(block, tol)) == \
+                outcome(lambda: ref_arrow_head_vector(block.a, tol))
+
+    @pytest.mark.parametrize("diagonal, off_arrow, where", [
+        ((2, 2), (1, 3), "diagonal (2,2)"),  # a tie goes to the diagonal
+        ((3, 3), (1, 2), "diagonal (3,3)"),
+        (None, (1, 3), "off-arrow (1,3)"),
+    ])
+    def test_exact_tie(self, diagonal, off_arrow, where):
+        a = arrow_head([3.0, 1.0, -2.0, 0.0]).a.copy()
+        if diagonal:
+            a[diagonal] += 2.0 ** -20
+        a[off_arrow] = a[off_arrow[::-1]] = 2.0 ** -20
+        if diagonal is None:
+            a[2, 3] = a[3, 2] = 2.0 ** -20  # a later off-arrow tie loses to the first
+        m = SymMatrix(a)
+        want = f"matrix deviates from arrow-head structure by {2.0 ** -20:.3e} at {where}"
+        for call in (lambda: arrow_head_inv(m), lambda: ref_arrow_head_vector(m.a),
+                     lambda: block_arrow_head_inv(m, BlockLayout.from_dims((4,))),
+                     lambda: ref_block_arrow_head_inv(m, BlockLayout.from_dims((4,)))):
+            with pytest.raises(NotArrowHead, match="^" + re.escape(want) + "$"):
+                call()
 
 
 class TestConeGeometry:

@@ -56,7 +56,6 @@ from .errors import (
     NotInterior,
     NotPSD,
     OutsideCone,
-    ProvenanceMismatch,
     TemplateViolation,
 )
 from .linalg import DEFAULT_TOL, SparseRows, SparseSym, SymMatrix
@@ -412,35 +411,24 @@ def inverse_map(
     within tol and gives per block x1 = block trace, x_j = 2 M[lead, lead + j - 1];
     the other must be block arrow-head within tol and inverts blockwise to
     vectors in their cones (OutsideCone names the first cone outside). y must
-    have the embedding's row count: m on the dual side, m + N(N-1)/2 on the
-    primal side for total cone dimension N; its first m entries are the
-    original multipliers. Given the problem, s read from S is cross-checked
-    against c - A^T y (InconsistentDual on disagreement), and s is derived
-    from y when S is absent. Checks run on X, then y, then S.
+    have the embedding's row count, meta.rows; its first m entries are the
+    original multipliers. meta.match(problem) first refuses a generic meta,
+    or a problem the embedding did not come from (ProvenanceMismatch). Given
+    the problem, s read from S is cross-checked against c - A^T y
+    (InconsistentDual on disagreement), and s is derived from y when S is
+    absent. Checks run on X, then y, then S.
     """
-    if meta.side not in (Side.DUAL, Side.PRIMAL):
-        raise ProvenanceMismatch(f"expected a dual- or primal-side embedding, got {meta.side.value}")
+    meta.match(problem)
     tol = _checked_tol(tol)
-    if meta.cone_dims is None:
-        raise ProvenanceMismatch("embedding meta lacks cone dimensions")
-    if problem is None:
-        layout = meta._layout
-    elif (problem.cone_dims, problem.m) != (meta.cone_dims, meta.m_original):
-        raise ProvenanceMismatch(
-            f"problem with cones {problem.cone_dims} and {problem.m} rows does not match "
-            f"the embedding of cones {meta.cone_dims} and {meta.m_original} rows"
-        )
-    else:
-        layout = problem.layout
+    layout = meta._layout if problem is None else problem.layout
     dual = meta.side is Side.DUAL
     x = None
     if sol.X is not None:
         x = _read_cone_vector(sol.X, "X", layout, dual, tol)
     v = None
     if sol.y is not None:
-        rows = meta.m_original + (0 if dual else layout.total * (layout.total - 1) // 2)
-        if sol.y.shape[0] != rows:
-            raise DimensionMismatch(f"y has length {sol.y.shape[0]}, expected {rows}")
+        if sol.y.shape[0] != meta.rows:
+            raise DimensionMismatch(f"y has length {sol.y.shape[0]}, expected {meta.rows}")
         v = sol.y[: meta.m_original]
     s = None
     if sol.S is not None:

@@ -33,6 +33,7 @@ any fault is a ParseError that names the field:
 - a dual_split may not repeat an index or hold a negative one; given a
   problem with a side, its indices must be the problem's pins, in any order;
 - meta, when present, must be an object; without it the meta is generic.
+  EmbeddingMeta and SdoProblem check the rest of it; the loader names the field.
 """
 
 from __future__ import annotations
@@ -401,10 +402,10 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
     """Read an SDO problem file, in the triplet form or the older dense form.
 
     meta, when present, must be an object; without it the meta is generic.
-    meta.cone_dims, when given, must be positive and sum to dim; stored
-    meta.zero_pairs and meta.tied_diagonals must equal the pins that side and
-    cone_dims imply; meta.m_original must give the row count, as SdoProblem
-    requires."""
+    The meta and the problem check themselves (EmbeddingMeta, SdoProblem),
+    and their refusals become ParseErrors naming meta.cone_dims or
+    meta.m_original. Then stored meta.zero_pairs and meta.tied_diagonals
+    must equal the pins that side and cone_dims imply."""
     obj = _read_json(path)
     fmt = obj.get("format")
     if fmt is not None and (type(fmt) is not int or fmt != SDO_FORMAT):
@@ -427,11 +428,16 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
         raise ParseError(f"{path}: meta.side must be dual, primal or generic") from None
     cone_dims = meta_raw.get("cone_dims")
     if cone_dims is not None:
-        cone_dims = tuple(_read(cone_dims, (None,), "meta.cone_dims", path, 1)[0][0].tolist())
-        if not cone_dims or min(cone_dims) < 1 or sum(cone_dims) != dim:
-            raise ParseError(f"{path}: field 'meta.cone_dims' must be positive and sum to {dim}")
+        cone_dims = _read(cone_dims, (None,), "meta.cone_dims", path, 1)[0][0].tolist()
     m_original = _count(meta_raw.get("m_original", 0), "meta.m_original", path, 0)
-    meta = EmbeddingMeta(side, cone_dims, m_original)
+    try:
+        meta = EmbeddingMeta(side, cone_dims, m_original)
+    except DimensionMismatch as e:  # the only field it can refuse here
+        raise ParseError(f"{path}: field 'meta.cone_dims': {e}") from None
+    try:
+        problem = SdoProblem(dim, C, rows, b, meta)
+    except DimensionMismatch as e:  # names meta.cone_dims or meta.m_original
+        raise ParseError(f"{path}: {e}") from None
     for key, shape, ints, pins in (
         ("zero_pairs", (None, 2), 2, meta.zero_pairs.T),
         ("tied_diagonals", (None,), 1, meta.tied_diagonals[None]),
@@ -441,10 +447,7 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
         what = f"meta.{key}"
         if not np.array_equal(_read(meta_raw[key], shape, what, path, ints)[0], pins):
             raise ParseError(f"{path}: field '{what}' does not follow from side and cone_dims")
-    try:
-        return SdoProblem(dim, C, rows, b, meta)
-    except DimensionMismatch as e:  # meta.m_original against the row count
-        raise ParseError(f"{path}: {e}") from None
+    return problem
 
 
 def save_sdo_solution(
@@ -463,8 +466,8 @@ def save_sdo_solution(
     if sol.y is not None and meta is not None and meta.side is Side.PRIMAL:
         pairs, tied = meta.zero_pairs, meta.tied_diagonals
         m, y, p = meta.m_original, sol.y, len(pairs)
-        if len(y) != m + p + len(tied):
-            raise DimensionMismatch(f"y has length {len(y)}, not the {m}+{p}+{len(tied)} "
+        if len(y) != meta.rows:
+            raise DimensionMismatch(f"y has length {len(y)}, not the {meta.rows} "
                                     "constraints of the primal embedding")
         obj["dual_split"] = {
             "v": y[:m],
@@ -529,19 +532,13 @@ def render_sdpa(problem: SdoProblem, split_blocks: bool = False) -> str:
     one line per upper-triangle nonzero, 'matno blkno i j value' with matrix 0
     the objective, 1-based indices, values at 17 significant digits. Without
     split_blocks everything lives in a single block of the full dimension;
-    with it, each cone becomes its own block, which requires meta guaranteeing
-    block-diagonal data (dual side, or a single-cone primal embedding).
+    with it, each cone of a dual- or primal-side meta (meta.match) becomes
+    its own block, and no entry may leave its block: true on the dual side
+    and of a single-cone primal embedding.
     """
-    meta = problem.meta
     if split_blocks:
-        if meta.cone_dims is None or meta.side is Side.GENERIC:
-            raise ConicEmbedError("split export needs embedding meta with cone dimensions")
-        if meta.side is Side.PRIMAL and len(meta.cone_dims) > 1:
-            raise ConicEmbedError(
-                "multi-cone primal embeddings are not block-diagonal "
-                "(pinned pairs straddle blocks); export without splitting"
-            )
-        layout = meta._layout
+        problem.meta.match()
+        layout = problem.meta._layout
     else:
         layout = BlockLayout.from_dims((problem.dim,))
     offsets = np.asarray(layout.offsets)
@@ -554,7 +551,8 @@ def render_sdpa(problem: SdoProblem, split_blocks: bool = False) -> str:
     stray = blk != cone[j]
     if stray.any():
         raise ConicEmbedError(
-            f"matrix {mat[np.argmax(stray)]} has entries outside the declared blocks"
+            f"matrix {mat[np.argmax(stray)]} is not block-diagonal in the declared blocks "
+            "(it has entries outside them); export without splitting"
         )
     local_i = i - offsets[blk] + 1
     local_j = j - offsets[blk] + 1

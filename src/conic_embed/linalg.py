@@ -44,10 +44,9 @@ class SymMatrix:
     __slots__ = ("a", "_arrow_read", "__weakref__")
 
     def __init__(self, array):
-        a = np.array(array, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        _require_finite(a)
+        (a,) = _checked((array,), ((None, None),), "array")
+        if a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise DimensionMismatch(f"array is not a square matrix: shape {a.shape}")
         peak = float(np.abs(a).max())
         with np.errstate(over="ignore"):  # beyond _HALF_MAX, a - a.T and a + a.T can overflow
             skew = float(np.abs(a - a.T).max())
@@ -83,11 +82,6 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-def _require_finite(values: np.ndarray, what: str = "matrix data") -> None:
-    if not np.isfinite(values).all():
-        raise NotFinite(f"{what} holds a NaN or an infinite entry")
-
-
 def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
     """values as read-only float arrays: the one rule for every array argument
     and field. A read-only native float64 ndarray that owns its memory, or
@@ -119,7 +113,7 @@ def _checked(values, shapes, name: str) -> tuple[np.ndarray, ...]:
         flat = out[0] if len(out) == 1 else np.concatenate(out, axis=None)
         if np.count_nonzero(np.isfinite(flat)) < flat.size:  # less work than isfinite().all()
             k = next(k for k, a in enumerate(out) if not np.isfinite(a).all())
-            _require_finite(out[k], name.format(k))
+            raise NotFinite(f"{name.format(k)} holds a NaN or an infinite entry")
     if misshapen is not None:
         raise misshapen
     return tuple(out)
@@ -154,10 +148,10 @@ def _checked_tol(tol, name: str = "tol") -> float:
 
 def _checked_int(value, name: str, low=None, error=DimensionMismatch, high=None) -> int:
     """value, an int or a numpy integer, as an int in low..high (None: no
-    bound). A float or a string is refused, not truncated or parsed;
-    anything refused raises error naming name and the value."""
+    bound). A float, a string or a bool is refused, not truncated, parsed or
+    read as 0 or 1; anything refused raises error naming name and the value."""
     try:
-        out = operator.index(value)
+        out = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         out = None
     if out is None or (low is not None and out < low) or (high is not None and out > high):
@@ -178,7 +172,8 @@ class SparseSym:
     __slots__ = ("dim", "i", "j", "v")
 
     def __init__(self, dim: int, i, j, v):
-        rows = SparseRows(dim, 1, np.zeros(len(v), dtype=np.int64), i, j, v)
+        (v,) = _checked((v,), ((None,),), "v")  # SparseRows keeps it as it is
+        rows = SparseRows(dim, 1, np.zeros(v.shape[0], dtype=np.int64), i, j, v)
         self.dim, self.i, self.j, self.v = rows.dim, rows.i, rows.j, rows.v
 
     @classmethod
@@ -233,14 +228,11 @@ class SparseRows:
     __slots__ = ("dim", "indptr", "i", "j", "v")
 
     def __init__(self, dim: int, count: int, row, i, j, v):
-        dim, count = int(dim), int(count)
-        if dim < 1 or count < 0:
-            raise DimensionMismatch(f"need dim >= 1 and count >= 0, got {dim} and {count}")
-        row, i, j = (np.asarray(t, dtype=np.int64) for t in (row, i, j))
-        v = np.asarray(v, dtype=float)
+        dim, count = _checked_int(dim, "dim", 1), _checked_int(count, "count", 0)
+        row, i, j = (_indices(t, name) for t, name in ((row, "row"), (i, "i"), (j, "j")))
+        (v,) = _checked((v,), ((None,),), "v")
         if not (row.ndim == 1 and row.shape == i.shape == j.shape == v.shape):
             raise DimensionMismatch("row, i, j and v must be flat arrays of one length")
-        _require_finite(v)
         if row.size and (
             min(row.min(), i.min(), j.min()) < 0
             or row.max() >= count
@@ -313,6 +305,19 @@ class SparseRows:
 
     def __repr__(self) -> str:
         return f"SparseRows(count={len(self)}, dim={self.dim}, nnz={self.nnz})"
+
+
+def _indices(t, name: str) -> np.ndarray:
+    """t as an int64 array; anything numpy reads as other than integers
+    (floats, text, booleans), or cannot read, is refused, not truncated or
+    parsed. An empty list is accepted."""
+    try:
+        a = np.asarray(t)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or (a.dtype.kind not in "iu" and a.size):
+        raise DimensionMismatch(f"{name} is not an array of integers")
+    return a.astype(np.int64, copy=False)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -4,8 +4,8 @@ min Tr(CX)  s.t.  Tr(A_j X) = b_j,  X PSD, with the dual living in (y, S),
 C - sum_j y_j A_j = S. C and the constraints A_j are stored sparse, as
 upper-triangle triplets: one SparseSym and one SparseRows stack; X and S are
 dense. Problems produced by the embedding builders carry meta: the side they
-came from, the cone dimensions and the original row count, from which the
-primal side's structural rows follow.
+came from, the cone dimensions and the original row count. EmbeddingMeta
+checks them and owns what they fix: row count, pins and provenance match.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingSolutionPart
+from .errors import DimensionMismatch, MissingSolutionPart, ProvenanceMismatch
 from .linalg import SparseRows, SparseSym, SymMatrix, trace_inner
-from .linalg import _as_sparse, _checked, _checked_int
-from .soco import BlockLayout
+from .linalg import _as_sparse, _checked, _checked_int, _frozen
+from .soco import BlockLayout, SocoProblem
 
 
 class Side(Enum):
@@ -29,17 +29,20 @@ class Side(Enum):
     GENERIC = "generic"
 
 
+_NO_PINS = _frozen(np.empty((0, 2), dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
 @dataclass(frozen=True)
 class EmbeddingMeta:
-    """Provenance of an embedded problem.
+    """Provenance of an embedded problem. side must be a Side (else
+    TypeError); cone_dims, required off the generic side, nonempty integers
+    >= 1; m_original an integer >= 0 (else DimensionMismatch, not truncated).
 
     zero_pairs, the (P, 2) array of (h, l) coordinate pairs (global, 0-based,
     h < l) whose X entries structural rows pin to zero, and tied_diagonals,
     the non-leading diagonal indices tied to their block's leading diagonal
     entry, follow from cone_dims (BlockLayout.pins). Both are empty off the
-    primal side. Each cone dimension must be an int or a numpy integer; a
-    float or a string is refused (DimensionMismatch), not truncated.
-    SdoProblem checks that they are positive and sum to its dim.
+    primal side.
     """
 
     side: Side
@@ -47,9 +50,33 @@ class EmbeddingMeta:
     m_original: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.side, Side):
+            raise TypeError(f"side is a {type(self.side).__name__}, not a Side")
         if self.cone_dims is not None:
-            dims = tuple(_checked_int(d, "cone_dims") for d in self.cone_dims)
-            object.__setattr__(self, "cone_dims", dims)
+            object.__setattr__(self, "cone_dims", BlockLayout.from_dims(self.cone_dims).dims)
+        elif self.side is not Side.GENERIC:
+            raise DimensionMismatch(f"cone_dims must be given on the {self.side.value} side")
+        object.__setattr__(self, "m_original", _checked_int(self.m_original, "m_original", 0))
+
+    @property
+    def rows(self) -> Optional[int]:
+        """The embedded row count: m_original, plus N (N - 1) / 2 pins on the
+        primal side for N = sum(cone_dims); None on the generic side."""
+        if self.side is not Side.PRIMAL:
+            return None if self.side is Side.GENERIC else self.m_original
+        n = sum(self.cone_dims)
+        return self.m_original + n * (n - 1) // 2
+
+    def match(self, problem: Optional[SocoProblem] = None) -> None:
+        """ProvenanceMismatch unless this is a dual or primal side and, given
+        the cone problem, has its cone dimensions and row count."""
+        if self.side is Side.GENERIC:
+            raise ProvenanceMismatch("expected a dual- or primal-side embedding, got generic")
+        if problem is not None and (problem.cone_dims, problem.m) != (self.cone_dims, self.m_original):
+            raise ProvenanceMismatch(
+                f"problem with cones {problem.cone_dims} and {problem.m} rows does not match "
+                f"the embedding of cones {self.cone_dims} and {self.m_original} rows"
+            )
 
     @cached_property
     def _layout(self) -> BlockLayout:
@@ -57,9 +84,9 @@ class EmbeddingMeta:
 
     @cached_property
     def _pins(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.side is Side.PRIMAL and self.cone_dims is not None:
+        if self.side is Side.PRIMAL:
             return self._layout.pins
-        return BlockLayout.from_dims((1,)).pins  # a single one-dimensional cone pins nothing
+        return _NO_PINS
 
     @property
     def zero_pairs(self) -> np.ndarray:
@@ -76,10 +103,8 @@ GENERIC_META = EmbeddingMeta(Side.GENERIC)
 class SdoProblem:
     """Standard-form SDO data, stored as triplets: C, a SparseSym or a
     SymMatrix, as a SparseSym; the constraints, a SparseRows stack or SparseSym
-    or SymMatrix rows, as SparseRows. meta.cone_dims, when given, must be
-    positive and sum to dim. meta.m_original must be non-negative and, on the
-    dual or primal side, give the row count: m_original, or
-    m_original + dim (dim - 1) / 2 with the primal side's pins."""
+    or SymMatrix rows, as SparseRows. meta.cone_dims, when given, must sum to
+    dim, and on the dual or primal side there must be meta.rows constraints."""
 
     dim: int
     C: SparseSym
@@ -90,10 +115,8 @@ class SdoProblem:
     def __post_init__(self):
         object.__setattr__(self, "C", _as_sparse(self.C, self.dim, "C"))
         dims = self.meta.cone_dims
-        if dims is not None and (min(dims, default=0) < 1 or sum(dims) != self.dim):
-            raise DimensionMismatch(
-                f"meta.cone_dims {dims} must be positive and sum to dim {self.dim}"
-            )
+        if dims is not None and sum(dims) != self.dim:
+            raise DimensionMismatch(f"meta.cone_dims {dims} must sum to dim {self.dim}")
         rows = self.constraints
         if not isinstance(rows, SparseRows):
             rows = SparseRows.from_rows(self.dim, rows)
@@ -101,16 +124,12 @@ class SdoProblem:
             raise DimensionMismatch(f"constraints have dim {rows.dim}, expected {self.dim}")
         object.__setattr__(self, "constraints", rows)
         object.__setattr__(self, "b", _checked((self.b,), ((len(rows),),), "b")[0])
-        m, side = self.meta.m_original, self.meta.side
-        if m < 0:
-            raise DimensionMismatch(f"meta.m_original must be non-negative, got {m}")
-        if side is not Side.GENERIC:
-            rows = m + (0 if side is Side.DUAL else self.dim * (self.dim - 1) // 2)
-            if rows != len(self.constraints):
-                raise DimensionMismatch(
-                    f"meta.m_original {m} gives {rows} rows on the {side.value} side, "
-                    f"but there are {len(self.constraints)}"
-                )
+        want = self.meta.rows
+        if want is not None and want != len(rows):
+            raise DimensionMismatch(
+                f"meta.m_original {self.meta.m_original} gives {want} rows on the "
+                f"{self.meta.side.value} side, but there are {len(rows)}"
+            )
 
     @property
     def num_constraints(self) -> int:

@@ -8,14 +8,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GenerationError,
-    MissingSolutionPart,
-    ProvenanceMismatch,
-)
+from .errors import DimensionMismatch, GenerationError, MissingSolutionPart
 from .linalg import DEFAULT_TOL, SymMatrix, _checked, _checked_int, _checked_tol, trace_inner
-from .sdo import SdoProblem, SdoSolution, Side, sdo_dual_residual, sdo_primal_residual
+from .sdo import SdoProblem, SdoSolution, sdo_dual_residual, sdo_primal_residual
 from .soco import (
     BlockLayout,
     SocoProblem,
@@ -80,20 +75,13 @@ def check_admissibility(
     """Verify that the transported pair is feasible for the embedded problem
     and preserves both objective values.
 
-    The embedded problem must carry meta matching the cone problem it came
-    from (side set, same cone dimensions and sizes); otherwise
-    ProvenanceMismatch. Needs the full (x, y, s) and (X, y, S) pairs.
+    The embedded problem's meta must match the cone problem it came from
+    (EmbeddingMeta.match: a dual or primal side, the same cone dimensions and
+    row count; its dim then follows); otherwise ProvenanceMismatch. Needs
+    the full (x, y, s) and (X, y, S) pairs.
     """
     tol = _checked_tol(tol)
-    meta = sdo_problem.meta
-    if meta.side is Side.GENERIC:
-        raise ProvenanceMismatch("embedded problem carries no side provenance")
-    if meta.cone_dims != problem.cone_dims:
-        raise ProvenanceMismatch(
-            f"embedded cone dims {meta.cone_dims} differ from problem {problem.cone_dims}"
-        )
-    if meta.m_original != problem.m or sdo_problem.dim != problem.total_dim:
-        raise ProvenanceMismatch("embedded problem sizes do not match the cone problem")
+    sdo_problem.meta.match(problem)
     if sol.x_blocks is None or sol.y is None or sol.s_blocks is None:
         raise MissingSolutionPart("admissibility needs the full (x, y, s)")
     if sdo_sol.X is None or sdo_sol.y is None or sdo_sol.S is None:

@@ -1,8 +1,10 @@
-"""The three argument rules of the exported functions, one table row per
-(function, argument, bad value): arrays go through one checked-array rule, a
-tol must be a finite number > 0, and an integer argument must be an int or a
-numpy integer in range. Every row expects a ConicEmbedError subclass whose
-message starts with the argument's name."""
+"""The three argument rules of the exported functions and constructors, one
+table row per (function, argument, bad value): arrays go through one
+checked-array rule (index arrays must hold integers), a tol must be a finite
+number > 0, and an integer argument must be an int or a numpy integer in
+range, not a bool. Every row expects an error whose message starts with the
+argument's name: a ConicEmbedError subclass, or a TypeError for a field of
+the wrong kind (EmbeddingMeta's side)."""
 
 import inspect
 import re
@@ -26,6 +28,7 @@ from conic_embed import (
     SocoProblem,
     SocoSolution,
     SparseRows,
+    SparseSym,
     SymMatrix,
     arrow_head,
     arrow_head_inv,
@@ -103,6 +106,14 @@ MATRIX_FAULTS = {
 # The faults of a vector that a data class field refuses as well as any
 # exported function.
 FIELD_FAULTS = {fault: VECTOR_FAULTS[fault] for fault in (*UNREADABLE, *NOT_NUMBERS)}
+# Bad values of an index array of length 3 (a triplet constructor's row, i
+# or j): anything numpy does not read as integers is refused, not truncated
+# or parsed.
+INDEX_FAULTS = {
+    **UNREADABLE,
+    **{fault: (bad, DimensionMismatch)
+       for fault, bad in {**NOT_NUMBERS, "float": [0.7, 1.9, 2.0]}.items()},
+}
 
 # (function, the argument's name in the message, the call with the bad value
 # in that argument, its faults)
@@ -129,6 +140,16 @@ ARRAY_ARGUMENTS = [
      {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
     ("SocoSolution", "y", lambda bad: SocoSolution(y=bad), FIELD_FAULTS),
     ("SocoSolution", "x_blocks[1]", lambda bad: SocoSolution(x_blocks=([1.0], bad)), FIELD_FAULTS),
+    # the matrix constructors: values through the rule, indices integers only
+    ("SymMatrix", "array", lambda bad: SymMatrix(bad), MATRIX_FAULTS),
+    ("SparseSym", "v", lambda bad: SparseSym(3, [0, 1, 2], [0, 1, 2], bad),
+     {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
+    ("SparseSym", "i", lambda bad: SparseSym(3, bad, [0, 1, 2], [1.0] * 3), INDEX_FAULTS),
+    ("SparseSym", "j", lambda bad: SparseSym(3, [0, 1, 2], bad, [1.0] * 3), INDEX_FAULTS),
+    ("SparseRows", "v", lambda bad: SparseRows(3, 1, [0] * 3, [0, 1, 2], [0, 1, 2], bad),
+     {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
+    ("SparseRows", "row", lambda bad: SparseRows(3, 1, bad, [0, 1, 2], [0, 1, 2], [1.0] * 3),
+     INDEX_FAULTS),
 ]
 
 # Arguments whose length is fixed by another one: (function, argument, the
@@ -204,6 +225,30 @@ INTEGER_CALLS = [
      DimensionMismatch),
     ("EmbeddingMeta", "cone_dims", lambda: EmbeddingMeta(Side.DUAL, ("3", 2), 4),
      DimensionMismatch),
+    ("EmbeddingMeta", "m_original", lambda: EmbeddingMeta(Side.DUAL, (3, 2), "2"),
+     DimensionMismatch),
+    ("EmbeddingMeta", "m_original", lambda: EmbeddingMeta(Side.PRIMAL, (3, 2), 2.0),
+     DimensionMismatch),
+    ("EmbeddingMeta", "m_original", lambda: EmbeddingMeta(Side.DUAL, (3, 2), True),
+     DimensionMismatch),
+    ("EmbeddingMeta", "m_original", lambda: EmbeddingMeta(Side.GENERIC, None, -1),
+     DimensionMismatch),
+    ("EmbeddingMeta", "cone_dims", lambda: EmbeddingMeta(Side.DUAL, (3, 0), 2),
+     DimensionMismatch),
+    ("EmbeddingMeta", "cone_dims", lambda: EmbeddingMeta(Side.GENERIC, (), 2),
+     DimensionMismatch),
+    ("SparseRows", "dim", lambda: SparseRows(2.5, 0, [], [], [], []), DimensionMismatch),
+    ("SparseRows", "count", lambda: SparseRows(2, -1, [], [], [], []), DimensionMismatch),
+]
+
+# Data class fields that are not arrays or integers: (class, field, fault,
+# the call, the error).
+FIELD_CALLS = [
+    ("EmbeddingMeta", "side", "text", lambda: EmbeddingMeta("dual", (3, 2), 2), TypeError),
+    ("EmbeddingMeta", "cone_dims", "missing on the dual side",
+     lambda: EmbeddingMeta(Side.DUAL, None, 2), DimensionMismatch),
+    ("EmbeddingMeta", "cone_dims", "missing on the primal side",
+     lambda: EmbeddingMeta(Side.PRIMAL, None, 2), DimensionMismatch),
 ]
 
 
@@ -220,6 +265,8 @@ def _rows():
                                id=f"{fn}-tol-{fault}")
     for k, (fn, arg, call, error) in enumerate(INTEGER_CALLS):
         yield pytest.param(call, error, arg, id=f"{fn}-{arg}-{k}")
+    for fn, arg, fault, call, error in FIELD_CALLS:
+        yield pytest.param(call, error, arg, id=f"{fn}-{arg}-{fault}")
 
 
 @pytest.mark.parametrize("call, error, name", list(_rows()))

@@ -907,6 +907,30 @@ class TestMOriginal:
         assert sdo.num_constraints == 2 + 10
         for side, m in ((Side.DUAL, 12), (Side.PRIMAL, 2), (Side.GENERIC, 5)):
             SdoProblem(sdo.dim, sdo.C, sdo.constraints, sdo.b, EmbeddingMeta(side, (3, 2), m))
+        # a negative m_original is refused by the meta itself
         for side, m in ((Side.DUAL, 2), (Side.PRIMAL, 12), (Side.PRIMAL, -3), (Side.GENERIC, -1)):
-            with pytest.raises(DimensionMismatch, match="meta.m_original"):
+            with pytest.raises(DimensionMismatch, match="m_original"):
                 SdoProblem(sdo.dim, sdo.C, sdo.constraints, sdo.b, EmbeddingMeta(side, (3, 2), m))
+
+
+class TestMetaRowCount:
+    """A file's meta is checked by EmbeddingMeta itself, and the row count a
+    writer expects is the meta's rows."""
+
+    def test_side_without_cone_dims_is_refused(self, tmp_path):
+        obj = json.loads((DATA / "primal.sdo.json").read_text())
+        obj["meta"]["cone_dims"] = None
+        del obj["meta"]["zero_pairs"], obj["meta"]["tied_diagonals"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=r"field 'meta\.cone_dims': cone_dims must be given"):
+            load_sdo_problem(path)
+
+    def test_split_y_of_the_wrong_length_names_the_row_count(self, tmp_path):
+        sdo = load_sdo_problem(DATA / "primal.sdo.json")
+        sol = load_sdo_solution(DATA / "primal.map.json", sdo)
+        assert sdo.meta.rows == sdo.num_constraints == 12
+        short = SdoSolution(X=sol.X, y=sol.y[:-1], S=sol.S)
+        with pytest.raises(DimensionMismatch,
+                           match="^y has length 11, not the 12 constraints of the primal embedding$"):
+            save_sdo_solution(short, tmp_path / "s.json", sdo.meta)

@@ -9,6 +9,7 @@ from conic_embed import (
     MissingSolutionPart,
     NotFinite,
     ParseError,
+    ProvenanceMismatch,
     RankOne,
     SdoProblem,
     SdoSolution,
@@ -18,7 +19,9 @@ from conic_embed import (
     SymMatrix,
     build_dual_embedding,
     build_primal_embedding,
+    check_admissibility,
     generate_instance,
+    inverse_map,
     load_sdo_solution,
     map_solution,
     save_sdo_solution,
@@ -81,10 +84,10 @@ class TestProblemData:
 
     def test_meta_must_match_dim(self):
         C = SymMatrix.identity(5)
+        # (5, 0) and () are refused by the meta itself
         for dims in ((1, 1), (3, 3), (5, 0), ()):
-            meta = EmbeddingMeta(Side.DUAL, dims, 0)
             with pytest.raises(DimensionMismatch):
-                SdoProblem(5, C, (), np.zeros(0), meta)
+                SdoProblem(5, C, (), np.zeros(0), EmbeddingMeta(Side.DUAL, dims, 0))
         SdoProblem(5, C, (), np.zeros(0), EmbeddingMeta(Side.DUAL, (3, 2), 0))
 
     def test_rejects_non_finite_b(self):
@@ -105,6 +108,47 @@ class TestProblemData:
         dual = EmbeddingMeta(Side.DUAL, [3, 2], 4)
         assert np.array_equal(dual.zero_pairs, np.empty((0, 2)))
         assert np.array_equal(dual.tied_diagonals, [])
+        assert dual.zero_pairs.shape == (0, 2) and not dual.zero_pairs.flags.writeable
+
+
+class TestEmbeddingMeta:
+    """The meta owns its side's row count and the one match against a cone
+    problem."""
+
+    @pytest.mark.parametrize("build", [build_dual_embedding, build_primal_embedding])
+    def test_rows_is_the_embedded_row_count(self, build):
+        for dims, m in (((1,), 1), ((3, 2), 2), ((4, 4, 1), 3)):
+            labels = tuple("B" if n > 1 else "N" for n in dims)
+            sdo = build(generate_instance(dims, labels, m, 7).problem)
+            assert sdo.meta.rows == sdo.num_constraints
+            pins = len(sdo.meta.zero_pairs) + len(sdo.meta.tied_diagonals)
+            assert sdo.meta.rows == m + pins
+
+    def test_rows_by_side(self):
+        assert [EmbeddingMeta(s, (3, 2), 2).rows for s in Side] == [2, 2 + 10, None]
+        assert EmbeddingMeta(Side.GENERIC).rows is None
+
+    @pytest.mark.parametrize("build", [build_dual_embedding, build_primal_embedding])
+    @pytest.mark.parametrize("kind", ["generic side", "other cone dims", "other m"])
+    def test_inverse_and_verdict_refuse_alike(self, build, kind):
+        inst = generate_instance((3, 2), ("B", "R"), 2, 5)
+        sdo = build(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, sdo.meta.side, RankOne())
+        problem, sol = inst.problem, inst.solution
+        if kind == "generic side":
+            sdo = SdoProblem(sdo.dim, sdo.C, sdo.constraints, sdo.b)
+        else:
+            dims, m = ((2, 3), 2) if kind == "other cone dims" else ((3, 2), 3)
+            other = generate_instance(dims, ("B", "R"), m, 5)
+            problem, sol = other.problem, other.solution
+        messages = set()
+        for call in (lambda: inverse_map(sdo.meta, mapped, problem=problem),
+                     lambda: check_admissibility(problem, sol, sdo, mapped),
+                     lambda: sdo.meta.match(problem)):
+            with pytest.raises(ProvenanceMismatch) as refused:
+                call()
+            messages.add(str(refused.value))
+        assert len(messages) == 1
 
 
 class TestDualSplit:

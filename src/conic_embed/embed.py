@@ -2,17 +2,17 @@
 transport between them in both directions.
 
 Each side's embedding lifts one of (x, s) by a theta-block and carries the
-other as its block arrow-head:
-- dual side: the data become arrow-head matrices, b is unchanged; x is lifted
-  and s is carried; the embedded dual vector is y;
+other as its block arrow-head; sdo.lifted_part says which:
+- dual side: the data become arrow-head matrices, b is unchanged; the dual
+  vector is y;
 - primal side: the data rows spread each leading coefficient over the block
   diagonal (scale 1/n_i) and halve the off-leading coefficients, so Tr of a
   row against an arrow-head X reproduces the original inner product.
   Structural rows then force X's off-arrow entries to zero and tie every
   non-leading diagonal entry to its block's leading one; which entries they
-  pin follows from the cone dimensions alone (BlockLayout.pins). s is lifted
-  and x is carried; the embedded dual vector is (y | w | u): the original
-  multipliers, one w per pinned pair, one u per tied diagonal, in that order.
+  pin follows from the cone dimensions alone (BlockLayout.pins). The dual
+  vector is (y | w | u): the original multipliers, one w per pinned pair,
+  one u per tied diagonal, in that order.
 
 A cone vector x with x1 >= ||x[1:]|| lifts to a PSD block M constrained by
 sum(diag(M)) = x1 and M[0, j] = x_j / 2. Those two conditions leave rank
@@ -60,7 +60,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, SparseRows, SparseSym, SymMatrix
 from .linalg import _checked, _checked_int, _checked_tol, _psd_within, _vector
-from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
+from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side, _of_type, lifted_part
 from .soco import (
     INTERIOR,
     OUTSIDE,
@@ -360,39 +360,29 @@ def map_solution(
 ) -> SdoSolution:
     """Transport a cone solution into the side's embedded problem.
 
-    The lifted blocks (x on the dual side, s on the primal side) go through
-    the chosen per-cone transports, the other blocks become their block
-    arrow-head; x's image is made first, so that its error wins. The
-    arrow-head image is sol's shared one (SocoSolution keeps a weak
-    reference), so every map of one solution, at any rank, carries the same
-    SymMatrix while one of them is alive. The dual
-    vector is y on the dual side and (y | w | u) on the primal side, with
-    (u, w) read out of the lifted slack matrix; there it needs both y and s.
-    Absent parts stay absent.
+    The part the side lifts (sdo.lifted_part) goes through the chosen
+    per-cone transports, x's first so that its error wins; the other becomes
+    sol's shared block arrow-head image (a weak reference: every map of one
+    solution, at any rank, carries the same SymMatrix while one is alive).
+    With s lifted the dual vector is (y | w | u), (u, w) read out of S, and
+    needs y and s; otherwise it is y. Absent parts stay absent.
     """
-    if side not in (Side.DUAL, Side.PRIMAL):
-        raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
+    lifted = lifted_part(side)
     tol = _checked_tol(tol)
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
     layout = problem.layout
 
-    def lift(name):
-        return _transport(layout, np.concatenate(getattr(sol, name)), choices, tol)
-
-    def carry(name):
-        # the image is shared with every other map of sol while it lives; the
-        # cones are checked against this call's tol
-        _require_in_cones(layout, np.concatenate(getattr(sol, name)), tol)
+    def image(name):
+        flat = np.concatenate(getattr(sol, name))
+        if name == lifted:
+            return _transport(layout, flat, choices, tol)
+        _require_in_cones(layout, flat, tol)  # the shared image, checked at this tol
         return sol._arrow_head_image(name, layout)
 
-    x_image, s_image = (lift, carry) if side is Side.DUAL else (carry, lift)
-    X = None if sol.x_blocks is None else x_image("x_blocks")
-    S = None if sol.s_blocks is None else s_image("s_blocks")
-    y = None
-    if side is Side.DUAL:
-        y = sol.y
-    elif sol.y is not None and S is not None:
+    X, S = (None if getattr(sol, n) is None else image(n) for n in ("x_blocks", "s_blocks"))
+    y = sol.y if lifted == "x_blocks" else None
+    if lifted == "s_blocks" and sol.y is not None and S is not None:
         u, w = _recover_uw(S, np.concatenate(sol.s_blocks), layout, tol)
         y = np.concatenate((sol.y, w, u))
     return SdoSolution(X=X, y=y, S=S)
@@ -407,7 +397,7 @@ def inverse_map(
     """Pull an SDO solution of the embedding that meta describes back to cone
     vectors.
 
-    The lifted matrix (X on the dual side, S on the primal side) must be PSD
+    The matrix of the lifted part (sdo.lifted_part of meta.side) must be PSD
     within tol and gives per block x1 = block trace, x_j = 2 M[lead, lead + j - 1];
     the other must be block arrow-head within tol and inverts blockwise to
     vectors in their cones (OutsideCone names the first cone outside). y must
@@ -418,13 +408,13 @@ def inverse_map(
     (InconsistentDual on disagreement), and s is derived from y when S is
     absent. Checks run on X, then y, then S.
     """
-    meta.match(problem)
+    _of_type(meta, EmbeddingMeta, "meta").match(problem)
     tol = _checked_tol(tol)
     layout = meta._layout if problem is None else problem.layout
-    dual = meta.side is Side.DUAL
+    lifted = lifted_part(meta.side)
     x = None
     if sol.X is not None:
-        x = _read_cone_vector(sol.X, "X", layout, dual, tol)
+        x = _read_cone_vector(sol.X, "X", layout, lifted == "x_blocks", tol)
     v = None
     if sol.y is not None:
         if sol.y.shape[0] != meta.rows:
@@ -433,7 +423,7 @@ def inverse_map(
     s = None
     if sol.S is not None:
         alt = None if v is None or problem is None else _slack(problem, v)
-        s = _read_cone_vector(sol.S, "S", layout, not dual, tol, alt)
+        s = _read_cone_vector(sol.S, "S", layout, lifted == "s_blocks", tol, alt)
     elif v is not None and problem is not None:
         s = _slack(problem, v)
     return SocoSolution(

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConicEmbedError, DimensionMismatch, NotSymmetric, ParseError
 from .linalg import SparseRows, SymMatrix
-from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side
+from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side, _of_type
 from .soco import BlockLayout, SocoProblem, SocoSolution
 
 PathLike = Union[str, Path]
@@ -456,6 +456,8 @@ def save_sdo_solution(
     """Write an SDO solution. With a primal-side meta, y is also written split
     as dual_split: the original multipliers v, then w and u indexed by the
     pinned pairs and tied diagonals."""
+    if meta is not None:
+        _of_type(meta, EmbeddingMeta, "meta")
     obj: dict = {}
     if sol.X is not None:
         obj["X"] = sol.X.a

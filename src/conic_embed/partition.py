@@ -42,7 +42,7 @@ from .linalg import (
     orthonormal_complement,
     trace_inner,
 )
-from .sdo import SdoSolution, Side
+from .sdo import SdoSolution, Side, lifted_part
 from .soco import (
     INTERIOR,
     OUTSIDE,
@@ -204,13 +204,12 @@ def map_partition(
     labels split a block along the arrow-head eigenvectors of the boundary
     vector: the aligned vector (1, d)/sqrt(2), the opposed vector
     (1, -d)/sqrt(2), and the middle vectors (0, z), z perpendicular to d. The
-    middle vectors join the side carried as an arrow-head (s on the dual side,
-    x on the primal side): the transported X is a low-rank image on the dual
-    side but an arrow-head on the primal side. tol is not read: the routing
-    takes the labels as given; the solution's blocks must match the problem.
+    middle vectors join the class of the part the side carries as an
+    arrow-head (not sdo.lifted_part's), which keeps them; a lifted low-rank
+    image does not. tol is not read: the routing takes the labels as given;
+    the solution's blocks must match the problem.
     """
-    if side not in (Side.DUAL, Side.PRIMAL):
-        raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
+    lifted = lifted_part(side)
     labels = list(labels)
     if len(labels) != problem.r:
         raise DimensionMismatch(f"{len(labels)} labels for {problem.r} cones")
@@ -240,7 +239,7 @@ def map_partition(
             raise LabelMismatch(f"cone {i}: {source} block has a zero tail, no direction")
         boundary[i] = blocks[i], tails[source][i]
         aligned, opposed = (x_cls, s_cls) if source == "x" else (s_cls, x_cls)
-        arrow = s_cls if side is Side.DUAL else x_cls
+        arrow = s_cls if lifted == "x_blocks" else x_cls
         middle = list(range(1, n - 1))
         for cls, col in ((aligned, n - 1), (opposed, 0)):
             pieces[cls].append((i, [col] + (middle if cls == arrow else [])))
@@ -332,12 +331,7 @@ def proper_map_solution(
     if interior not in ("simzhao", "full"):
         raise DimensionMismatch(f"interior transport must be simzhao or full, got {interior!r}")
     tol = _checked_tol(tol)
-    if side is Side.DUAL:
-        blocks = sol.x_blocks
-    elif side is Side.PRIMAL:
-        blocks = sol.s_blocks
-    else:
-        raise DimensionMismatch(f"side must be dual or primal, got {side!r}")
+    blocks = getattr(sol, lifted_part(side))
     if blocks is None:
         raise MissingSolutionPart("proper transport needs the mapped-side blocks")
     sol.validate_against(problem)

@@ -29,6 +29,23 @@ class Side(Enum):
     GENERIC = "generic"
 
 
+def _of_type(value, cls: type, name: str):
+    """value, unless it is not a cls (TypeError: "side is a str, not a Side")."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} is a {type(value).__name__}, not {article} {cls.__name__}")
+    return value
+
+
+def lifted_part(side: Side) -> str:
+    """The one rule for a side argument and statement of its role: the part
+    of a SocoSolution it lifts by theta-blocks, "x_blocks" on the dual side,
+    "s_blocks" on the primal; the other is carried as its block arrow-head."""
+    if _of_type(side, Side, "side") is Side.GENERIC:
+        raise DimensionMismatch("side must be dual or primal, got generic")
+    return "x_blocks" if side is Side.DUAL else "s_blocks"
+
+
 _NO_PINS = _frozen(np.empty((0, 2), dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
@@ -50,8 +67,7 @@ class EmbeddingMeta:
     m_original: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.side, Side):
-            raise TypeError(f"side is a {type(self.side).__name__}, not a Side")
+        _of_type(self.side, Side, "side")
         if self.cone_dims is not None:
             object.__setattr__(self, "cone_dims", BlockLayout.from_dims(self.cone_dims).dims)
         elif self.side is not Side.GENERIC:
@@ -84,9 +100,7 @@ class EmbeddingMeta:
 
     @cached_property
     def _pins(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.side is Side.PRIMAL:
-            return self._layout.pins
-        return _NO_PINS
+        return self._layout.pins if self.side is Side.PRIMAL else _NO_PINS
 
     @property
     def zero_pairs(self) -> np.ndarray:
@@ -114,7 +128,7 @@ class SdoProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "C", _as_sparse(self.C, self.dim, "C"))
-        dims = self.meta.cone_dims
+        dims = _of_type(self.meta, EmbeddingMeta, "meta").cone_dims
         if dims is not None and sum(dims) != self.dim:
             raise DimensionMismatch(f"meta.cone_dims {dims} must sum to dim {self.dim}")
         rows = self.constraints

@@ -67,6 +67,12 @@ class BlockLayout:
 
     @classmethod
     def from_dims(cls, dims: Sequence[int]) -> "BlockLayout":
+        try:
+            dims = tuple(dims)
+        except TypeError:
+            raise DimensionMismatch(
+                f"cone_dims must be a sequence of integers, got {dims!r}"
+            ) from None
         dims = tuple(_checked_int(d, "cone_dims", 1) for d in dims)
         if not dims:
             raise DimensionMismatch("cone_dims must not be empty")

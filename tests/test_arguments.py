@@ -3,11 +3,13 @@ table row per (function, argument, bad value): arrays go through one
 checked-array rule (index arrays must hold integers), a tol must be a finite
 number > 0, and an integer argument must be an int or a numpy integer in
 range, not a bool. Every row expects an error whose message starts with the
-argument's name: a ConicEmbedError subclass, or a TypeError for a field of
-the wrong kind (EmbeddingMeta's side)."""
+argument's name: a ConicEmbedError subclass, or a TypeError for a side that
+is not a Side or a meta that is not an EmbeddingMeta."""
 
 import inspect
+import pathlib
 import re
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from conic_embed import (
     RankK,
     RankOne,
     SdoPartition,
+    SdoProblem,
     SdoSolution,
     Side,
     SocoProblem,
@@ -49,6 +52,7 @@ from conic_embed import (
     inverse_map,
     jordan_product,
     map_block,
+    map_partition,
     map_solution,
     max_principal_angle,
     numeric_rank,
@@ -56,6 +60,7 @@ from conic_embed import (
     proper_map_solution,
     psd_status,
     recover_uw,
+    save_sdo_solution,
     sdo_partition_from_solution,
 )
 from conic_embed.linalg import _checked_int, _checked_tol
@@ -65,6 +70,7 @@ P, S = INST.problem, INST.solution
 DUAL = map_solution(P, S, Side.DUAL)
 PRIMAL = map_solution(P, S, Side.PRIMAL)
 PROPER = proper_map_solution(P, S, Side.DUAL)
+LABELS = classify_cones(P, S)
 BASIS = np.eye(3)[:, :1]
 ROWS = SparseRows.from_rows(2, [SymMatrix.identity(2)] * 3)
 NAN, INF = float("nan"), float("inf")
@@ -241,14 +247,41 @@ INTEGER_CALLS = [
     ("SparseRows", "count", lambda: SparseRows(2, -1, [], [], [], []), DimensionMismatch),
 ]
 
-# Data class fields that are not arrays or integers: (class, field, fault,
-# the call, the error).
+# Every exported function or class that takes a side: the call with side.
+SIDE_CALLS = {
+    "EmbeddingMeta": lambda side: EmbeddingMeta(side, (3, 2), 2),
+    "map_solution": lambda side: map_solution(P, S, side),
+    "proper_map_solution": lambda side: proper_map_solution(P, S, side),
+    "map_partition": lambda side: map_partition(P, S, LABELS, side),
+}
+# A path in a folder that does not exist: a call refused before it writes
+# leaves no file, and one that writes fails with an error the row rejects.
+NO_FILE = pathlib.Path(__file__).parent / "no such folder" / "sol.json"
+
+# Fields and arguments that are not arrays or integers: (class or function,
+# argument, fault, the call, the error). A side must be a Side and a meta an
+# EmbeddingMeta (else TypeError); a function that transports a solution
+# refuses the generic side.
 FIELD_CALLS = [
-    ("EmbeddingMeta", "side", "text", lambda: EmbeddingMeta("dual", (3, 2), 2), TypeError),
+    *((fn, "side", "text", lambda call=call: call("dual"), TypeError)
+      for fn, call in SIDE_CALLS.items()),
+    *((fn, "side", "generic", lambda call=call: call(Side.GENERIC), DimensionMismatch)
+      for fn, call in SIDE_CALLS.items() if fn != "EmbeddingMeta"),
     ("EmbeddingMeta", "cone_dims", "missing on the dual side",
      lambda: EmbeddingMeta(Side.DUAL, None, 2), DimensionMismatch),
     ("EmbeddingMeta", "cone_dims", "missing on the primal side",
      lambda: EmbeddingMeta(Side.PRIMAL, None, 2), DimensionMismatch),
+    ("EmbeddingMeta", "cone_dims", "an integer",
+     lambda: EmbeddingMeta(Side.DUAL, 3, 2), DimensionMismatch),
+    ("SocoProblem", "cone_dims", "an integer",
+     lambda: SocoProblem(5, P.A_blocks, P.c_blocks, P.b), DimensionMismatch),
+    ("generate_instance", "cone_dims", "an integer",
+     lambda: generate_instance(5, ("B",), 2, 0), DimensionMismatch),
+    ("SdoProblem", "meta", "None",
+     lambda: SdoProblem(5, SymMatrix.identity(5), (), [], meta=None), TypeError),
+    ("inverse_map", "meta", "None", lambda: inverse_map(None, DUAL), TypeError),
+    ("save_sdo_solution", "meta", "text",
+     lambda: save_sdo_solution(DUAL, NO_FILE, meta="primal"), TypeError),
 ]
 
 
@@ -297,6 +330,20 @@ def test_every_tol_taker_is_in_the_table():
             continue
         takers |= {label for label, f in members if "tol" in inspect.signature(f).parameters}
     assert takers == set(TOL_CALLS) | {"map_partition"}
+
+
+def test_every_side_taker_has_one_rule():
+    import conic_embed
+    takers = {name for name in conic_embed.__all__
+              if (inspect.isfunction(obj := getattr(conic_embed, name)) or is_dataclass(obj))
+              and "side" in inspect.signature(obj).parameters}
+    assert takers == set(SIDE_CALLS)
+    for fn, call in SIDE_CALLS.items():
+        with pytest.raises(TypeError, match=r"^side is a str, not a Side$"):
+            call("dual")
+        if fn != "EmbeddingMeta":  # a meta may be generic
+            with pytest.raises(DimensionMismatch, match="^side must be dual or primal, got generic$"):
+                call(Side.GENERIC)
 
 
 def test_numpy_scalars_are_accepted():

@@ -35,10 +35,10 @@ scattered into the assembled matrix at once. inverse_map reads the traces and
 first rows of all lifted blocks of one size the same way, and gates the
 lifted matrix with linalg._psd_within: one batched Cholesky per block size
 certifies lambda_min >= -tol, and eigh decides only what that leaves open.
-The positions and the theta of the cones come from one frame per cone
-vector (soco._cone_frame), and the carried side is the solution's shared
-arrow-head image (SocoSolution._arrow_head_image), read once per matrix by
-the one stacked arrow-head reader (soco._arrow_head_rows).
+The positions and the theta of the cones come from the frame each solution
+part made when it was built (soco._part), and the carried side is the
+solution's shared arrow-head image (SocoSolution._arrow_head_image), read
+once per matrix by the one stacked arrow-head reader (soco._arrow_head_rows).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
     TemplateViolation,
 )
 from .linalg import DEFAULT_TOL, SparseRows, SparseSym, SymMatrix
-from .linalg import _checked, _checked_int, _checked_tol, _psd_within, _vector
+from .linalg import _checked_int, _checked_tol, _frozen, _psd_within, _vector
 from .sdo import EmbeddingMeta, SdoProblem, SdoSolution, Side, _of_type, lifted_part
 from .soco import (
     INTERIOR,
@@ -68,9 +68,14 @@ from .soco import (
     BlockLayout,
     SocoProblem,
     SocoSolution,
+    _Frame,
+    _Part,
+    _adjoint,
     _arrow_head_rows,
     _cone_frame,
     _frame,
+    _joined,
+    _part,
     _position_codes,
     arrow_head_triplets,
 )
@@ -132,11 +137,9 @@ def build_dual_embedding(problem: SocoProblem) -> SdoProblem:
     """Arrow-head image of the data: C and each constraint row become
     block-diagonal arrow-head matrices; b is unchanged."""
     layout = problem.layout
-    c = [v[None] for v in problem.c_blocks]  # one row: C's triplets, divided as the rows are
-    C = SparseSym(layout.total, *arrow_head_triplets(c, layout, 1.0, 1.0)[1:])
-    rows = SparseRows(
-        layout.total, problem.m, *arrow_head_triplets(problem.A_blocks, layout, 1.0, 1.0)
-    )
+    # c as one row: C's triplets, divided as the rows are
+    C = SparseSym(layout.total, *arrow_head_triplets(problem._c[None], layout, 1.0, 1.0)[1:])
+    rows = SparseRows(layout.total, problem.m, *arrow_head_triplets(problem._A, layout, 1.0, 1.0))
     meta = EmbeddingMeta(Side.DUAL, problem.cone_dims, m_original=problem.m)
     return SdoProblem(layout.total, C, rows, problem.b, meta)
 
@@ -151,9 +154,8 @@ def build_primal_embedding(problem: SocoProblem) -> SdoProblem:
     m = problem.m
     pairs, tied = layout.pins
     scale = (layout.dims, 2.0)  # divisors of each block's head and tail
-    c = [v[None] for v in problem.c_blocks]  # one row: C's triplets, divided as the rows are
-    C = SparseSym(layout.total, *arrow_head_triplets(c, layout, *scale)[1:])
-    row, i, j, v = arrow_head_triplets(problem.A_blocks, layout, *scale)
+    C = SparseSym(layout.total, *arrow_head_triplets(problem._c[None], layout, *scale)[1:])
+    row, i, j, v = arrow_head_triplets(problem._A, layout, *scale)
     # a tied row holds +1 at its block's leading diagonal and -1 at its own
     lead_tied = np.stack((np.asarray(layout.offsets)[layout.cone_ids[tied]], tied), axis=1).ravel()
     n_pairs, n_tied = len(pairs), len(tied)
@@ -279,16 +281,14 @@ def _theta_blocks(v: np.ndarray, cones: list) -> np.ndarray:
     return out
 
 
-def _transport(
-    layout: BlockLayout, flat: np.ndarray, choices, tol: float, name_cones: bool = True
-) -> SymMatrix:
+def _transport(layout: BlockLayout, flat: np.ndarray, frame: _Frame, choices, tol: float,
+               name_cones: bool = True) -> SymMatrix:
     """The block-diagonal matrix of the transported blocks of the concatenated
     finite cone vector flat, one choice per cone. Each cone passes _gate in
     cone order, so the first failing cone raises; with name_cones, its
     NotInterior, BadSubset and OutsideCone carry "cone i: " (0-based), so that
-    the user can tell which cone to change. The cones' frame gives both their
-    positions and their theta."""
-    frame = _cone_frame(layout, flat)
+    the user can tell which cone to change. The cones' frame (in cone order)
+    gives both their positions and their theta."""
     codes = _position_codes(frame, tol)
     subsets = []
     for i, (x, choice, pos) in enumerate(zip(layout.split(flat), choices, codes)):
@@ -304,13 +304,13 @@ def _transport(
     ]))
 
 
-def _require_in_cones(layout: BlockLayout, flat: np.ndarray, tol: float) -> None:
-    """The first cone of the concatenated vector flat that lies outside its
-    cone raises OutsideCone, named as _transport names it."""
-    codes = _position_codes(_cone_frame(layout, flat), tol)
+def _require_in_cones(part: _Part, tol: float) -> None:
+    """The first cone of the part, by its frame, that lies outside its cone
+    raises OutsideCone, named as _transport names it."""
+    codes = _position_codes(part.frame, tol)
     if OUTSIDE in codes:
         i = codes.index(OUTSIDE)
-        raise OutsideCone(f"cone {i}: vector {flat[layout.block_slice(i)]} lies outside its cone")
+        raise OutsideCone(f"cone {i}: vector {part.blocks[i]} lies outside its cone")
 
 
 def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -348,7 +348,8 @@ def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
     non-interior x1. NotFinite on a NaN or an infinite entry.
     """
     x, tol = _vector(x, "x"), _checked_tol(tol)
-    return _transport(BlockLayout.from_dims(x.shape), x, (choice,), tol, name_cones=False)
+    layout = BlockLayout.from_dims(x.shape)
+    return _transport(layout, x, _cone_frame(layout, x), (choice,), tol, name_cones=False)
 
 
 def map_solution(
@@ -371,19 +372,19 @@ def map_solution(
     tol = _checked_tol(tol)
     sol.validate_against(problem)
     choices = per_cone_choices(spec, problem.r)
-    layout = problem.layout
+    layout, parts = problem.layout, sol._parts
 
     def image(name):
-        flat = np.concatenate(getattr(sol, name))
+        part = parts[name]
         if name == lifted:
-            return _transport(layout, flat, choices, tol)
-        _require_in_cones(layout, flat, tol)  # the shared image, checked at this tol
+            return _transport(layout, part.flat, part.frame, choices, tol)
+        _require_in_cones(part, tol)  # the shared image, checked at this tol
         return sol._arrow_head_image(name, layout)
 
-    X, S = (None if getattr(sol, n) is None else image(n) for n in ("x_blocks", "s_blocks"))
+    X, S = (image(n) if n in parts else None for n in ("x_blocks", "s_blocks"))
     y = sol.y if lifted == "x_blocks" else None
     if lifted == "s_blocks" and sol.y is not None and S is not None:
-        u, w = _recover_uw(S, np.concatenate(sol.s_blocks), layout, tol)
+        u, w = _recover_uw(S, parts["s_blocks"].flat, layout, tol)
         y = np.concatenate((sol.y, w, u))
     return SdoSolution(X=X, y=y, S=S)
 
@@ -412,47 +413,37 @@ def inverse_map(
     tol = _checked_tol(tol)
     layout = meta._layout if problem is None else problem.layout
     lifted = lifted_part(meta.side)
-    x = None
-    if sol.X is not None:
-        x = _read_cone_vector(sol.X, "X", layout, lifted == "x_blocks", tol)
+    x = None if sol.X is None else _read_cone_vector(sol.X, "X", layout, lifted == "x_blocks", tol)
     v = None
     if sol.y is not None:
         if sol.y.shape[0] != meta.rows:
             raise DimensionMismatch(f"y has length {sol.y.shape[0]}, expected {meta.rows}")
         v = sol.y[: meta.m_original]
-    s = None
+    slack = None if v is None or problem is None else problem._c - _adjoint(problem, v)
     if sol.S is not None:
-        alt = None if v is None or problem is None else _slack(problem, v)
-        s = _read_cone_vector(sol.S, "S", layout, lifted == "s_blocks", tol, alt)
-    elif v is not None and problem is not None:
-        s = _slack(problem, v)
-    return SocoSolution(
-        x_blocks=None if x is None else layout.split(x),
-        y=v,
-        s_blocks=None if s is None else layout.split(s),
-    )
+        s = _read_cone_vector(sol.S, "S", layout, lifted == "s_blocks", tol, slack)
+    else:
+        s = None if slack is None else _part(_frozen(slack)[0], layout.dims)
+    return SocoSolution(x_blocks=x, y=v, s_blocks=s)  # the parts it read, not copied again
 
 
 def _read_cone_vector(
     M: SymMatrix, name: str, layout: BlockLayout, lifted: bool, tol: float,
     alt: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The concatenated cone vector, read-only, behind one side of an embedded
-    solution: (block trace; 2 * first block row) of a lifted matrix, the block
-    arrow-head inverse of the other (read once per matrix and layout, see
-    soco._arrow_head_rows). When alt is given, the vector must match it
-    within tol, scaled by alt's magnitude per cone, else InconsistentDual
-    names the first cone off. Then a lifted matrix must pass the PSD gate
+) -> _Part:
+    """The solution part (its concatenated cone vector read-only, framed once)
+    behind one side of an embedded solution: (block trace; 2 * first block
+    row) of a lifted matrix, the block arrow-head inverse of the other (read
+    once per matrix and layout, see soco._arrow_head_rows). When alt is given,
+    the vector must match it within tol, scaled by alt's magnitude per cone,
+    else InconsistentDual names the first cone off. Then a lifted matrix must pass the PSD gate
     linalg._psd_within (a certified lambda_min >= -tol, else psd_status's
     verdict), else NotPSD; and the vector of the other must lie in its cones
     (Arw(v) is PSD exactly when v is in its cone, so no eigensolver runs on
     that side), else OutsideCone names the first cone outside."""
     if M.dim != layout.total:
         raise DimensionMismatch(f"{name} has dim {M.dim}, expected {layout.total}")
-    if lifted:
-        out = _block_vectors(M.a, layout)
-    else:
-        out = _arrow_head_rows(M, layout, tol)
+    out = _block_vectors(M.a, layout) if lifted else _arrow_head_rows(M, layout, tol)
     if alt is not None:
         dev = layout.cone_max(np.abs(out - alt))
         bad = np.flatnonzero(dev > tol * (1.0 + layout.cone_max(np.abs(alt))))
@@ -461,12 +452,13 @@ def _read_cone_vector(
             raise InconsistentDual(
                 f"slack block {i} read from S deviates from c - A^T v by {dev[i]:.3e}"
             )
-    if not lifted:
-        _require_in_cones(layout, out, tol)
-    elif not _psd_within(M, tol):
+    if lifted and not _psd_within(M, tol):
         raise NotPSD(f"{name} is indefinite beyond tolerance")
     out.setflags(write=False)
-    return out
+    part = _part(out, layout.dims)
+    if not lifted:
+        _require_in_cones(part, tol)
+    return part
 
 
 def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
@@ -506,8 +498,8 @@ def recover_uw(
         raise DimensionMismatch(f"S has dim {S.dim}, expected {layout.total}")
     if len(s_blocks) != len(layout.dims):
         raise DimensionMismatch(f"s_blocks has {len(s_blocks)} blocks, expected {len(layout.dims)}")
-    s = _checked(s_blocks, [(n,) for n in layout.dims], "s_blocks[{}]")
-    return _recover_uw(S, np.concatenate(s), layout, tol)
+    s, _ = _joined(s_blocks, [(n,) for n in layout.dims], "s_blocks[{}]")
+    return _recover_uw(S, s, layout, tol)
 
 
 def _recover_uw(
@@ -536,17 +528,3 @@ def _recover_uw(
     w = -S.a[pairs[:, 0], pairs[:, 1]]
     return u, w
 
-
-def _slack(problem: SocoProblem, v: np.ndarray) -> np.ndarray:
-    """c - A^T v, concatenated in cone order, read-only. The A blocks of one
-    size are stacked, and each block's product is the same matrix-vector
-    product, with the same bits, as A_i^T v alone; a product with the
-    concatenated A rounds differently."""
-    layout = problem.layout
-    out = np.empty(layout.total)
-    for g in layout.groups:
-        A = np.stack([problem.A_blocks[i] for i in g.ids.tolist()])
-        out[g.at] = np.stack([problem.c_blocks[i] for i in g.ids.tolist()]) \
-            - A.transpose(0, 2, 1) @ v
-    out.setflags(write=False)
-    return out

@@ -453,11 +453,15 @@ def load_sdo_problem(path: PathLike) -> SdoProblem:
 def save_sdo_solution(
     sol: SdoSolution, path: PathLike, meta: Optional[EmbeddingMeta] = None
 ) -> None:
-    """Write an SDO solution. With a primal-side meta, y is also written split
-    as dual_split: the original multipliers v, then w and u indexed by the
-    pinned pairs and tied diagonals."""
-    if meta is not None:
-        _of_type(meta, EmbeddingMeta, "meta")
+    """Write an SDO solution. With a dual- or primal-side meta, y must have
+    its meta.rows entries, else DimensionMismatch before any file is opened.
+    With a primal-side meta, y is also written split as dual_split: the
+    original multipliers v, then w and u indexed by the pinned pairs and tied
+    diagonals."""
+    rows = None if meta is None else _of_type(meta, EmbeddingMeta, "meta").rows
+    if sol.y is not None and rows is not None and len(sol.y) != rows:
+        raise DimensionMismatch(f"y has length {len(sol.y)}, not the {rows} "
+                                f"constraints of the {meta.side.value} embedding")
     obj: dict = {}
     if sol.X is not None:
         obj["X"] = sol.X.a
@@ -468,9 +472,6 @@ def save_sdo_solution(
     if sol.y is not None and meta is not None and meta.side is Side.PRIMAL:
         pairs, tied = meta.zero_pairs, meta.tied_diagonals
         m, y, p = meta.m_original, sol.y, len(pairs)
-        if len(y) != meta.rows:
-            raise DimensionMismatch(f"y has length {len(y)}, not the {meta.rows} "
-                                    "constraints of the primal embedding")
         obj["dual_split"] = {
             "v": y[:m],
             "w": _records(pairs[:, 0], pairs[:, 1], y[m:m + p]),

@@ -7,8 +7,8 @@ directions; the eigen route decomposes a transported matrix pair. For proper
 transports (block rank equal to the cone rank everywhere) the two agree.
 
 Cone positions, the complementarity band, the zero-tail checks and the
-arrow-head eigensystems read each cone vector's frame (soco._frame); no tail
-dot is computed here.
+arrow-head eigensystems read each cone vector's frame (soco._frame), the one
+a solution part made when it was built; no tail dot is computed here.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .soco import (
     ConePosition,
     SocoProblem,
     SocoSolution,
-    _cone_frame,
     _frame,
     _jordan_rows,
     _position_codes,
@@ -93,12 +92,10 @@ def classify_cones(
     if sol.x_blocks is None or sol.s_blocks is None:
         raise MissingSolutionPart("classification needs x and s blocks")
     sol.validate_against(problem)
-    layout = problem.layout
-    x, s = np.concatenate(sol.x_blocks), np.concatenate(sol.s_blocks)
-    fx, fs = _cone_frame(layout, x), _cone_frame(layout, s)
-    px, ps = _position_codes(fx, tol), _position_codes(fs, tol)
-    comp = _complementarity(layout, x, s)
-    band = tol * (1.0 + fx.peak) * (1.0 + fs.peak)
+    x, s = sol._parts["x_blocks"], sol._parts["s_blocks"]
+    px, ps = _position_codes(x.frame, tol), _position_codes(s.frame, tol)
+    comp = _complementarity(problem.layout, x.flat, s.flat)
+    band = tol * (1.0 + x.frame.peak) * (1.0 + s.frame.peak)
     labels = []
     for i, codes in enumerate(zip(px, ps)):
         if OUTSIDE in codes:
@@ -218,8 +215,7 @@ def map_partition(
     # per class, the (cone, columns) pieces in order: columns None for the
     # whole block, else columns of the cone's arrow-head frame
     pieces = {cls: [] for cls in "BNT"}
-    boundary = {}  # cone -> (the vector giving its direction, its tail dot)
-    tails = {}  # "x" or "s" -> the tail dots of its cones' frame, made on first use
+    boundary = {}  # cone -> the part giving its direction
     for i, label in enumerate(labels):
         n = layout.dims[i]
         if label in _WHOLE_ROUTE:
@@ -228,22 +224,26 @@ def map_partition(
         if label not in _BOUNDARY_ROUTE:
             raise LabelMismatch(f"unknown label {label!r}")
         source, x_cls, s_cls = _BOUNDARY_ROUTE[label]
-        blocks = sol.x_blocks if source == "x" else sol.s_blocks
-        if blocks is None:
+        part = sol._parts.get(source + "_blocks")
+        if part is None:
             raise MissingSolutionPart(f"label needs the {source} block for cone {i}")
         if n < 2:
             raise LabelMismatch(f"cone {i} is one-dimensional; no boundary direction exists")
-        if source not in tails:
-            tails[source] = _cone_frame(layout, np.concatenate(blocks)).tt
-        if tails[source][i] <= 0.0:  # ||v[1:]|| <= 0, without the square root
+        if part.frame.tt[i] <= 0.0:  # ||v[1:]|| <= 0, without the square root
             raise LabelMismatch(f"cone {i}: {source} block has a zero tail, no direction")
-        boundary[i] = blocks[i], tails[source][i]
+        boundary[i] = part
         aligned, opposed = (x_cls, s_cls) if source == "x" else (s_cls, x_cls)
         arrow = s_cls if lifted == "x_blocks" else x_cls
         middle = list(range(1, n - 1))
         for cls, col in ((aligned, n - 1), (opposed, 0)):
             pieces[cls].append((i, [col] + (middle if cls == arrow else [])))
-    frames = _boundary_frames(boundary)
+    frames = {}  # each boundary cone's arrow-head eigenvectors, one call per size
+    for g in layout.groups:
+        ids = [i for i in g.ids.tolist() if i in boundary]
+        if ids:
+            v = np.stack([boundary[i].blocks[i] for i in ids])
+            tt = np.array([boundary[i].frame.tt[i] for i in ids])
+            frames.update(zip(ids, _arrow_head_eigensystems(v, tt)[1]))
     bases = []
     for cls in "BNT":
         widths = [layout.dims[i] if cols is None else len(cols) for i, cols in pieces[cls]]
@@ -257,18 +257,6 @@ def map_partition(
     part = SdoPartition(*bases)
     part.validate()
     return part
-
-
-def _boundary_frames(boundary: dict) -> dict:
-    """The arrow-head eigenvectors (arrowhead_eigensystem's, in its order) of
-    each (vector, nonzero tail dot) of boundary, all of one size in one call."""
-    frames = {}
-    for n in {v.shape[0] for v, _ in boundary.values()}:
-        ids = [i for i, (v, _) in boundary.items() if v.shape[0] == n]
-        v = np.stack([boundary[i][0] for i in ids])
-        tt = np.array([boundary[i][1] for i in ids])
-        frames.update(zip(ids, _arrow_head_eigensystems(v, tt)[1]))
-    return frames
 
 
 def _arrow_head_eigensystems(v: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,12 +319,12 @@ def proper_map_solution(
     if interior not in ("simzhao", "full"):
         raise DimensionMismatch(f"interior transport must be simzhao or full, got {interior!r}")
     tol = _checked_tol(tol)
-    blocks = getattr(sol, lifted_part(side))
-    if blocks is None:
+    part = sol._parts.get(lifted_part(side))
+    if part is None:
         raise MissingSolutionPart("proper transport needs the mapped-side blocks")
     sol.validate_against(problem)
     inside = SimZhao() if interior == "simzhao" else FullRank()
-    codes = _position_codes(_cone_frame(problem.layout, np.concatenate(blocks)), tol)
+    codes = _position_codes(part.frame, tol)
     choices = [inside if pos == INTERIOR else RankOne() for pos in codes]
     return map_solution(problem, sol, side, choices, tol)
 

@@ -1,18 +1,20 @@
 """Second-order cone problem data, Lorentz-cone geometry, and arrow-head operators.
 
-Vectors attached to a product of Lorentz cones are carried as explicit
-per-block lists at the API. The per-cone numeric work (cone positions, Jordan
-products, arrow-head images, block reads) runs on (k, n) stacks instead, one
-per distinct cone size: BlockLayout.groups holds each size's cone ids and coordinates, and a
-kernel gathers the stack of a group from the concatenated vector, works on
-all k rows at once and scatters its results back in cone order. Errors are
-still reported for the first failing cone in cone order.
+A vector on a product of Lorentz cones, x = (x_1; ...; x_r), is stored once,
+concatenated: a SocoSolution keeps each part (x, s) as one read-only array,
+and a SocoProblem c, and A as one (m, N) matrix; x_blocks, s_blocks, c_blocks
+and A_blocks are read-only views of them. BlockLayout.from_dims shares one
+layout per cone-dims tuple; its groups hold each cone size's ids and
+coordinates, so a kernel gathers the (k, n) stack of a group from the
+concatenated vector, works on all k rows at once and scatters its results
+back in cone order. Errors name the first failing cone in cone order.
 
 Each cone vector v = (v1, t) is read through one frame (_frame), the only
-place its tail dot t @ t is computed, with its head and peak ||v||_inf. One
-stacked reader (_arrow_head_read) reads every arrow-head matrix, one alone as
-a layout of one block; a SymMatrix keeps its tol-independent read for the
-last layout, and a SocoSolution a weak reference to each part's image.
+place its tail dot t @ t is computed, with its head and peak ||v||_inf; a
+solution frames each part once, when it is built. One stacked reader
+(_arrow_head_read) reads every arrow-head matrix, one alone as a layout of
+one block; a SymMatrix keeps its tol-independent read for the last layout,
+and a SocoSolution a weak reference to each part's image.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart, NotArrowHead
-from .linalg import DEFAULT_TOL, SymMatrix, _checked, _checked_int, _checked_tol, _vector
+from .linalg import DEFAULT_TOL, SymMatrix, _checked, _checked_int, _checked_tol, _frozen, _vector
 
 
 class ConePosition(Enum):
@@ -67,6 +69,7 @@ class BlockLayout:
 
     @classmethod
     def from_dims(cls, dims: Sequence[int]) -> "BlockLayout":
+        """The layout of dims, one object for the PINS_CACHED latest dims."""
         try:
             dims = tuple(dims)
         except TypeError:
@@ -76,8 +79,7 @@ class BlockLayout:
         dims = tuple(_checked_int(d, "cone_dims", 1) for d in dims)
         if not dims:
             raise DimensionMismatch("cone_dims must not be empty")
-        offsets = tuple(int(x) for x in np.cumsum((0,) + dims[:-1]))
-        return cls(dims, offsets, sum(dims))
+        return _shared_layout(dims)
 
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.dims[i])
@@ -89,15 +91,12 @@ class BlockLayout:
         out = []
         for n in sorted(set(self.dims)):
             ids = np.flatnonzero(dims == n)
-            at = offs[ids, None] + np.arange(n)
-            ids.setflags(write=False)
-            at.setflags(write=False)
-            out.append(SizeGroup(n, ids, at))
+            out.append(SizeGroup(n, *_frozen(ids, offs[ids, None] + np.arange(n))))
         return tuple(out)
 
     def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The per-cone pieces of a concatenated vector, as views."""
-        return tuple(flat[o:o + n] for o, n in zip(self.offsets, self.dims))
+        """The per-cone pieces (column blocks of a matrix) of flat, as views."""
+        return tuple(flat[..., o:o + n] for o, n in zip(self.offsets, self.dims))
 
     def assemble(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         """The block-diagonal total x total array holding the (k, n, n) stack
@@ -127,16 +126,21 @@ class BlockLayout:
         """The cone owning each coordinate."""
         return np.repeat(np.arange(len(self.dims)), self.dims)
 
-    @property
+    @cached_property
     def pins(self) -> tuple[np.ndarray, np.ndarray]:
         """Entries the primal embedding pins (0-based, global), as read-only
         int arrays: the (P, 2) upper pairs held at zero, every cross-block
         pair and every within-block off-arrow pair, lexicographic; and the
         non-leading diagonals tied to their block's leading one, ascending.
-        Computed once for equal layouts, while they are among the last
-        PINS_CACHED asked for.
         """
-        return _pins(self)
+        cone = self.cone_ids
+        is_lead = np.zeros(self.total, dtype=bool)
+        is_lead[list(self.offsets)] = True
+        h, l = np.triu_indices(self.total, 1)
+        pinned = (cone[h] != cone[l]) | ~is_lead[h]
+        pairs = np.stack((h[pinned], l[pinned]), axis=1)
+        tied = np.flatnonzero(~is_lead)
+        return _frozen(pairs, tied)
 
     def max_off_block(self, m: SymMatrix) -> float:
         """Largest magnitude of m outside the diagonal blocks; 0.0 for one block.
@@ -151,28 +155,31 @@ class BlockLayout:
         return float(off.max())
 
 
-# The pins are O(total^2) entries; a bounded cache shares them among the
-# layouts of one shape without holding every problem's pins alive.
+# A layout's pins are O(total^2) entries; a bounded cache shares one layout
+# per shape without holding every shape's pins alive.
 PINS_CACHED = 16
 
 
 @lru_cache(maxsize=PINS_CACHED)
-def _pins(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
-    cone = layout.cone_ids
-    is_lead = np.zeros(layout.total, dtype=bool)
-    is_lead[list(layout.offsets)] = True
-    h, l = np.triu_indices(layout.total, 1)
-    pinned = (cone[h] != cone[l]) | ~is_lead[h]
-    pairs = np.stack((h[pinned], l[pinned]), axis=1)
-    tied = np.flatnonzero(~is_lead)
-    for a in (pairs, tied):
-        a.setflags(write=False)
-    return pairs, tied
+def _shared_layout(dims: tuple[int, ...]) -> BlockLayout:
+    offsets = tuple(int(x) for x in np.cumsum((0,) + dims[:-1]))
+    return BlockLayout(dims, offsets, sum(dims))
+
+
+def _joined(values, shapes, name: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """values through _checked, joined along their last axis into one new
+    read-only array (no caller's array is kept), and their lengths on it."""
+    values = _checked(values, shapes, name)
+    joined = np.concatenate(values, axis=-1) if values else np.empty(0)
+    return _frozen(joined)[0], tuple(v.shape[-1] for v in values)
 
 
 @dataclass(frozen=True, eq=False)
 class SocoProblem:
-    """min sum_i <c_i, x_i>  s.t.  sum_i A_i x_i = b,  each x_i in a Lorentz cone."""
+    """min sum_i <c_i, x_i>  s.t.  sum_i A_i x_i = b,  each x_i in a Lorentz cone.
+
+    c is kept as one vector (_c), A as one (m, N) matrix (_A); c_blocks and
+    A_blocks are their per-cone views."""
 
     cone_dims: tuple[int, ...]
     A_blocks: tuple[np.ndarray, ...]
@@ -187,11 +194,14 @@ class SocoProblem:
         m = b.shape[0]
         if len(self.A_blocks) != len(layout.dims) or len(self.c_blocks) != len(layout.dims):
             raise DimensionMismatch("A and c must have one block per cone")
-        A = _checked(self.A_blocks, [(m, n) for n in layout.dims], "A block {}")
-        c = _checked(self.c_blocks, [(n,) for n in layout.dims], "c block {}")
-        object.__setattr__(self, "A_blocks", A)
-        object.__setattr__(self, "c_blocks", c)
-        object.__setattr__(self, "b", b)
+        A, _ = _joined(self.A_blocks, [(m, n) for n in layout.dims], "A block {}")
+        c, _ = _joined(self.c_blocks, [(n,) for n in layout.dims], "c block {}")
+        for name, value in (("_A", A), ("_c", c), ("A_blocks", layout.split(A)),
+                            ("c_blocks", layout.split(c)), ("b", b)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # rebuilt, so that the blocks view one read-only array again
+        return SocoProblem, (self.cone_dims, self.A_blocks, self.c_blocks, self.b)
 
     @property
     def r(self) -> int:
@@ -211,30 +221,53 @@ class SocoProblem:
         return self._layout
 
 
+class _Part(NamedTuple):
+    """One part (x or s) of a solution: its blocks as one read-only array
+    (flat), their views of it, their lengths, and their frame in cone order
+    (None unless every block is nonempty); inverse_map hands these over."""
+
+    flat: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    dims: tuple[int, ...]
+    frame: Optional[_Frame]
+
+
+def _part(flat: np.ndarray, dims: tuple[int, ...]) -> _Part:
+    """The part of the read-only vector flat, cut into blocks of dims, framed."""
+    frame = _cone_frame(_shared_layout(dims), flat) if dims and min(dims) else None
+    return _Part(flat, tuple(flat[e - n:e] for n, e in zip(dims, accumulate(dims))), dims,
+                 frame and _Frame(*_frozen(*frame)))
+
+
 @dataclass(frozen=True, eq=False)
 class SocoSolution:
     """Primal blocks, dual multipliers, slack blocks; any part may be absent.
 
-    The block arrow-head image of x_blocks or s_blocks, once made, is shared
-    by every later request for it while anyone holds it: the solution keeps
-    only a weak reference (_images), so it never keeps an n x n matrix
-    alive."""
+    Each present part of x and s is one _Part (_parts, by field name). Its
+    block arrow-head image, once made, is shared by every later request for
+    it while anyone holds it: the solution keeps only a weak reference
+    (_images), so it never keeps an n x n matrix alive."""
 
     x_blocks: Optional[tuple[np.ndarray, ...]] = None
     y: Optional[np.ndarray] = None
     s_blocks: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
+        parts = {}
         for name in ("x_blocks", "s_blocks"):
-            blocks = getattr(self, name)
-            if blocks is not None:
-                object.__setattr__(self, name, _checked(blocks, repeat((None,)), name + "[{}]"))
+            part = getattr(self, name)
+            if part is not None:
+                if not isinstance(part, _Part):
+                    part = _part(*_joined(part, repeat((None,)), name + "[{}]"))
+                parts[name] = part
+                object.__setattr__(self, name, part.blocks)
         if self.y is not None:
             object.__setattr__(self, "y", _checked((self.y,), ((None,),), "y")[0])
+        object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_images", {})
 
-    def __getstate__(self):
-        return {**self.__dict__, "_images": {}}  # a weak reference cannot be pickled
+    def __reduce__(self):  # rebuilt: one storage again, and no weak reference to pickle
+        return SocoSolution, (self.x_blocks, self.y, self.s_blocks)
 
     def _arrow_head_image(self, name: str, layout: BlockLayout) -> SymMatrix:
         """block_arrow_head of the part name ("x_blocks" or "s_blocks"), whose
@@ -243,22 +276,20 @@ class SocoSolution:
         ref = self._images.get(name)
         image = None if ref is None else ref()
         if image is None:
-            image = _arrow_head_matrix(layout, getattr(self, name))
+            image = _arrow_head_matrix(layout, self._parts[name].flat)
             self._images[name] = weakref.ref(image)
         return image
 
     def validate_against(self, problem: SocoProblem) -> None:
-        for name, blocks in (("x", self.x_blocks), ("s", self.s_blocks)):
-            if blocks is None:
+        for name in ("x", "s"):
+            part = self._parts.get(name + "_blocks")
+            if part is None or part.dims == problem.cone_dims:
                 continue
-            if len(blocks) != problem.r:
-                raise DimensionMismatch(f"{name} has {len(blocks)} blocks, expected {problem.r}")
-            sizes = tuple(v.shape[0] for v in blocks)
-            if sizes != problem.cone_dims:
-                i = next(k for k, (a, b) in enumerate(zip(sizes, problem.cone_dims)) if a != b)
-                raise DimensionMismatch(
-                    f"{name} block {i} has length {sizes[i]}, expected {problem.cone_dims[i]}"
-                )
+            if len(part.dims) != problem.r:
+                raise DimensionMismatch(f"{name} has {len(part.dims)} blocks, expected {problem.r}")
+            i = next(k for k, (a, b) in enumerate(zip(part.dims, problem.cone_dims)) if a != b)
+            raise DimensionMismatch(f"{name} block {i} has length {part.dims[i]}, "
+                                    f"expected {problem.cone_dims[i]}")
         if self.y is not None and self.y.shape[0] != problem.m:
             raise DimensionMismatch(f"y has length {self.y.shape[0]}, expected {problem.m}")
 
@@ -285,15 +316,14 @@ def block_arrow_head(
     checked once, on the whole matrix."""
     vectors = [_vector(v, f"blocks[{k}]") for k, v in enumerate(blocks)]
     layout = BlockLayout.from_dims([v.shape[0] for v in vectors])
-    return _arrow_head_matrix(layout, vectors, head_div, tail_div)
+    return _arrow_head_matrix(layout, np.concatenate(vectors), head_div, tail_div)
 
 
 def _arrow_head_matrix(
-    layout: BlockLayout, vectors: Sequence[np.ndarray], head_div=1.0, tail_div: float = 1.0
+    layout: BlockLayout, flat: np.ndarray, head_div=1.0, tail_div: float = 1.0
 ) -> SymMatrix:
-    """block_arrow_head of vectors already known to match layout, the blocks
-    of one size built as one (k, n, n) stack."""
-    flat = np.concatenate(vectors)
+    """block_arrow_head of the concatenated vector flat, known to match
+    layout, the blocks of one size built as one (k, n, n) stack."""
     heads = np.broadcast_to(np.asarray(head_div, dtype=float), (len(layout.dims),))
     stacks = []
     for g in layout.groups:
@@ -367,21 +397,21 @@ def _arrow_head_read(m: SymMatrix, layout: BlockLayout) -> tuple:
 
 
 def arrow_head_triplets(
-    blocks: Sequence[np.ndarray], layout: BlockLayout, head_div, tail_div: float
+    data: np.ndarray, layout: BlockLayout, head_div, tail_div: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Upper-triangle triplets (row, i, j, v) of one block-diagonal arrow-head
-    matrix per row of the (m, n_i) blocks.
+    matrix per row of the (m, N) float array data (a SocoProblem's _A, or _c
+    as one row), cut into blocks b by the layout.
 
-    Row k is the block arrow-head of the vectors
-    (blocks[b][k, 0] / head_div[b], blocks[b][k, 1:] / tail_div); head_div may
-    be one number for every block. Each block of dim n contributes its lead row
-    (n entries) and then its n - 1 trailing diagonal entries, so the triplets
-    come sorted by (row, i, j). Zero values are kept.
+    Row k is the block arrow-head of the vectors (head / head_div[b],
+    tail / tail_div) of its blocks; head_div may be one number for every
+    block. Each block of dim n contributes its lead row (n entries) and then
+    its n - 1 trailing diagonal entries, so the triplets come sorted by
+    (row, i, j). Zero values are kept.
     """
     dims, offs = np.asarray(layout.dims), np.asarray(layout.offsets)
     r = dims.shape[0]
     heads = np.broadcast_to(np.asarray(head_div, dtype=float), (r,))
-    data = np.concatenate([np.asarray(blk, dtype=float) for blk in blocks], axis=1)
     # every value, leads first: data[:, offs] / heads, then data / tail_div,
     # whose lead columns go unused
     values = np.concatenate((data[:, offs] / heads, data / tail_div), axis=1)
@@ -505,10 +535,19 @@ def dual_residual(problem: SocoProblem, sol: SocoSolution) -> float:
     if sol.y is None or sol.s_blocks is None:
         raise MissingSolutionPart("dual residual needs y and s blocks")
     sol.validate_against(problem)
-    worst = 0.0
-    for a, s, c in zip(problem.A_blocks, sol.s_blocks, problem.c_blocks):
-        worst = max(worst, float(np.abs(a.T @ sol.y + s - c).max()))
-    return worst
+    return float(np.abs(_adjoint(problem, sol.y) + sol._parts["s_blocks"].flat - problem._c).max())
+
+
+def _adjoint(problem: SocoProblem, v: np.ndarray) -> np.ndarray:
+    """A^T v in cone order. The A blocks of one size form one contiguous
+    (k, m, n) stack, so each block's product has the bits of a contiguous
+    A_i^T v alone; the concatenated A, or the strided view A_blocks[i], rounds
+    differently."""
+    out = np.empty(problem.total_dim)
+    for g in problem.layout.groups:
+        A = np.ascontiguousarray(problem._A[:, g.at].transpose(1, 0, 2))
+        out[g.at] = A.transpose(0, 2, 1) @ v
+    return out
 
 
 def duality_gap(problem: SocoProblem, sol: SocoSolution) -> float:

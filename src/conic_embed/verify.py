@@ -92,8 +92,7 @@ def check_admissibility(
     # per-cone terms, the cones of one size at once; c^T x is summed in cone
     # order, as a sum of per-cone dot products
     layout = problem.layout
-    x, s = np.concatenate(sol.x_blocks), np.concatenate(sol.s_blocks)
-    c = np.concatenate(problem.c_blocks)
+    x, s, c = sol._parts["x_blocks"].flat, sol._parts["s_blocks"].flat, problem._c
     dots = np.empty(problem.r)
     for g in layout.groups:
         dots[g.ids] = _row_dots(c[g.at], x[g.at])
@@ -256,21 +255,16 @@ def with_duality_gap(inst: GeneratedInstance, delta: float) -> GeneratedInstance
     Needs a cone whose x block has positive leading entry; t = delta / x1
     lands the gap at t * x1 = delta.
     """
-    sol = inst.solution
-    target = None
-    for i, x in enumerate(sol.x_blocks):
-        if float(x[0]) > 0.1:
-            target = i
-            break
+    sol, problem = inst.solution, inst.problem
+    heads = [float(x[0]) for x in sol.x_blocks]
+    target = next((i for i, head in enumerate(heads) if head > 0.1), None)
     if target is None:
         raise GenerationError("no cone with positive x1; cannot place a gap")
-    t = float(delta) / float(sol.x_blocks[target][0])
-    s_blocks = list(sol.s_blocks)
-    shift = np.zeros(s_blocks[target].shape[0])
-    shift[0] = t
+    shift = np.zeros(problem.cone_dims[target])
+    shift[0] = float(delta) / heads[target]
+    s_blocks, c_blocks = list(sol.s_blocks), list(problem.c_blocks)
     s_blocks[target] = s_blocks[target] + shift
-    c_blocks = list(inst.problem.c_blocks)
     c_blocks[target] = c_blocks[target] + shift
-    problem = SocoProblem(inst.problem.cone_dims, inst.problem.A_blocks, tuple(c_blocks), inst.problem.b)
+    problem = SocoProblem(problem.cone_dims, problem.A_blocks, tuple(c_blocks), problem.b)
     solution = SocoSolution(sol.x_blocks, sol.y, tuple(s_blocks))
     return GeneratedInstance(problem, solution, inst.labels, inst.seed)

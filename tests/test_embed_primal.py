@@ -69,7 +69,7 @@ class TestStructuralIndex:
     def test_computed_once_per_shape(self, monkeypatch):
         # equal layouts share one read-only pair of arrays; the build and the
         # primal transport both read it without computing it again
-        soco._pins.cache_clear()
+        soco._shared_layout.cache_clear()
         inst = generate_instance((3, 2), ("B", "R"), m=2, seed=5)
         calls = []
         triu_indices = np.triu_indices
@@ -79,7 +79,7 @@ class TestStructuralIndex:
         build_primal_embedding(inst.problem)
         map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
         assert calls == [(5, 1)]
-        assert soco._pins.cache_info().maxsize == soco.PINS_CACHED
+        assert soco._shared_layout.cache_info().maxsize == soco.PINS_CACHED
 
     def test_counts(self):
         # pinned pairs cover every strict-upper coordinate outside the arrow

@@ -192,8 +192,9 @@ class TestSolutionRoundTrip:
         assert np.array_equal(loaded.y, inst.solution.y)
 
     def test_loaders_keep_the_arrays_they_read(self, inst, tmp_path, monkeypatch):
-        # every array of the loaded problem and solution is an array the field
-        # reader returned, not a second copy of it
+        # b and y are the arrays the field reader returned, not a second copy
+        # of them; the per-cone blocks hold what it read, as views of the one
+        # array of each part
         from conic_embed import io
 
         read, real = [], io._read
@@ -208,8 +209,11 @@ class TestSolutionRoundTrip:
         save_solution(inst.solution, tmp_path / "s.json")
         p = load_problem(tmp_path / "p.json")
         sol = load_solution(tmp_path / "s.json", p)
-        for a in (*p.A_blocks, *p.c_blocks, p.b, *sol.x_blocks, sol.y, *sol.s_blocks):
+        for a in (p.b, sol.y):
             assert any(a is r for r in read)
+        for blocks in (p.A_blocks, p.c_blocks, sol.x_blocks, sol.s_blocks):
+            assert len({id(a.base) for a in blocks}) == 1
+            assert all(any(np.array_equal(a, r) for r in read) for a in blocks)
 
     def test_partial(self, inst, tmp_path):
         from conic_embed import SocoSolution
@@ -934,3 +938,15 @@ class TestMetaRowCount:
         with pytest.raises(DimensionMismatch,
                            match="^y has length 11, not the 12 constraints of the primal embedding$"):
             save_sdo_solution(short, tmp_path / "s.json", sdo.meta)
+
+    def test_dual_y_of_the_wrong_length_is_refused_before_any_file(self, tmp_path):
+        # the row count is checked for every side a meta names, not only the
+        # primal one, before the file is opened
+        inst = generate_instance((3, 2), ("B", "R"), 2, 5)
+        sdo = build_dual_embedding(inst.problem)
+        mapped = map_solution(inst.problem, inst.solution, Side.DUAL)
+        long = SdoSolution(X=mapped.X, y=np.arange(7.0), S=mapped.S)
+        with pytest.raises(DimensionMismatch,
+                           match="^y has length 7, not the 2 constraints of the dual embedding$"):
+            save_sdo_solution(long, tmp_path / "s.json", sdo.meta)
+        assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,8 @@
 the block arrow-head image of each part, so every map of one solution carries
 one SymMatrix while a result holds it, and never keeps it alive itself. A
 SymMatrix keeps the tol-independent read of block_arrow_head_inv, so repeated
-inverses of one matrix read it once and still compare with each call's tol."""
+inverses of one matrix read it once and still compare with each call's tol.
+A SocoSolution frames each part once, when it is built."""
 
 import gc
 import pickle
@@ -23,8 +24,12 @@ from conic_embed import (
     block_arrow_head,
     block_arrow_head_inv,
     build_dual_embedding,
+    build_primal_embedding,
+    check_admissibility,
+    classify_cones,
     generate_instance,
     inverse_map,
+    map_partition,
     map_solution,
     proper_map_solution,
 )
@@ -106,12 +111,55 @@ def test_no_solution_keeps_an_image_alive():
     assert grown < 200 * image_bytes / 100
 
 
+def test_each_part_is_framed_once():
+    # every map, the proper map, the classification, both partition routes'
+    # table, the verdict and the inverse read the frames the solution made
+    # when it was built; the inverse frames only the vectors it reads back,
+    # once each, for the solution it returns
+    inst = instance("24x4")
+    problem = inst.problem
+    specs = {side: [spec for _, spec in legal_rank_specs(inst, side)]
+             for side in (Side.DUAL, Side.PRIMAL)}
+    with mock.patch.object(soco, "_frame", wraps=soco._frame) as frame:
+        sol = SocoSolution(inst.solution.x_blocks, inst.solution.y, inst.solution.s_blocks)
+        assert frame.call_count == 2  # x and s, one size group each
+        frame.reset_mock()
+        labels = classify_cones(problem, sol)
+        mapped = {}
+        for side, build in ((Side.DUAL, build_dual_embedding),
+                            (Side.PRIMAL, build_primal_embedding)):
+            sdo = build(problem)
+            for spec in specs[side]:
+                check_admissibility(problem, sol, sdo, map_solution(problem, sol, side, spec))
+            mapped[side] = sdo.meta, proper_map_solution(problem, sol, side)
+            map_partition(problem, sol, labels, side)
+        assert frame.call_count == 0
+        for meta, sdo_sol in mapped.values():
+            for given in (None, problem):
+                back = inverse_map(meta, sdo_sol, problem=given)
+                assert frame.call_count == 2  # the x and the s it read, once each
+                for name in ("x_blocks", "s_blocks"):
+                    assert back._parts[name].frame is not None
+                frame.reset_mock()
+
+
 def test_a_pickled_solution_drops_its_images():
     inst = instance("3x2-BR")
     mapped = map_solution(inst.problem, inst.solution, Side.DUAL)
     back = pickle.loads(pickle.dumps(inst.solution))
     assert back._images == {}
     assert np.array_equal(map_solution(inst.problem, back, Side.DUAL).S.a, mapped.S.a)
+
+
+def test_a_pickled_problem_and_solution_keep_one_storage():
+    inst = instance("3x2-BR")
+    for obj, names in ((inst.problem, ("A_blocks", "c_blocks")),
+                       (inst.solution, ("x_blocks", "s_blocks"))):
+        back = pickle.loads(pickle.dumps(obj))
+        for name in names:
+            blocks = getattr(back, name)
+            assert all(v.base is blocks[0].base and not v.flags.writeable for v in blocks)
+            assert all(np.array_equal(v, w) for v, w in zip(blocks, getattr(obj, name)))
 
 
 class TestArrowHeadRead:

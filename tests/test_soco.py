@@ -121,7 +121,7 @@ class TestArrowHead:
         layout = BlockLayout.from_dims(dims)
         for div in ((1.0, 1.0), (dims, 2.0)):
             m = block_arrow_head(blocks, *div)
-            _, i, j, v = arrow_head_triplets([b[None, :] for b in blocks], layout, *div)
+            _, i, j, v = arrow_head_triplets(np.concatenate(blocks)[None], layout, *div)
             want = np.zeros((8, 8))
             want[i, j] = want[j, i] = v
             assert np.array_equal(m.a, want)
@@ -156,7 +156,7 @@ class TestAllConesAtOnce:
             m = int(rng.integers(1, 4))
             blocks = [rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-5, 5) for n in dims]
             for div in ((1.0, 1.0), (dims, 2.0), (np.array(dims) * 1.7, 3.0)):
-                got = arrow_head_triplets(blocks, layout, *div)
+                got = arrow_head_triplets(np.hstack(blocks), layout, *div)
                 for g, w in zip(got, triplets_per_cone(blocks, layout, *div)):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -512,8 +512,12 @@ _FIELDS = {
                              .basis_t),
 }
 
-# Values that are kept as they are: read-only float64 arrays that own their
-# memory or view a read-only array that does.
+# The per-cone block fields: views of one read-only array the object makes.
+_BLOCK_FIELDS = ("SocoProblem.A_blocks", "SocoProblem.c_blocks", "SocoSolution.x_blocks",
+                 "SocoSolution.s_blocks")
+
+# Values that are kept as they are, outside the block fields: read-only
+# float64 arrays that own their memory or view a read-only array that does.
 _KEPT = {
     "read-only": _frozen_copy,
     "read-only view of read-only": lambda a: _frozen_copy(np.stack([a, a]))[1],
@@ -536,14 +540,25 @@ _COPIED = {
 class TestOneArrayRule:
     """Every array field of the five data classes is checked and frozen by one
     rule: a read-only float64 array that owns its memory, or views a read-only
-    one that does, is kept as it is; any other value is copied, once."""
+    one that does, is kept as it is; any other value is copied, once. The
+    per-cone blocks are the exception: each is a view of the one array that
+    the object concatenates them into, whatever it was given."""
 
-    @pytest.mark.parametrize("field", list(_FIELDS))
+    @pytest.mark.parametrize("field", [f for f in _FIELDS if f not in _BLOCK_FIELDS])
     @pytest.mark.parametrize("kind", list(_KEPT))
     def test_read_only_array_is_kept(self, field, kind):
         shape, stored = _FIELDS[field]
         v = _KEPT[kind](np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
         assert stored(v) is v
+
+    @pytest.mark.parametrize("field", _BLOCK_FIELDS)
+    @pytest.mark.parametrize("kind", list(_KEPT))
+    def test_read_only_block_views_a_new_array(self, field, kind):
+        shape, stored = _FIELDS[field]
+        v = _KEPT[kind](np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+        got = stored(v)
+        assert np.array_equal(got, v) and not np.shares_memory(got, v)
+        assert got.base is not None and not got.base.flags.writeable
 
     @pytest.mark.parametrize("field", list(_FIELDS))
     @pytest.mark.parametrize("kind", list(_COPIED))
@@ -581,6 +596,35 @@ class TestOneArrayRule:
             make([wrong, good[1] * np.inf])
         with pytest.raises(NotFinite, match=f"^{re.escape(name.format(1))} holds"):
             make([good[0], good[1] * np.inf])
+
+class TestOneStorage:
+    """Each cone-vector part of a solution or a problem is one read-only
+    array that the object makes; its blocks are views of it."""
+
+    def test_blocks_view_one_read_only_base(self):
+        sol = SocoSolution(x_blocks=[np.array([2.0, 1.0, 0.5]), np.array([1.0, 0.0])],
+                           s_blocks=[np.ones(3), np.ones(2)])
+        problem = SocoProblem((3, 2), [np.ones((2, 3)), np.eye(2)], [np.ones(3), np.ones(2)],
+                              [1.0, 2.0])
+        for blocks in (sol.x_blocks, sol.s_blocks, problem.c_blocks, problem.A_blocks):
+            base = blocks[0].base
+            assert base is not None and not base.flags.writeable
+            assert base.shape[-1] == 5 and all(v.base is base for v in blocks)
+            for v in blocks:
+                assert not v.flags.writeable
+                with pytest.raises(ValueError):
+                    v.setflags(write=True)
+
+    def test_writing_to_the_callers_array_leaves_the_solution_unchanged(self):
+        a = np.array([2.0, 1.0, 0.5])
+        a.setflags(write=False)
+        sol = SocoSolution(x_blocks=[a], s_blocks=(a,))
+        problem = SocoProblem((3,), [a[None]], [a], [1.0])
+        a.setflags(write=True)
+        a[0] = np.nan
+        for v in (sol.x_blocks[0], sol.s_blocks[0], problem.c_blocks[0], problem.A_blocks[0][0]):
+            assert np.array_equal(v, [2.0, 1.0, 0.5])
+
 
 class TestResiduals:
     def test_primal_residual_oracle(self):

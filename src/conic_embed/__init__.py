@@ -26,7 +26,6 @@ from .errors import (
     OutsideCone,
     ParseError,
     ProvenanceMismatch,
-    TemplateViolation,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -35,9 +34,7 @@ from .linalg import (
     SparseRows,
     SparseSym,
     SymMatrix,
-    block_diag,
     eigh,
-    numeric_rank,
     orthonormal_complement,
     psd_status,
     trace_inner,
@@ -48,11 +45,9 @@ from .soco import (
     SocoProblem,
     SocoSolution,
     arrow_head,
-    arrow_head_inv,
     block_arrow_head,
     block_arrow_head_inv,
     cone_position,
-    duality_gap,
     dual_residual,
     jordan_product,
     primal_residual,
@@ -63,7 +58,6 @@ from .sdo import (
     SdoSolution,
     Side,
     sdo_dual_residual,
-    sdo_gap,
     sdo_primal_residual,
 )
 from .embed import (
@@ -73,17 +67,13 @@ from .embed import (
     SimZhao,
     build_dual_embedding,
     build_primal_embedding,
-    extract_block_vector,
-    full_rank_factors,
     inverse_map,
     map_block,
     map_solution,
-    recover_uw,
 )
 from .partition import (
     ConeLabel,
     SdoPartition,
-    arrowhead_eigensystem,
     classify_cones,
     map_partition,
     max_principal_angle,
@@ -174,25 +164,18 @@ __all__ = [
     "SparseRows",
     "SparseSym",
     "SymMatrix",
-    "TemplateViolation",
     "arrow_head",
-    "arrow_head_inv",
-    "arrowhead_eigensystem",
     "block_arrow_head",
     "block_arrow_head_inv",
-    "block_diag",
     "build_dual_embedding",
     "build_primal_embedding",
     "check_admissibility",
     "classify_cones",
     "cone_position",
     "dual_residual",
-    "duality_gap",
     "eigh",
     "example1_counterexample",
     "export_sdpa",
-    "extract_block_vector",
-    "full_rank_factors",
     "generate_instance",
     "inverse_map",
     "jordan_product",
@@ -204,18 +187,15 @@ __all__ = [
     "map_partition",
     "map_solution",
     "max_principal_angle",
-    "numeric_rank",
     "orthonormal_complement",
     "primal_residual",
     "proper_map_solution",
     "psd_status",
-    "recover_uw",
     "save_problem",
     "save_sdo_problem",
     "save_sdo_solution",
     "save_solution",
     "sdo_dual_residual",
-    "sdo_gap",
     "sdo_partition_from_solution",
     "sdo_primal_residual",
     "trace_inner",

@@ -56,7 +56,6 @@ from .errors import (
     NotInterior,
     NotPSD,
     OutsideCone,
-    TemplateViolation,
 )
 from .linalg import DEFAULT_TOL, SparseRows, SparseSym, SymMatrix
 from .linalg import _checked_int, _checked_tol, _frozen, _psd_within, _vector
@@ -73,8 +72,6 @@ from .soco import (
     _adjoint,
     _arrow_head_rows,
     _cone_frame,
-    _frame,
-    _joined,
     _part,
     _position_codes,
     arrow_head_triplets,
@@ -124,9 +121,13 @@ _CHOICES = (RankOne, SimZhao, RankK, FullRank)
 
 
 def per_cone_choices(spec: RankSpecLike, r: int) -> tuple[ConeRankChoice, ...]:
-    """Broadcast a single choice over r cones, or validate a per-cone list."""
+    """Broadcast a single choice over r cones, or validate a per-cone list.
+    A string is refused by its type (TypeError: "spec is a str, not a rank
+    choice or a sequence of them"), not read one character per cone."""
     if isinstance(spec, _CHOICES):
         return (spec,) * r
+    if isinstance(spec, str):
+        raise TypeError("spec is a str, not a rank choice or a sequence of them")
     choices = tuple(spec)
     if len(choices) != r:
         raise DimensionMismatch(f"rank spec lists {len(choices)} cones, expected {r}")
@@ -313,23 +314,6 @@ def _require_in_cones(part: _Part, tol: float) -> None:
         raise OutsideCone(f"cone {i}: vector {part.blocks[i]} lies outside its cone")
 
 
-def full_rank_factors(x, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Factors nu, sqrt(b) e_2, ..., sqrt(b) e_n whose Gram sum is
-    map_block(x, FullRank()): the Sim-Zhao leading factor
-    nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1)).
-    [sqrt(x1)] in one dimension."""
-    x, tol = _vector(x, "x"), _checked_tol(tol)
-    frame = _frame(x[None])
-    if _position_codes(frame, tol)[0] != INTERIOR:
-        raise NotInterior("full-rank transport needs a cone-interior vector")
-    n = x.shape[0]
-    if n == 1:
-        return [np.array([math.sqrt(float(x[0]))])]
-    theta, rest = _sim_zhao_theta(float(frame.head[0]), float(frame.tt[0]))
-    nu = np.concatenate(([theta / 2.0], x[1:])) / math.sqrt(theta)
-    return [nu, *(math.sqrt(rest / (2.0 * (n - 1))) * np.eye(n)[1:])]
-
-
 def map_block(x, choice: ConeRankChoice, tol: float = DEFAULT_TOL) -> SymMatrix:
     """The per-cone transport: the PSD block of one cone vector x under one
     choice, with trace x1 and first row x[1:] / 2.
@@ -384,7 +368,7 @@ def map_solution(
     X, S = (image(n) if n in parts else None for n in ("x_blocks", "s_blocks"))
     y = sol.y if lifted == "x_blocks" else None
     if lifted == "s_blocks" and sol.y is not None and S is not None:
-        u, w = _recover_uw(S, parts["s_blocks"].flat, layout, tol)
+        u, w = _recover_uw(S, parts["s_blocks"].flat, layout)
         y = np.concatenate((sol.y, w, u))
     return SdoSolution(X=X, y=y, S=S)
 
@@ -470,61 +454,16 @@ def _block_vectors(m: np.ndarray, layout: BlockLayout) -> np.ndarray:
     return out
 
 
-def extract_block_vector(X: SymMatrix, layout: BlockLayout, i: int) -> np.ndarray:
-    """Read (block trace; 2 * first block row) out of diagonal block i of X."""
-    i = _checked_int(i, "i", 0, high=len(layout.dims) - 1)
-    if X.dim != layout.total:
-        raise DimensionMismatch(f"X has dim {X.dim}, expected {layout.total}")
-    return _block_vectors(X.a, layout)[layout.block_slice(i)]
-
-
-def recover_uw(
-    S: SymMatrix,
-    s_blocks: Sequence[np.ndarray],
-    cone_dims: Sequence[int],
-    tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read the structural multipliers (u, w) out of a slack matrix, aligned
-    with the tied diagonals and pinned pairs of BlockLayout.pins.
-
-    u_k = S[k, k] - s1_i / n_i for each tied diagonal k of block i;
-    w_hl = -S[h, l] for each pinned pair. The block template (block trace
-    equals s1, first block row equals s[1:] / 2) is verified within tol scaled
-    by the block magnitude; violations raise TemplateViolation.
-    """
-    layout = BlockLayout.from_dims(cone_dims)
-    tol = _checked_tol(tol)
-    if S.dim != layout.total:
-        raise DimensionMismatch(f"S has dim {S.dim}, expected {layout.total}")
-    if len(s_blocks) != len(layout.dims):
-        raise DimensionMismatch(f"s_blocks has {len(s_blocks)} blocks, expected {len(layout.dims)}")
-    s, _ = _joined(s_blocks, [(n,) for n in layout.dims], "s_blocks[{}]")
-    return _recover_uw(S, s, layout, tol)
-
-
-def _recover_uw(
-    S: SymMatrix, s: np.ndarray, layout: BlockLayout, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """recover_uw on the concatenated slack vector s, for an S of the
-    layout's size. The template of every block is checked, the blocks of one
-    size at once; the first block that fails, in cone order, raises, its trace
-    before its first row."""
-    traces, rows = layout.lead_rows(S.a)
+def _recover_uw(S: SymMatrix, s: np.ndarray, layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The structural multipliers (u, w) of the slack matrix S that _transport
+    built from the concatenated slack vector s, aligned with the tied
+    diagonals and pinned pairs of BlockLayout.pins: u_k = S[k, k] - s1_i / n_i
+    for each tied diagonal k of block i, w_hl = -S[h, l] for each pinned
+    pair. S follows s's block template (trace s1, first row s[1:] / 2) by
+    construction, so it is not checked again."""
     heads = s[list(layout.offsets)]
-    band = tol * (1.0 + layout.cone_max(np.abs(s)))
-    dev = np.abs(rows - s / 2.0)
-    dev[list(layout.offsets)] = 0.0  # the first row's lead entry is checked in the trace
-    row_dev = layout.cone_max(dev)
-    trace_dev = np.abs(traces - heads)
-    bad = np.flatnonzero((trace_dev > band) | (row_dev > band))
-    if bad.size:
-        i = int(bad[0])
-        if trace_dev[i] > band[i]:
-            raise TemplateViolation(f"block {i} trace deviates from s1 by {trace_dev[i]:.3e}")
-        raise TemplateViolation(f"block {i} first row deviates from s/2 by {row_dev[i]:.3e}")
     pairs, tied = layout.pins
     tied_cone = layout.cone_ids[tied]
     u = S.a[tied, tied] - heads[tied_cone] / np.asarray(layout.dims)[tied_cone]
     w = -S.a[pairs[:, 0], pairs[:, 1]]
     return u, w
-

@@ -77,10 +77,6 @@ class InconsistentDual(ConicEmbedError):
     """Slack recovered from the matrix block disagrees with c - A^T v."""
 
 
-class TemplateViolation(ConicEmbedError):
-    """Slack matrix does not follow the structured template within tolerance."""
-
-
 class ProvenanceMismatch(ConicEmbedError):
     """Embedded problem does not match the cone problem it supposedly came from."""
 

@@ -16,8 +16,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -324,26 +322,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def block_diag(blocks: Sequence[np.ndarray]) -> SymMatrix:
-    """Write square arrays into one block-diagonal SymMatrix.
-
-    The blocks are checked as one batch, and symmetry once, on the assembled
-    matrix."""
-    blocks = _checked(blocks, repeat((None, None)), "blocks[{}]")
-    if not blocks:
-        raise DimensionMismatch("need at least one block")
-    for k, b in enumerate(blocks):
-        if b.shape[0] != b.shape[1]:
-            raise DimensionMismatch(f"blocks[{k}] has shape {b.shape}, expected a square block")
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        out[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
-    return SymMatrix(out)
 
 
 def trace_inner(a: SymMatrix, b: SymMatrix) -> float:
@@ -705,11 +683,6 @@ def _psd_within(a: SymMatrix, tol: float) -> bool:
         if not certified:
             return psd_status(a, tol) is not PsdStatus.INDEFINITE
     return True
-
-
-def numeric_rank(a: SymMatrix, tol: float = DEFAULT_TOL) -> int:
-    """Count of eigenvalues with |lambda| > tol * max(1, |lambda|_max)."""
-    return eigh(a, tol).rank(tol)
 
 
 def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:

@@ -31,13 +31,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    EigenDecomposition,
     PsdStatus,
     SymMatrix,
     _checked,
     _checked_tol,
     _two_level_eigensystem,
-    _vector,
     eigh,
     orthonormal_complement,
     trace_inner,
@@ -51,7 +49,6 @@ from .soco import (
     ConePosition,
     SocoProblem,
     SocoSolution,
-    _frame,
     _jordan_rows,
     _position_codes,
 )
@@ -124,26 +121,6 @@ def _complementarity(layout: BlockLayout, x: np.ndarray, s: np.ndarray) -> np.nd
     return comp
 
 
-def arrowhead_eigensystem(v) -> EigenDecomposition:
-    """Closed-form eigendecomposition of the arrow-head matrix of v.
-
-    Eigenvalues ascending: v1 - ||t||, then v1 with multiplicity n - 2, then
-    v1 + ||t|| (t = v[1:]); extreme eigenvectors are (1, -d)/sqrt(2) and
-    (1, d)/sqrt(2) for the unit tail direction d, middle ones are (0, z) with
-    z spanning the tail complement. Degenerates to the standard basis when the
-    tail vanishes. NotFinite on a NaN or an infinite entry.
-    """
-    v = _vector(v, "v")
-    tt = _frame(v[None]).tt
-    if tt[0] == 0.0:
-        vals, vecs = np.full(v.shape[0], v[0]), np.eye(v.shape[0])
-    else:
-        vals, vecs = (a[0] for a in _arrow_head_eigensystems(v[None], tt))
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return EigenDecomposition(vals, vecs)
-
-
 ORTHONORMAL_GATE = 1e-6  # SdoPartition.validate's bound on |B^T B - I|, B the bases side by side
 
 
@@ -203,10 +180,11 @@ def map_partition(
     (1, -d)/sqrt(2), and the middle vectors (0, z), z perpendicular to d. The
     middle vectors join the class of the part the side carries as an
     arrow-head (not sdo.lifted_part's), which keeps them; a lifted low-rank
-    image does not. tol is not read: the routing takes the labels as given;
-    the solution's blocks must match the problem.
+    image does not. tol is checked as every tol is, but not read: the routing
+    takes the labels as given; the solution's blocks must match the problem.
     """
     lifted = lifted_part(side)
+    _checked_tol(tol)
     labels = list(labels)
     if len(labels) != problem.r:
         raise DimensionMismatch(f"{len(labels)} labels for {problem.r} cones")
@@ -262,8 +240,11 @@ def map_partition(
 def _arrow_head_eigensystems(v: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and column eigenvectors of the arrow-head of each row of
     the (k, n) stack v, whose tail dots tt (from the rows' frame) are
-    nonzero, in the order of arrowhead_eigensystem: _two_level_eigensystem
-    with along = rest = v1."""
+    nonzero: _two_level_eigensystem with along = rest = v1. Eigenvalues
+    ascending, v1 - ||t||, then v1 with multiplicity n - 2, then v1 + ||t||;
+    the extreme eigenvectors are (1, -d)/sqrt(2) and (1, d)/sqrt(2) for the
+    unit tail direction d, the middle ones (0, z) with z spanning the tail
+    complement."""
     head = v[:, :1]
     rho = np.sqrt(tt)[:, None]
     return _two_level_eigensystem(head, rho, v[:, 1:] / rho, head, head)

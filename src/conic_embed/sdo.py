@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSolutionPart, ProvenanceMismatch
-from .linalg import SparseRows, SparseSym, SymMatrix, trace_inner
+from .linalg import SparseRows, SparseSym, SymMatrix
 from .linalg import _as_sparse, _checked, _checked_int, _frozen
 from .soco import BlockLayout, SocoProblem
 
@@ -189,11 +189,3 @@ def sdo_dual_residual(problem: SdoProblem, sol: SdoSolution) -> float:
     sol.validate_against(problem)
     acc = problem.C.a - problem.constraints.combine(sol.y) - sol.S.a
     return float(np.abs(acc).max())
-
-
-def sdo_gap(problem: SdoProblem, sol: SdoSolution) -> float:
-    """Signed gap Tr(CX) - b^T y."""
-    if sol.X is None or sol.y is None:
-        raise MissingSolutionPart("gap needs X and y")
-    sol.validate_against(problem)
-    return trace_inner(problem.C, sol.X) - float(problem.b @ sol.y)

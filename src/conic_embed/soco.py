@@ -299,14 +299,6 @@ def arrow_head(v) -> SymMatrix:
     return block_arrow_head([_vector(v, "v")])
 
 
-def arrow_head_inv(m: SymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Read the vector back out of an arrow-head matrix, block_arrow_head_inv
-    of one block: off-arrow entries must vanish and trailing diagonal entries
-    must equal the leading one, all within tol; otherwise NotArrowHead
-    reports the worst violation."""
-    return _arrow_head_rows(m, BlockLayout.from_dims((m.dim,)), _checked_tol(tol)).copy()
-
-
 def block_arrow_head(
     blocks: Sequence[np.ndarray], head_div=1.0, tail_div: float = 1.0
 ) -> SymMatrix:
@@ -341,9 +333,11 @@ def block_arrow_head_inv(
     m: SymMatrix, layout: BlockLayout, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, ...]:
     """Inverse of block_arrow_head: the per-cone vectors of m, read-only.
-    Entries outside the diagonal blocks must vanish within tol, and each
-    block must pass arrow_head_inv; otherwise NotArrowHead reports the worst
-    violation."""
+    Entries outside the diagonal blocks must vanish within tol, and in each
+    block the off-arrow entries must vanish and the trailing diagonal entries
+    equal the leading one, within tol; otherwise NotArrowHead reports the
+    worst violation. A single arrow-head matrix is read on a layout of one
+    block."""
     tol = _checked_tol(tol)
     if m.dim != layout.total:
         raise DimensionMismatch(f"m has dim {m.dim}, expected {layout.total}")
@@ -548,12 +542,3 @@ def _adjoint(problem: SocoProblem, v: np.ndarray) -> np.ndarray:
         A = np.ascontiguousarray(problem._A[:, g.at].transpose(1, 0, 2))
         out[g.at] = A.transpose(0, 2, 1) @ v
     return out
-
-
-def duality_gap(problem: SocoProblem, sol: SocoSolution) -> float:
-    """Signed gap c^T x - b^T y."""
-    if sol.x_blocks is None or sol.y is None:
-        raise MissingSolutionPart("duality gap needs x blocks and y")
-    sol.validate_against(problem)
-    cx = sum(float(c @ x) for c, x in zip(problem.c_blocks, sol.x_blocks))
-    return cx - float(problem.b @ sol.y)

@@ -3,6 +3,7 @@ counterexample, and a seeded instance generator with prescribed cone labels."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -253,8 +254,13 @@ def with_duality_gap(inst: GeneratedInstance, delta: float) -> GeneratedInstance
     the duality gap becomes exactly delta.
 
     Needs a cone whose x block has positive leading entry; t = delta / x1
-    lands the gap at t * x1 = delta.
+    lands the gap at t * x1 = delta. delta must be a finite real number (an
+    int, a float or a numpy number); a bool or text is refused, not read as
+    a number (GenerationError).
     """
+    if (isinstance(delta, bool) or not isinstance(delta, (int, float, np.integer, np.floating))
+            or not math.isfinite(delta)):
+        raise GenerationError(f"delta must be a finite real number, got {delta!r}")
     sol, problem = inst.solution, inst.problem
     heads = [float(x[0]) for x in sol.x_blocks]
     target = next((i for i, head in enumerate(heads) if head > 0.1), None)

@@ -4,7 +4,8 @@ checked-array rule (index arrays must hold integers), a tol must be a finite
 number > 0, and an integer argument must be an int or a numpy integer in
 range, not a bool. Every row expects an error whose message starts with the
 argument's name: a ConicEmbedError subclass, or a TypeError for a side that
-is not a Side or a meta that is not an EmbeddingMeta."""
+is not a Side, a meta that is not an EmbeddingMeta or a rank spec that is a
+string."""
 
 import inspect
 import pathlib
@@ -34,11 +35,8 @@ from conic_embed import (
     SparseSym,
     SymMatrix,
     arrow_head,
-    arrow_head_inv,
-    arrowhead_eigensystem,
     block_arrow_head,
     block_arrow_head_inv,
-    block_diag,
     build_dual_embedding,
     build_primal_embedding,
     check_admissibility,
@@ -46,8 +44,6 @@ from conic_embed import (
     cone_position,
     eigh,
     example1_counterexample,
-    extract_block_vector,
-    full_rank_factors,
     generate_instance,
     inverse_map,
     jordan_product,
@@ -55,13 +51,12 @@ from conic_embed import (
     map_partition,
     map_solution,
     max_principal_angle,
-    numeric_rank,
     orthonormal_complement,
     proper_map_solution,
     psd_status,
-    recover_uw,
     save_sdo_solution,
     sdo_partition_from_solution,
+    with_duality_gap,
 )
 from conic_embed.linalg import _checked_int, _checked_tol
 
@@ -130,15 +125,10 @@ ARRAY_ARGUMENTS = [
     ("arrow_head", "v", lambda bad: arrow_head(bad), VECTOR_FAULTS),
     ("block_arrow_head", "blocks[1]", lambda bad: block_arrow_head([[1.0], bad]), VECTOR_FAULTS),
     ("map_block", "x", lambda bad: map_block(bad, RankOne()), VECTOR_FAULTS),
-    ("full_rank_factors", "x", lambda bad: full_rank_factors(bad), VECTOR_FAULTS),
-    ("recover_uw", "s_blocks[0]",
-     lambda bad: recover_uw(PRIMAL.S, [bad, S.s_blocks[1]], (3, 2)), VECTOR_FAULTS),
-    ("arrowhead_eigensystem", "v", lambda bad: arrowhead_eigensystem(bad), VECTOR_FAULTS),
     ("example1_counterexample", "direction",
      lambda bad: example1_counterexample(4, bad), VECTOR_FAULTS),
     ("max_principal_angle", "u", lambda bad: max_principal_angle(bad, BASIS), MATRIX_FAULTS),
     ("max_principal_angle", "v", lambda bad: max_principal_angle(BASIS, bad), MATRIX_FAULTS),
-    ("block_diag", "blocks[0]", lambda bad: block_diag([bad]), MATRIX_FAULTS),
     ("orthonormal_complement", "vectors",
      lambda bad: orthonormal_complement(bad, 3), MATRIX_FAULTS),
     ("SparseRows.combine", "y", lambda bad: ROWS.combine(bad), VECTOR_FAULTS),
@@ -162,36 +152,28 @@ ARRAY_ARGUMENTS = [
 # call with a value of the wrong length).
 WRONG_LENGTH = [
     ("jordan_product", "s", lambda: jordan_product([1.0, 0.0], [1.0, 0.0, 0.0])),
-    ("recover_uw", "s_blocks[0]",
-     lambda: recover_uw(PRIMAL.S, [np.ones(2), S.s_blocks[1]], (3, 2))),
-    ("recover_uw", "s_blocks", lambda: recover_uw(PRIMAL.S, [S.s_blocks[0]], (3, 2))),
     ("example1_counterexample", "direction", lambda: example1_counterexample(3, [1.0, 0.0, 0.0])),
     ("max_principal_angle", "v", lambda: max_principal_angle(BASIS, np.eye(4)[:, :1])),
-    ("block_diag", "blocks[1]", lambda: block_diag([np.eye(2), [[1.0, 2.0]]])),
     ("orthonormal_complement", "vectors", lambda: orthonormal_complement(np.eye(2)[:, :1], 3)),
     ("SparseRows.combine", "y", lambda: ROWS.combine([1.0, 2.0])),
     ("block_arrow_head_inv", "m", lambda: block_arrow_head_inv(DUAL.S, BlockLayout.from_dims((3, 3)))),
 ]
 
-# Every exported function and method that reads a tol: the call with tol.
-# map_partition takes a tol that it does not read, so it is not checked.
+# Every exported function and method that takes a tol: the call with tol.
 TOL_CALLS = {
     "EigenDecomposition.psd_status": lambda tol: eigh(SymMatrix.identity(2)).psd_status(tol),
     "EigenDecomposition.rank_cutoff": lambda tol: eigh(SymMatrix.identity(2)).rank_cutoff(tol),
     "EigenDecomposition.rank": lambda tol: eigh(SymMatrix.identity(2)).rank(tol),
     "eigh": lambda tol: eigh(SymMatrix([[1.0, 2.0], [2.0, 1.0]]), tol),
     "psd_status": lambda tol: psd_status(SymMatrix.identity(2), tol),
-    "numeric_rank": lambda tol: numeric_rank(SymMatrix.identity(2), tol),
-    "arrow_head_inv": lambda tol: arrow_head_inv(arrow_head([2.0, 1.0]), tol),
     "block_arrow_head_inv": lambda tol: block_arrow_head_inv(arrow_head([2.0, 1.0]),
                                                              BlockLayout.from_dims((2,)), tol),
     "cone_position": lambda tol: cone_position([1.0, 1.0], tol),
-    "full_rank_factors": lambda tol: full_rank_factors([2.0, 1.0], tol),
     "map_block": lambda tol: map_block([2.0, 1.0], RankOne(), tol),
     "map_solution": lambda tol: map_solution(P, S, Side.DUAL, RankOne(), tol),
     "inverse_map": lambda tol: inverse_map(build_dual_embedding(P).meta, DUAL, tol),
-    "recover_uw": lambda tol: recover_uw(PRIMAL.S, S.s_blocks, P.cone_dims, tol),
     "classify_cones": lambda tol: classify_cones(P, S, tol),
+    "map_partition": lambda tol: map_partition(P, S, LABELS, Side.DUAL, tol),
     "sdo_partition_from_solution": lambda tol: sdo_partition_from_solution(PROPER.X, PROPER.S, tol),
     "proper_map_solution": lambda tol: proper_map_solution(P, S, Side.DUAL, "simzhao", tol),
     "check_admissibility": lambda tol: check_admissibility(P, S, build_primal_embedding(P),
@@ -219,12 +201,6 @@ INTEGER_CALLS = [
     ("generate_instance", "seed", lambda: generate_instance((3,), ("B",), 1, 2.7), GenerationError),
     ("example1_counterexample", "n", lambda: example1_counterexample(3.9), DimensionMismatch),
     ("example1_counterexample", "n", lambda: example1_counterexample(2), DimensionMismatch),
-    ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, 5),
-     DimensionMismatch),
-    ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, -1),
-     DimensionMismatch),
-    ("extract_block_vector", "i", lambda: extract_block_vector(DUAL.X, P.layout, 0.0),
-     DimensionMismatch),
     ("orthonormal_complement", "dim", lambda: orthonormal_complement(BASIS, 2.5),
      DimensionMismatch),
     ("EmbeddingMeta", "cone_dims", lambda: EmbeddingMeta(Side.PRIMAL, [2.5, 2], 4),
@@ -254,14 +230,18 @@ SIDE_CALLS = {
     "proper_map_solution": lambda side: proper_map_solution(P, S, side),
     "map_partition": lambda side: map_partition(P, S, LABELS, side),
 }
+# seven cones: a string spec read one character per cone would match the
+# seven characters of "simzhao"
+SEVEN = generate_instance((2,) * 7, ("B",) * 7, 2, 1)
 # A path in a folder that does not exist: a call refused before it writes
 # leaves no file, and one that writes fails with an error the row rejects.
 NO_FILE = pathlib.Path(__file__).parent / "no such folder" / "sol.json"
 
 # Fields and arguments that are not arrays or integers: (class or function,
 # argument, fault, the call, the error). A side must be a Side and a meta an
-# EmbeddingMeta (else TypeError); a function that transports a solution
-# refuses the generic side.
+# EmbeddingMeta, and a rank spec must not be a string (else TypeError); a
+# function that transports a solution refuses the generic side; the delta of
+# with_duality_gap must be a finite real number, not a bool or text.
 FIELD_CALLS = [
     *((fn, "side", "text", lambda call=call: call("dual"), TypeError)
       for fn, call in SIDE_CALLS.items()),
@@ -280,6 +260,13 @@ FIELD_CALLS = [
     ("SdoProblem", "meta", "None",
      lambda: SdoProblem(5, SymMatrix.identity(5), (), [], meta=None), TypeError),
     ("inverse_map", "meta", "None", lambda: inverse_map(None, DUAL), TypeError),
+    ("map_solution", "spec", "text on two cones",
+     lambda: map_solution(P, S, Side.DUAL, "simzhao"), TypeError),
+    ("map_solution", "spec", "text on seven cones",
+     lambda: map_solution(SEVEN.problem, SEVEN.solution, Side.DUAL, "simzhao"), TypeError),
+    *(("with_duality_gap", "delta", fault, lambda bad=bad: with_duality_gap(INST, bad),
+       GenerationError)
+      for fault, bad in {"numeric text": "1e-3", "boolean": True, "nan": NAN, "inf": INF}.items()),
     ("save_sdo_solution", "meta", "text",
      lambda: save_sdo_solution(DUAL, NO_FILE, meta="primal"), TypeError),
 ]
@@ -329,7 +316,7 @@ def test_every_tol_taker_is_in_the_table():
         else:
             continue
         takers |= {label for label, f in members if "tol" in inspect.signature(f).parameters}
-    assert takers == set(TOL_CALLS) | {"map_partition"}
+    assert takers == set(TOL_CALLS)
 
 
 def test_every_side_taker_has_one_rule():
@@ -351,8 +338,9 @@ def test_numpy_scalars_are_accepted():
     assert SocoProblem((np.int64(3), np.int8(2)), P.A_blocks, P.c_blocks, P.b).cone_dims == (3, 2)
     inst = generate_instance(np.array([3, 2]), ("B", "R"), np.int64(2), np.uint8(5))
     assert inst.seed == 5 and np.array_equal(inst.problem.b, P.b)
-    assert np.array_equal(extract_block_vector(DUAL.X, P.layout, np.int64(1)),
-                          extract_block_vector(DUAL.X, P.layout, 1))
+    assert orthonormal_complement(BASIS, np.int64(3)).shape == (3, 2)
+    assert with_duality_gap(INST, np.float32(0.5)).problem.c_blocks[0][0] == \
+        with_duality_gap(INST, 0.5).problem.c_blocks[0][0]
     assert cone_position([1.0, 0.5], np.float64(1e-8)) is cone_position([1.0, 0.5])
 
 

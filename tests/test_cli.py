@@ -209,6 +209,13 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_non_finite_gap(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "--cones", "3,2", "--labels", "B,R",
+                           "--out", tmp_path / "p.json", "--gap", "nan")
+        assert code == 1
+        assert err == "error: delta must be a finite real number, got nan\n"
+        assert not (tmp_path / "p.json").exists()
+
     def test_split_blocks_needs_sdpa(self, tmp_path, capsys):
         prob, _ = gen(capsys, tmp_path)
         code, _, err = run(capsys, "embed", "--side", "dual", "--in", prob,

@@ -27,21 +27,19 @@ from conic_embed import (
     build_primal_embedding,
     check_admissibility,
     cone_position,
+    eigh,
     ConePosition,
-    extract_block_vector,
-    full_rank_factors,
     generate_instance,
     inverse_map,
     map_block,
     map_solution,
-    numeric_rank,
     with_duality_gap,
 )
-from conic_embed.embed import per_cone_choices
+from conic_embed.embed import _block_vectors, per_cone_choices
 from conic_embed.soco import BlockLayout
-from conic_embed.sdo import Side
+from conic_embed.sdo import EmbeddingMeta, Side
 
-from helpers import corpus, legal_rank_specs, max_block_diff
+from helpers import corpus, legal_rank_specs, max_block_diff, ref_full_rank_factors
 
 
 def assert_admissible_block(m: SymMatrix, x: np.ndarray, tol=1e-12):
@@ -126,7 +124,7 @@ class TestRankOneMap:
                 x = make(rng, n)
                 m = map_block(x, RankOne())
                 assert_admissible_block(m, x)
-                assert numeric_rank(m) == 1
+                assert eigh(m).rank() == 1
                 assert np.linalg.matrix_rank(m.a, tol=1e-8) == 1
 
     def test_boundary_delta_snapped(self):
@@ -154,7 +152,7 @@ class TestSimZhaoMap:
             x = interior_vec(rng, n)
             m = map_block(x, SimZhao())
             assert_admissible_block(m, x)
-            assert numeric_rank(m) == n
+            assert eigh(m).rank() == n
             assert float(np.linalg.eigvalsh(m.a)[0]) > 0.0
 
     def test_boundary_reduces_to_rank_one(self):
@@ -175,7 +173,7 @@ class TestRankKMap:
         x = np.array([2.0, 1.0, 0.0])
         m = map_block(x, RankK(2, (2,)))
         assert_admissible_block(m, x)
-        assert numeric_rank(m) == 2
+        assert eigh(m).rank() == 2
         # the bump lands on coordinate 2 only
         theta = 3.0 + math.sqrt(5.0)
         assert m.a[1, 1] == pytest.approx(1.0 / theta + 0.5, rel=1e-14)
@@ -188,7 +186,7 @@ class TestRankKMap:
         assert not np.array_equal(m_a.a, m_b.a)
         for m in (m_a, m_b):
             assert_admissible_block(m, x)
-            assert numeric_rank(m) == 2
+            assert eigh(m).rank() == 2
 
     def test_all_ranks_attainable_inside(self):
         rng = np.random.default_rng(25)
@@ -197,7 +195,7 @@ class TestRankKMap:
             for k in range(2, n + 1):
                 m = map_block(x, RankK(k, tuple(range(2, k + 1))))
                 assert_admissible_block(m, x)
-                assert numeric_rank(m) == k
+                assert eigh(m).rank() == k
 
     def test_bad_subsets(self):
         x = np.array([2.0, 1.0, 0.0])
@@ -289,19 +287,13 @@ class TestFullRankMap:
         rng = np.random.default_rng(26)
         for n in (2, 3, 5, 8, 14, 16, 32, 64, 96):
             x = interior_vec(rng, n)
-            betas = full_rank_factors(x)
-            assert len(betas) == n
+            betas = ref_full_rank_factors(x)
             m = map_block(x, FullRank())
             assert np.array_equal(m.a, map_block(x, SimZhao()).a)
             assert_admissible_block(m, x)
-            assert numeric_rank(m) == n
+            assert eigh(m).rank() == n
             gram = sum(np.outer(b, b) for b in betas)
             assert np.abs(gram - m.a).max() < 1e-13 * np.abs(x).max()
-
-    def test_one_dimensional(self):
-        betas = full_rank_factors(np.array([4.0]))
-        assert len(betas) == 1
-        assert betas[0][0] == pytest.approx(2.0)
 
     def test_dim_16_instance_admissible_on_both_sides(self):
         # x is interior (label B) and the gap shift makes s interior as well
@@ -314,7 +306,7 @@ class TestFullRankMap:
             mapped = map_solution(inst.problem, inst.solution, side, FullRank(), tol=1e-8)
             report = check_admissibility(inst.problem, inst.solution, sdo, mapped, tol=1e-8)
             assert report.passed, side
-            assert numeric_rank(block(mapped)) == 16, side
+            assert eigh(block(mapped)).rank() == 16, side
 
     def test_requires_interior(self):
         with pytest.raises(NotInterior):
@@ -492,26 +484,24 @@ class TestInverseMapDual:
             assert blocks[0].base is not None and blocks[0].base is blocks[1].base
 
     def test_extraction_formula(self):
-        layout = BlockLayout.from_dims((3,))
         rng = np.random.default_rng(33)
         g = rng.standard_normal((3, 2))
         X = SymMatrix(g @ g.T)
-        v = extract_block_vector(X, layout, 0)
+        (v,) = inverse_map(EmbeddingMeta(Side.DUAL, (3,), 0), SdoSolution(X=X)).x_blocks
         assert v[0] == pytest.approx(np.trace(X.a))
         assert np.array_equal(v[1:], 2.0 * X.a[0, 1:])
 
     def test_extraction_checks_the_layout(self):
         X = block_arrow_head([[3.0, 1.0, 1.0], [2.0, 1.0]])  # dim 5
         with pytest.raises(DimensionMismatch, match="^X has dim 5, expected 4$"):
-            extract_block_vector(X, BlockLayout.from_dims((2, 2)), 1)
+            inverse_map(EmbeddingMeta(Side.DUAL, (2, 2), 0), SdoSolution(X=X))
 
     def test_extraction_of_psd_block_lands_in_cone(self):
         # trace >= 2 ||first row|| holds for every PSD matrix
         rng = np.random.default_rng(34)
-        layout = BlockLayout.from_dims((5,))
         for k in (1, 2, 5):
             g = rng.standard_normal((5, k))
-            v = extract_block_vector(SymMatrix(g @ g.T), layout, 0)
+            v = _block_vectors(g @ g.T, BlockLayout.from_dims((5,)))
             assert cone_position(v) is not ConePosition.OUTSIDE
 
     def test_requires_dual_meta(self):

@@ -14,15 +14,12 @@ from conic_embed import (
     SocoProblem,
     SocoSolution,
     SymMatrix,
-    TemplateViolation,
     arrow_head,
     block_arrow_head,
     build_primal_embedding,
     generate_instance,
     inverse_map,
-    map_block,
     map_solution,
-    recover_uw,
     sdo_dual_residual,
     sdo_primal_residual,
 )
@@ -30,7 +27,7 @@ from conic_embed.sdo import EmbeddingMeta, Side
 from conic_embed import soco
 from conic_embed.soco import BlockLayout
 
-from helpers import corpus, legal_rank_specs, max_block_diff
+from helpers import corpus, legal_rank_specs, max_block_diff, ref_recover_uw
 
 
 def primal_inverse(problem, sol):
@@ -167,35 +164,30 @@ class TestBuildPrimalEmbedding:
 
 
 class TestRecoverUW:
+    """The structural multipliers (u, w) in the primal map's y."""
+
     def test_frozen_slack_multipliers(self):
         s = np.array([2.0, 1.0, 0.0])
-        S = map_block(s, RankOne())
-        u, w = recover_uw(S, [s], (3,))
+        y = np.array([0.5])
+        A = np.array([[1.0, -1.0, 2.0]])
+        problem = SocoProblem((3,), (A,), (s + A[0] * y[0],), np.zeros(1))
+        mapped = map_solution(problem, SocoSolution(y=y, s_blocks=(s,)), Side.PRIMAL, RankOne())
+        assert mapped.y[0] == 0.5
+        w, u = mapped.y[1:2], mapped.y[2:]
         root3 = math.sqrt(3.0)
         assert u[0] == pytest.approx((2.0 - root3) / 2.0 - 2.0 / 3.0, rel=1e-14)
         assert u[1] == pytest.approx(-2.0 / 3.0, rel=1e-14)
         assert w.shape == (1,) and w[0] == pytest.approx(0.0, abs=1e-15)
 
-    def test_template_violation_trace(self):
-        s = np.array([2.0, 1.0, 0.0])
-        S = map_block(s, RankOne()).a.copy()
-        S[1, 1] += 0.5
-        with pytest.raises(TemplateViolation) as exc:
-            recover_uw(SymMatrix(S), [s], (3,))
-        assert "trace" in str(exc.value)
-
-    def test_template_violation_first_row(self):
-        s = np.array([2.0, 1.0, 0.0])
-        S = map_block(s, RankOne()).a.copy()
-        S[0, 1] += 0.25
-        S[1, 0] += 0.25
-        with pytest.raises(TemplateViolation) as exc:
-            recover_uw(SymMatrix(S), [s], (3,))
-        assert "first row" in str(exc.value)
-
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            recover_uw(SymMatrix.identity(2), [np.zeros(3)], (3,))
+    def test_no_template_check_at_a_tiny_tol(self):
+        # S is built to s's template, so its trace and first rows are not
+        # tested against s again: a tol below their roundoff (1.1e-16 on
+        # cone 1) maps, with the y of tol 1e-8 bit for bit
+        inst = generate_instance((3, 5, 4), ("N", "R", "T3"), 3, 1)
+        tiny = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne(), 1e-300)
+        usual = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne(), 1e-8)
+        assert tiny.y.tobytes() == usual.y.tobytes()
+        assert np.array_equal(tiny.S.a, usual.S.a)
 
 
 class TestMapSolutionPrimal:
@@ -213,7 +205,7 @@ class TestMapSolutionPrimal:
         inst = generate_instance((3, 2), ("R", "N"), m=2, seed=50)
         sdo = build_primal_embedding(inst.problem)
         mapped = map_solution(inst.problem, inst.solution, Side.PRIMAL, RankOne())
-        u, w = recover_uw(mapped.S, inst.solution.s_blocks, inst.problem.cone_dims)
+        u, w = ref_recover_uw(mapped.S, inst.solution.s_blocks, inst.problem.cone_dims)
         assert len(w) == len(sdo.meta.zero_pairs)
         assert len(u) == len(sdo.meta.tied_diagonals)
         assert np.array_equal(mapped.y, np.concatenate((inst.solution.y, w, u)))

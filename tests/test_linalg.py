@@ -17,14 +17,12 @@ from conic_embed import (
     Side,
     SimZhao,
     SymMatrix,
-    block_diag,
     build_dual_embedding,
     eigh,
     generate_instance,
     inverse_map,
     map_block,
     map_solution,
-    numeric_rank,
     orthonormal_complement,
     psd_status,
     trace_inner,
@@ -34,7 +32,7 @@ from conic_embed.linalg import EigenDecomposition, _diagonal_blocks
 from conic_embed.partition import max_principal_angle
 from conic_embed.soco import arrow_head
 
-from helpers import corpus
+from helpers import corpus, ref_block_diag
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -106,7 +104,7 @@ def spans_of(a: SymMatrix, tol=1e-8):
     peak = float(np.abs(m).max())
     spans = [(lo, hi) for lo, hi in zip(*_diagonal_blocks(m)) if hi - lo > 1]
     closed = [(lo, hi) for lo, hi in spans
-              if eigh(block_diag([m[lo:hi, lo:hi], [[peak]]]), tol).jacobi_blocks == 0]
+              if eigh(ref_block_diag([m[lo:hi, lo:hi], [[peak]]]), tol).jacobi_blocks == 0]
     assert eigh(a, tol).jacobi_blocks == len(spans) - len(closed)
     return spans, closed
 
@@ -345,7 +343,7 @@ class TestBlockJacobiMatchesDense:
             blocks.append(map_block(interior_vector(rng, n), RankK(len(subset) + 1, subset)))
             assert spans_of(blocks[-1])[1] == [(0, n)]
             assert_close_to_dense(blocks[-1])
-        a = block_diag([b.a for b in blocks])
+        a = ref_block_diag([b.a for b in blocks])
         spans, closed = spans_of(a)
         assert closed == spans
         assert_close_to_dense(a)
@@ -385,8 +383,8 @@ class TestBlockJacobiMatchesDense:
         # two dense blocks sweep and an arrow-head beside them does not; the
         # sweep count is the fewest max_sweeps that converges
         rng = np.random.default_rng(13)
-        a = block_diag([random_symmetric(rng, 5).a, arrow_head([3.0, 1.0, -1.0]).a,
-                        random_symmetric(rng, 4).a])
+        a = ref_block_diag([random_symmetric(rng, 5).a, arrow_head([3.0, 1.0, -1.0]).a,
+                            random_symmetric(rng, 4).a])
         dec = eigh(a)
         assert dec.jacobi_blocks == 2
         assert dec.sweeps >= 1
@@ -480,7 +478,7 @@ class TestClosedForm:
         blocks = [closed_form_block("simzhao", 5, 3, 0), random_symmetric(rng, 4),
                   closed_form_block("arrow", 3, 4, 1),
                   map_block(interior_vector(rng, 6), RankK(3, (2, 4)))]
-        a = block_diag([b.a for b in blocks])
+        a = ref_block_diag([b.a for b in blocks])
         spans, closed = spans_of(a)
         assert closed == [spans[0], spans[2], spans[3]]
         assert_close_to_dense(a)
@@ -499,17 +497,17 @@ class TestPsdQueries:
             g = rng.standard_normal((n, n))
             assert psd_status(SymMatrix(g @ g.T)) is not PsdStatus.INDEFINITE
 
-    def test_numeric_rank(self):
-        assert numeric_rank(SymMatrix.diagonal([5.0, 1e-12, 0.0])) == 1
-        assert numeric_rank(SymMatrix.diagonal([1.0, 1.0, 0.0])) == 2
-        assert numeric_rank(SymMatrix.zeros(4)) == 0
+    def test_rank(self):
+        assert eigh(SymMatrix.diagonal([5.0, 1e-12, 0.0])).rank() == 1
+        assert eigh(SymMatrix.diagonal([1.0, 1.0, 0.0])).rank() == 2
+        assert eigh(SymMatrix.zeros(4)).rank() == 0
         # the cutoff scales with the largest magnitude: 1e-8 * 1e9 = 10 > 5
-        assert numeric_rank(SymMatrix.diagonal([1e9, 5.0, 0.0])) == 1
+        assert eigh(SymMatrix.diagonal([1e9, 5.0, 0.0])).rank() == 1
         rng = np.random.default_rng(5)
         for k in (1, 2, 3):
             g = rng.standard_normal((6, k))
             m = SymMatrix(g @ g.T)
-            assert numeric_rank(m) == np.linalg.matrix_rank(m.a, tol=1e-8)
+            assert eigh(m).rank() == np.linalg.matrix_rank(m.a, tol=1e-8)
 
 
 def spectral_blocks(seed, sizes, norm, lam_min):
@@ -526,7 +524,7 @@ def spectral_blocks(seed, sizes, norm, lam_min):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         b = (q * lam) @ q.T
         blocks.append(0.5 * (b + b.T))
-    return block_diag(blocks)
+    return ref_block_diag(blocks)
 
 
 def psd_gate(a, tol):
@@ -605,26 +603,3 @@ class TestOrthonormalComplement:
         q = orthonormal_complement(basis, 7)
         assert q.shape == (7, 4)
         assert np.abs(basis.T @ q).max() < 1e-12
-
-
-class TestBlockDiag:
-    def test_assembly(self):
-        m = block_diag([np.eye(2), np.diag([3.0])])
-        want = np.diag([1.0, 1.0, 3.0])
-        assert np.array_equal(m.a, want)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            block_diag([])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            block_diag([np.eye(2), np.zeros((1, 2))])
-
-    def test_assembled_matrix_is_checked(self):
-        # the blocks are plain arrays; the one SymMatrix built from them
-        # checks finiteness and symmetry
-        with pytest.raises(NotSymmetric):
-            block_diag([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
-        with pytest.raises(NotFinite):
-            block_diag([np.array([[np.nan]]), np.eye(1)])

@@ -11,7 +11,6 @@ from conic_embed import (
     LabelMismatch,
     MissingSolutionPart,
     NotComplementary,
-    NotFinite,
     NotPSD,
     OutsideCone,
     SdoPartition,
@@ -19,7 +18,6 @@ from conic_embed import (
     SocoSolution,
     SymMatrix,
     arrow_head,
-    arrowhead_eigensystem,
     classify_cones,
     generate_instance,
     map_partition,
@@ -27,10 +25,10 @@ from conic_embed import (
     proper_map_solution,
     sdo_partition_from_solution,
 )
-from conic_embed import linalg, partition
+from conic_embed import eigh, linalg, partition, soco
 from conic_embed.sdo import Side
 
-from helpers import corpus
+from helpers import corpus, ref_arrowhead_frame
 
 
 def one_cone_problem(n, m=2, seed=0):
@@ -95,24 +93,22 @@ class TestClassify:
             assert tuple(got) == inst.labels
 
 
+def arrow_head_eigensystem(v):
+    """partition._arrow_head_eigensystems of one vector, its tail dot taken
+    from its frame, as map_partition takes it."""
+    v = np.asarray(v, dtype=float)
+    vals, vecs = partition._arrow_head_eigensystems(v[None], soco._frame(v[None]).tt)
+    return vals[0], vecs[0]
+
+
 class TestArrowheadEigensystem:
     def test_frozen_example(self):
-        dec = arrowhead_eigensystem(np.array([2.0, 1.0, 0.0]))
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-15)
+        vals, vecs = arrow_head_eigensystem([2.0, 1.0, 0.0])
+        assert np.allclose(vals, [1.0, 2.0, 3.0], atol=1e-15)
         inv = 1.0 / math.sqrt(2.0)
-        assert np.allclose(dec.eigenvectors[:, 0], [inv, -inv, 0.0], atol=1e-15)
-        assert np.allclose(dec.eigenvectors[:, 2], [inv, inv, 0.0], atol=1e-15)
-        assert abs(dec.eigenvectors[0, 1]) < 1e-15
-
-    @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, np.nan, 0.0], [np.nan]])
-    def test_rejects_non_finite(self, v):
-        with pytest.raises(NotFinite):
-            arrowhead_eigensystem(v)
-
-    def test_zero_tail_degenerates_to_standard_basis(self):
-        dec = arrowhead_eigensystem(np.array([3.0, 0.0, 0.0]))
-        assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 3.0])
-        assert np.array_equal(dec.eigenvectors, np.eye(3))
+        assert np.allclose(vecs[:, 0], [inv, -inv, 0.0], atol=1e-15)
+        assert np.allclose(vecs[:, 2], [inv, inv, 0.0], atol=1e-15)
+        assert abs(vecs[0, 1]) < 1e-15
 
     @pytest.mark.parametrize("tail, zero", [
         ([0.0, -0.0], True),
@@ -120,41 +116,27 @@ class TestArrowheadEigensystem:
         ([1e-160, 0.0], False),  # a subnormal square still gives one
     ])
     def test_tail_dot_decides_the_degenerate_case(self, tail, zero):
-        dec = arrowhead_eigensystem([3.0, *tail])
-        if zero:
-            assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 3.0])
-            assert np.array_equal(dec.eigenvectors, np.eye(3))
-        else:
-            assert np.array_equal(dec.eigenvalues, [3.0 - tail[0], 3.0, 3.0 + tail[0]])
-            # the subnormal square keeps about five digits of ||t||
-            assert np.allclose(np.abs(dec.eigenvectors[1:, [0, 2]]), [[0.5 ** 0.5] * 2, [0.0] * 2],
-                               atol=1e-4)
-
-    def test_one_dimensional(self):
-        dec = arrowhead_eigensystem(np.array([-4.0]))
-        assert dec.eigenvalues[0] == -4.0
+        v = np.array([3.0, *tail])
+        if zero:  # map_partition refuses a boundary label without a direction
+            assert soco._frame(v[None]).tt[0] == 0.0
+            return
+        vals, vecs = arrow_head_eigensystem(v)
+        assert np.array_equal(vals, [3.0 - tail[0], 3.0, 3.0 + tail[0]])
+        # the subnormal square keeps about five digits of ||t||
+        assert np.allclose(np.abs(vecs[1:, [0, 2]]), [[0.5 ** 0.5] * 2, [0.0] * 2], atol=1e-4)
 
     def test_definition_and_orthonormality(self):
         rng = np.random.default_rng(60)
         for n in (2, 3, 5, 11):
             for _ in range(20):
                 v = rng.standard_normal(n)
-                dec = arrowhead_eigensystem(v)
+                vals, vecs = arrow_head_eigensystem(v)
                 a = arrow_head(v).a
                 scale = 1.0 + np.abs(a).max()
-                assert (
-                    np.abs(a @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues).max()
-                    < 1e-13 * scale
-                )
-                assert np.abs(
-                    dec.eigenvectors.T @ dec.eigenvectors - np.eye(n)
-                ).max() < 1e-13
-                want = np.sort(np.linalg.eigvalsh(a))
-                assert np.allclose(dec.eigenvalues, want, atol=1e-12 * scale)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DimensionMismatch):
-            arrowhead_eigensystem(np.zeros((2, 2)))
+                assert np.abs(a @ vecs - vecs * vals).max() < 1e-13 * scale
+                assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-13
+                assert np.allclose(vals, np.sort(np.linalg.eigvalsh(a)), atol=1e-12 * scale)
+                assert np.array_equal(vecs, ref_arrowhead_frame(v))
 
 
 class TestSdoPartitionValidate:
@@ -378,8 +360,6 @@ class TestRouteAgreement:
 
 class TestProperMap:
     def test_block_ranks_equal_cone_ranks(self):
-        from conic_embed import numeric_rank
-
         inst = generate_instance((4, 3, 2), ("B", "R", "N"), m=3, seed=63)
         mapped = proper_map_solution(inst.problem, inst.solution, Side.DUAL)
         X = mapped.X.a
@@ -387,7 +367,7 @@ class TestProperMap:
         assert np.linalg.matrix_rank(X[:4, :4], tol=1e-8) == 4
         assert np.linalg.matrix_rank(X[4:7, 4:7], tol=1e-8) == 1
         assert np.abs(X[7:, 7:]).max() == 0.0
-        assert numeric_rank(mapped.X) == 5
+        assert eigh(mapped.X).rank() == 5
 
     def test_full_interior_variant(self):
         inst = generate_instance((3,), ("B",), m=2, seed=64)

@@ -26,7 +26,6 @@ from conic_embed import (
     map_solution,
     save_sdo_solution,
     sdo_dual_residual,
-    sdo_gap,
     sdo_primal_residual,
     trace_inner,
 )
@@ -216,14 +215,6 @@ class TestResiduals:
         sol = SdoSolution(y=y, S=SymMatrix(s))
         assert sdo_dual_residual(p, sol) < 1e-14
 
-    def test_gap(self):
-        rng = np.random.default_rng(13)
-        p = random_sdo(rng)
-        X = SymMatrix(np.eye(4))
-        y = np.array([1.0, -1.0, 0.5])
-        want = trace_inner(p.C, X) - float(p.b @ y)
-        assert sdo_gap(p, SdoSolution(X=X, y=y)) == pytest.approx(want, abs=1e-15)
-
     def test_missing_parts(self):
         rng = np.random.default_rng(14)
         p = random_sdo(rng)
@@ -231,8 +222,6 @@ class TestResiduals:
             sdo_primal_residual(p, SdoSolution())
         with pytest.raises(MissingSolutionPart):
             sdo_dual_residual(p, SdoSolution(y=np.zeros(3)))
-        with pytest.raises(MissingSolutionPart):
-            sdo_gap(p, SdoSolution(X=SymMatrix.identity(4)))
 
 
 class TestPsdComplementarityFact:

@@ -26,7 +26,6 @@ from conic_embed import (
     SocoProblem,
     SocoSolution,
     SymMatrix,
-    TemplateViolation,
     build_dual_embedding,
     build_primal_embedding,
     check_admissibility,
@@ -36,7 +35,6 @@ from conic_embed import (
     map_partition,
     map_solution,
     proper_map_solution,
-    recover_uw,
 )
 
 from conic_embed import embed
@@ -51,7 +49,6 @@ from helpers import (
     ref_map_partition,
     ref_map_solution_dual,
     ref_map_solution_primal,
-    ref_recover_uw,
     ref_sim_zhao_theta,
     ref_theta_one,
 )
@@ -80,10 +77,6 @@ def sdo_bits(sol):
 def soco_bits(sol):
     parts = (sol.x_blocks, sol.s_blocks)
     return tuple(None if p is None else tuple(map(bits, p)) for p in parts) + (bits(sol.y),)
-
-
-def uw_bits(uw):
-    return tuple(map(bits, uw))
 
 
 def report_bits(rep):
@@ -174,13 +167,6 @@ def check_side(problem, sol, spec, side, rng):
                               mapped.S)
         assert_same(outcome(inverse_map, meta, shifted, DEFAULT_TOL, problem),
                     outcome(ref_inverse_map_primal, problem, shifted), soco_bits)
-        s_blocks = sol.s_blocks
-        assert_same(outcome(recover_uw, mapped.S, s_blocks, problem.cone_dims),
-                    outcome(ref_recover_uw, mapped.S, s_blocks, problem.cone_dims), uw_bits)
-        # a slack off its template on some cones: trace or first row
-        off = [s + rng.uniform(-1e-3, 1e-3, s.shape) * rng.integers(0, 2) for s in s_blocks]
-        assert_same(outcome(recover_uw, mapped.S, off, problem.cone_dims),
-                    outcome(ref_recover_uw, mapped.S, off, problem.cone_dims), uw_bits)
         sdo = build_primal_embedding(problem)
     assert_same(outcome(check_admissibility, problem, sol, sdo, mapped),
                 outcome(ref_check_admissibility, problem, sol, sdo, mapped), report_bits)
@@ -335,7 +321,7 @@ class TestFirstFailingConeInConeOrder:
         assert got == outcome(ref_map_solution_primal, problem, sol, spec)
         assert got[1] is BadSubset and got[2].startswith("cone 1: ")
 
-    def test_inverse_and_template_errors_name_the_earlier_cone(self):
+    def test_inverse_errors_name_the_earlier_cone(self):
         dims = (4, 2, 4)
         problem = self.problem(dims)
         x = tuple(np.concatenate(([2.0], np.eye(n - 1)[0])) for n in dims)
@@ -345,12 +331,8 @@ class TestFirstFailingConeInConeOrder:
         a[0, 0] += 1e-3  # cone 0, size 4
         a[4, 4] += 1e-2  # cone 1, size 2: larger, but later
         S = SymMatrix(a)
-        for got, want in (
-            (outcome(recover_uw, S, x, dims), outcome(ref_recover_uw, S, x, dims)),
-            (outcome(inverse_map, build_primal_embedding(problem).meta,
-                     SdoSolution(mapped.X, mapped.y, S), DEFAULT_TOL, problem),
-             outcome(ref_inverse_map_primal, problem, SdoSolution(mapped.X, mapped.y, S))),
-        ):
-            assert got == want
-            assert got[1] in (TemplateViolation, InconsistentDual)
-            assert "block 0" in got[2]
+        got = outcome(inverse_map, build_primal_embedding(problem).meta,
+                      SdoSolution(mapped.X, mapped.y, S), DEFAULT_TOL, problem)
+        assert got == outcome(ref_inverse_map_primal, problem, SdoSolution(mapped.X, mapped.y, S))
+        assert got[1] is InconsistentDual
+        assert "block 0" in got[2]

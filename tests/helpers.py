@@ -186,8 +186,11 @@ def ref_sim_zhao_theta(x):
 def ref_full_rank_factors(x):
     """Sim-Zhao factors nu, sqrt(b) e_2, ..., sqrt(b) e_n of an interior x,
     whose Gram sum is map_block(x, FullRank()): the leading factor
-    nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1))."""
+    nu = (theta/2, x[1:]) / sqrt(theta) and b = (x1 - ||x[1:]||) / (2 (n-1)).
+    [sqrt(x1)] in one dimension."""
     n = x.shape[0]
+    if n == 1:
+        return [np.array([math.sqrt(float(x[0]))])]
     theta, rest = ref_sim_zhao_theta(x)
     nu = np.concatenate(([theta / 2.0], x[1:])) / math.sqrt(theta)
     return [nu, *(math.sqrt(rest / (2.0 * (n - 1))) * np.eye(n)[1:])]

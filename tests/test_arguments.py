@@ -21,6 +21,7 @@ from conic_embed import (
     ConicEmbedError,
     DimensionMismatch,
     EmbeddingMeta,
+    FullRank,
     GenerationError,
     NotFinite,
     RankK,
@@ -68,6 +69,7 @@ PROPER = proper_map_solution(P, S, Side.DUAL)
 LABELS = classify_cones(P, S)
 BASIS = np.eye(3)[:, :1]
 ROWS = SparseRows.from_rows(2, [SymMatrix.identity(2)] * 3)
+NO_COLUMNS = np.zeros((3, 0))
 NAN, INF = float("nan"), float("inf")
 
 # Values numpy cannot read as a float array: a string that is not one number,
@@ -125,6 +127,9 @@ ARRAY_ARGUMENTS = [
     ("arrow_head", "v", lambda bad: arrow_head(bad), VECTOR_FAULTS),
     ("block_arrow_head", "blocks[1]", lambda bad: block_arrow_head([[1.0], bad]), VECTOR_FAULTS),
     ("map_block", "x", lambda bad: map_block(bad, RankOne()), VECTOR_FAULTS),
+    # the full-rank choice, whose Sim-Zhao factors no longer have a function
+    # of their own
+    ("map_block/FullRank", "x", lambda bad: map_block(bad, FullRank()), VECTOR_FAULTS),
     ("example1_counterexample", "direction",
      lambda bad: example1_counterexample(4, bad), VECTOR_FAULTS),
     ("max_principal_angle", "u", lambda bad: max_principal_angle(bad, BASIS), MATRIX_FAULTS),
@@ -136,6 +141,19 @@ ARRAY_ARGUMENTS = [
      {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
     ("SocoSolution", "y", lambda bad: SocoSolution(y=bad), FIELD_FAULTS),
     ("SocoSolution", "x_blocks[1]", lambda bad: SocoSolution(x_blocks=([1.0], bad)), FIELD_FAULTS),
+    ("SocoSolution", "s_blocks[1]", lambda bad: SocoSolution(s_blocks=([1.0], bad)), FIELD_FAULTS),
+    ("SdoSolution", "y", lambda bad: SdoSolution(y=bad), FIELD_FAULTS),
+    # an empty b is refused first by the A blocks' shapes, which it fixes
+    ("SocoProblem", "b", lambda bad: SocoProblem(P.cone_dims, P.A_blocks, P.c_blocks, bad),
+     {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
+    ("SdoProblem", "b", lambda bad: SdoProblem(2, SparseSym(2, [0], [0], [1.0]), ROWS, bad),
+     VECTOR_FAULTS),
+    ("SdoPartition", "basis_b", lambda bad: SdoPartition(bad, NO_COLUMNS, NO_COLUMNS),
+     MATRIX_FAULTS),
+    ("SdoPartition", "basis_n", lambda bad: SdoPartition(NO_COLUMNS, bad, NO_COLUMNS),
+     MATRIX_FAULTS),
+    ("SdoPartition", "basis_t", lambda bad: SdoPartition(NO_COLUMNS, NO_COLUMNS, bad),
+     MATRIX_FAULTS),
     # the matrix constructors: values through the rule, indices integers only
     ("SymMatrix", "array", lambda bad: SymMatrix(bad), MATRIX_FAULTS),
     ("SparseSym", "v", lambda bad: SparseSym(3, [0, 1, 2], [0, 1, 2], bad),
@@ -145,6 +163,10 @@ ARRAY_ARGUMENTS = [
     ("SparseRows", "v", lambda bad: SparseRows(3, 1, [0] * 3, [0, 1, 2], [0, 1, 2], bad),
      {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
     ("SparseRows", "row", lambda bad: SparseRows(3, 1, bad, [0, 1, 2], [0, 1, 2], [1.0] * 3),
+     INDEX_FAULTS),
+    ("SparseRows", "i", lambda bad: SparseRows(3, 1, [0] * 3, bad, [0, 1, 2], [1.0] * 3),
+     INDEX_FAULTS),
+    ("SparseRows", "j", lambda bad: SparseRows(3, 1, [0] * 3, [0, 1, 2], bad, [1.0] * 3),
      INDEX_FAULTS),
 ]
 

@@ -295,6 +295,12 @@ class TestFullRankMap:
             gram = sum(np.outer(b, b) for b in betas)
             assert np.abs(gram - m.a).max() < 1e-13 * np.abs(x).max()
 
+    def test_one_dimensional(self):
+        betas = ref_full_rank_factors(np.array([4.0]))
+        assert len(betas) == 1
+        assert betas[0][0] == pytest.approx(2.0)
+        assert map_block(np.array([4.0]), FullRank()).a == pytest.approx(np.outer(*betas, *betas))
+
     def test_dim_16_instance_admissible_on_both_sides(self):
         # x is interior (label B) and the gap shift makes s interior as well
         inst = with_duality_gap(generate_instance((16,), ("B",), m=3, seed=16), 0.5)

@@ -66,11 +66,12 @@ class SymMatrix:
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":
+        n = _checked_int(n, "n", 1)
         return cls(np.zeros((n, n)))
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        return cls(np.eye(n))
+        return cls(np.eye(_checked_int(n, "n", 1)))
 
     @classmethod
     def diagonal(cls, values) -> "SymMatrix":
@@ -135,9 +136,10 @@ def _vector(v, name: str) -> np.ndarray:
 
 def _checked_tol(tol, name: str = "tol") -> float:
     """tol as a float; anything but a finite number > 0 raises
-    ConicEmbedError naming name and the value."""
+    ConicEmbedError naming name and the value. A bool is refused, not read
+    as 0 or 1."""
     try:
-        if 0.0 < tol < math.inf:
+        if not isinstance(tol, (bool, np.bool_)) and 0.0 < tol < math.inf:
             return float(tol)
     except (TypeError, ValueError):
         pass
@@ -393,6 +395,7 @@ def eigh(a: SymMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> Eigen
     carrying the residual if max_sweeps is exhausted.
     """
     tol = _checked_tol(tol)
+    max_sweeps = _checked_int(max_sweeps, "max_sweeps", 0)
     n = a.dim
     m = a.a
     thresh = tol * (1.0 + float(np.abs(m).max()))

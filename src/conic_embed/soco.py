@@ -194,8 +194,8 @@ class SocoProblem:
         m = b.shape[0]
         if len(self.A_blocks) != len(layout.dims) or len(self.c_blocks) != len(layout.dims):
             raise DimensionMismatch("A and c must have one block per cone")
-        A, _ = _joined(self.A_blocks, [(m, n) for n in layout.dims], "A block {}")
-        c, _ = _joined(self.c_blocks, [(n,) for n in layout.dims], "c block {}")
+        A, _ = _joined(self.A_blocks, [(m, n) for n in layout.dims], "A_blocks[{}]")
+        c, _ = _joined(self.c_blocks, [(n,) for n in layout.dims], "c_blocks[{}]")
         for name, value in (("_A", A), ("_c", c), ("A_blocks", layout.split(A)),
                             ("c_blocks", layout.split(c)), ("b", b)):
             object.__setattr__(self, name, value)
@@ -299,32 +299,24 @@ def arrow_head(v) -> SymMatrix:
     return block_arrow_head([_vector(v, "v")])
 
 
-def block_arrow_head(
-    blocks: Sequence[np.ndarray], head_div=1.0, tail_div: float = 1.0
-) -> SymMatrix:
-    """Block-diagonal arrow-head matrix of the per-cone vectors
-    (v1 / head_div[i], v[1:] / tail_div), with head_div and tail_div as in
-    arrow_head_triplets: the dense matrix of its entries. Symmetry is
-    checked once, on the whole matrix."""
+def block_arrow_head(blocks: Sequence[np.ndarray]) -> SymMatrix:
+    """Block-diagonal arrow-head matrix of the per-cone vectors: the dense
+    matrix of its entries. Symmetry is checked once, on the whole matrix."""
     vectors = [_vector(v, f"blocks[{k}]") for k, v in enumerate(blocks)]
     layout = BlockLayout.from_dims([v.shape[0] for v in vectors])
-    return _arrow_head_matrix(layout, np.concatenate(vectors), head_div, tail_div)
+    return _arrow_head_matrix(layout, np.concatenate(vectors))
 
 
-def _arrow_head_matrix(
-    layout: BlockLayout, flat: np.ndarray, head_div=1.0, tail_div: float = 1.0
-) -> SymMatrix:
+def _arrow_head_matrix(layout: BlockLayout, flat: np.ndarray) -> SymMatrix:
     """block_arrow_head of the concatenated vector flat, known to match
     layout, the blocks of one size built as one (k, n, n) stack."""
-    heads = np.broadcast_to(np.asarray(head_div, dtype=float), (len(layout.dims),))
     stacks = []
     for g in layout.groups:
         v = flat[g.at]
-        head = v[:, 0] / heads[g.ids]
         stack = np.zeros((len(g.ids), g.n, g.n))
-        stack[:, 0, 1:] = stack[:, 1:, 0] = v[:, 1:] / tail_div
+        stack[:, 0, 1:] = stack[:, 1:, 0] = v[:, 1:]
         diag = np.arange(g.n)
-        stack[:, diag, diag] = head[:, None]
+        stack[:, diag, diag] = v[:, :1]
         stacks.append(stack)
     return SymMatrix(layout.assemble(stacks))
 

@@ -143,6 +143,10 @@ ARRAY_ARGUMENTS = [
     ("SocoSolution", "x_blocks[1]", lambda bad: SocoSolution(x_blocks=([1.0], bad)), FIELD_FAULTS),
     ("SocoSolution", "s_blocks[1]", lambda bad: SocoSolution(s_blocks=([1.0], bad)), FIELD_FAULTS),
     ("SdoSolution", "y", lambda bad: SdoSolution(y=bad), FIELD_FAULTS),
+    ("SocoProblem", "A_blocks[1]",
+     lambda bad: SocoProblem(P.cone_dims, (P.A_blocks[0], bad), P.c_blocks, P.b), FIELD_FAULTS),
+    ("SocoProblem", "c_blocks[1]",
+     lambda bad: SocoProblem(P.cone_dims, P.A_blocks, (P.c_blocks[0], bad), P.b), FIELD_FAULTS),
     # an empty b is refused first by the A blocks' shapes, which it fixes
     ("SocoProblem", "b", lambda bad: SocoProblem(P.cone_dims, P.A_blocks, P.c_blocks, bad),
      {fault: row for fault, row in VECTOR_FAULTS.items() if fault != "empty"}),
@@ -201,7 +205,7 @@ TOL_CALLS = {
     "check_admissibility": lambda tol: check_admissibility(P, S, build_primal_embedding(P),
                                                            PRIMAL, tol),
 }
-BAD_TOLS = {"zero": 0.0, "negative": -1.0, "nan": NAN, "inf": INF, "text": "1e-8"}
+BAD_TOLS = {"zero": 0.0, "negative": -1.0, "nan": NAN, "inf": INF, "text": "1e-8", "boolean": True}
 
 # (function, argument, the call, the error)
 INTEGER_CALLS = [
@@ -243,6 +247,13 @@ INTEGER_CALLS = [
      DimensionMismatch),
     ("SparseRows", "dim", lambda: SparseRows(2.5, 0, [], [], [], []), DimensionMismatch),
     ("SparseRows", "count", lambda: SparseRows(2, -1, [], [], [], []), DimensionMismatch),
+    ("SymMatrix.identity", "n", lambda: SymMatrix.identity(2.5), DimensionMismatch),
+    ("SymMatrix.identity", "n", lambda: SymMatrix.identity(-1), DimensionMismatch),
+    ("SymMatrix.zeros", "n", lambda: SymMatrix.zeros(True), DimensionMismatch),
+    ("SymMatrix.zeros", "n", lambda: SymMatrix.zeros(0), DimensionMismatch),
+    ("eigh", "max_sweeps", lambda: eigh(SymMatrix.identity(2), 1e-8, 2.5), DimensionMismatch),
+    ("eigh", "max_sweeps", lambda: eigh(SymMatrix.identity(2), 1e-8, True), DimensionMismatch),
+    ("eigh", "max_sweeps", lambda: eigh(SymMatrix.identity(2), 1e-8, -1), DimensionMismatch),
 ]
 
 # Every exported function or class that takes a side: the call with side.

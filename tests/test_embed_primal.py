@@ -13,9 +13,9 @@ from conic_embed import (
     SimZhao,
     SocoProblem,
     SocoSolution,
+    SparseSym,
     SymMatrix,
     arrow_head,
-    block_arrow_head,
     build_primal_embedding,
     generate_instance,
     inverse_map,
@@ -25,7 +25,7 @@ from conic_embed import (
 )
 from conic_embed.sdo import EmbeddingMeta, Side
 from conic_embed import soco
-from conic_embed.soco import BlockLayout
+from conic_embed.soco import BlockLayout, arrow_head_triplets
 
 from helpers import corpus, legal_rank_specs, max_block_diff, ref_recover_uw
 
@@ -91,10 +91,18 @@ class TestStructuralIndex:
             assert all(h < l for h, l in pairs)
 
 
+def _scaled_arrow_head(blocks, dims):
+    """the scaled arrow-head (v1 / n, v[1:] / 2) of the primal data rows,
+    built as the embedding builds it: from arrow_head_triplets"""
+    layout = BlockLayout.from_dims(dims)
+    triplets = arrow_head_triplets(np.concatenate(blocks)[None], layout, dims, 2.0)
+    return SparseSym(sum(dims), *triplets[1:]).a
+
+
 class TestScaledArrowHead:
     def test_frozen_block(self):
-        m = block_arrow_head([np.array([3.0, 2.0])], (2,), 2.0)
-        assert np.array_equal(m.a, [[1.5, 1.0], [1.0, 1.5]])
+        m = _scaled_arrow_head([np.array([3.0, 2.0])], (2,))
+        assert np.array_equal(m, [[1.5, 1.0], [1.0, 1.5]])
 
     def test_trace_identity(self):
         # Tr(scaled(a) Arw(x)) = a . x is what keeps the data rows faithful
@@ -104,7 +112,7 @@ class TestScaledArrowHead:
             x_blocks = [rng.standard_normal(n) for n in dims]
             lhs = float(
                 np.sum(
-                    block_arrow_head(a_blocks, dims, 2.0).a
+                    _scaled_arrow_head(a_blocks, dims)
                     * _block_diag_dense([arrow_head(x).a for x in x_blocks])
                 )
             )

@@ -17,6 +17,7 @@ from conic_embed import (
     SdoSolution,
     SocoProblem,
     SocoSolution,
+    SparseSym,
     SymMatrix,
     arrow_head,
     block_arrow_head,
@@ -118,17 +119,18 @@ class TestArrowHead:
         assert np.array_equal(m.a, want)
 
     def test_block_arrow_head_scatters_the_triplets(self):
-        # the dense matrix holds exactly the entries the data rows are built from
+        # the data rows' triplets hold exactly the entries of the arrow-head
+        # of the vectors (head / head_div, tail / tail_div)
         rng = np.random.default_rng(3)
         dims = (3, 1, 4)
         blocks = [rng.standard_normal(n) for n in dims]
         layout = BlockLayout.from_dims(dims)
-        for div in ((1.0, 1.0), (dims, 2.0)):
-            m = block_arrow_head(blocks, *div)
-            _, i, j, v = arrow_head_triplets(np.concatenate(blocks)[None], layout, *div)
-            want = np.zeros((8, 8))
-            want[i, j] = want[j, i] = v
-            assert np.array_equal(m.a, want)
+        for head_div, tail_div in ((1.0, 1.0), (dims, 2.0)):
+            _, i, j, v = arrow_head_triplets(np.concatenate(blocks)[None], layout,
+                                             head_div, tail_div)
+            scaled = [np.r_[b[:1] / h, b[1:] / tail_div]
+                      for b, h in zip(blocks, np.broadcast_to(head_div, len(dims)))]
+            assert np.array_equal(SparseSym(8, i, j, v).a, block_arrow_head(scaled).a)
         with pytest.raises(DimensionMismatch):
             block_arrow_head([np.ones(2), np.zeros((2, 2))])
 
@@ -415,18 +417,18 @@ class TestProblemData:
 
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["b", "A block 1", "c block 0"])
+    @pytest.mark.parametrize("field", ["b", "A_blocks[1]", "c_blocks[0]"])
     def test_problem(self, field, bad):
         A = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[2.0], [0.0]])]
         c = [np.array([1.0, 0.5]), np.array([3.0])]
         b = np.array([2.0, 1.0])
         if field == "b":
             b[1] = bad
-        elif field == "A block 1":
+        elif field == "A_blocks[1]":
             A[1][0, 0] = bad
         else:
             c[0][1] = bad
-        with pytest.raises(NotFinite, match=f"^{field} holds"):
+        with pytest.raises(NotFinite, match="^" + re.escape(field) + " holds"):
             SocoProblem((2, 1), A, c, b)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -473,9 +475,9 @@ def _problem_with(field, blocks):
 # The block batches: (the name of block k, the object built from two blocks,
 # two good blocks, the shape block 0 must have).
 _BATCHES = {
-    "A_blocks": ("A block {}", lambda blocks: _problem_with("A_blocks", blocks),
+    "A_blocks": ("A_blocks[{}]", lambda blocks: _problem_with("A_blocks", blocks),
                  [np.eye(2), np.ones((2, 1))], (2, 2)),
-    "c_blocks": ("c block {}", lambda blocks: _problem_with("c_blocks", blocks),
+    "c_blocks": ("c_blocks[{}]", lambda blocks: _problem_with("c_blocks", blocks),
                  [np.ones(2), np.ones(1)], (2,)),
     "x_blocks": ("x_blocks[{}]", lambda blocks: SocoSolution(x_blocks=blocks),
                  [np.ones(2), np.ones(1)], (None,)),
@@ -583,7 +585,7 @@ class TestOneArrayRule:
         shape, stored = _FIELDS[field]
         v = _frozen_copy(np.full(shape, bad))
         name = field.split(".")[1]
-        name = {"A_blocks": "A block 0", "c_blocks": "c block 0", "x_blocks": "x_blocks[0]",
+        name = {"A_blocks": "A_blocks[0]", "c_blocks": "c_blocks[0]", "x_blocks": "x_blocks[0]",
                 "s_blocks": "s_blocks[1]"}.get(name, name)
         with pytest.raises(NotFinite, match=f"^{re.escape(name)} holds"):
             stored(v)
